@@ -509,7 +509,13 @@ _COMMANDS = {
 def _config_from_args(args) -> RunConfig:
     threads = getattr(args, "threads", None)
     if threads is None:
-        threads = int(os.environ.get("VOLTERRA_ITO_THREADS", "1"))
+        env = os.environ.get("VOLTERRA_ITO_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise DomainError(
+                f"field 'VOLTERRA_ITO_THREADS': expected an integer, got {env!r}"
+            ) from None
     return RunConfig(
         subcommand=args.subcommand,
         grid_n=getattr(args, "grid_n", 256),

@@ -18,7 +18,7 @@ import numpy as np
 from .bracket import EnergyFunction, energy_function, stieltjes_integrate
 from .errors import DomainError
 from .kernels import Kernel, TimeGrid, covariance
-from .paths import PathBundle, simulate_volterra, volterra_weights
+from .paths import PathBundle, _weight_row, simulate_volterra, volterra_weights
 
 __all__ = [
     "TestFunction",
@@ -268,17 +268,12 @@ def conditional_mean_and_var(k: Kernel, grid: TimeGrid, dw: np.ndarray,
     dw = np.asarray(dw, dtype=float)
     if dw.shape != (grid.n_cells,):
         raise DomainError("dw must hold one increment per grid cell")
-    times = grid.times
-    t = times[t_index]
     if t_index == 0:
         return 0.0, 0.0
-    mass = np.maximum(
-        k.cell_l2_rows(t, times[:t_index], times[1:t_index + 1]), 0.0
-    )
-    w = np.sqrt(mass)
+    w = _weight_row(k, grid.times, t_index)
     z = dw[:t_index] / np.sqrt(grid.dt[:t_index])
     m = float(np.dot(w[:r_index], z[:r_index]))
-    v = float(np.sum(mass[r_index:]))
+    v = float(np.sum(w[r_index:] ** 2))
     return m, v
 
 
@@ -309,12 +304,7 @@ def clark_ocone_ito_sum(k: Kernel, bundle: PathBundle, phi: TestFunction,
         raise DomainError("t_index outside the grid")
     if t_index == 0:
         return np.zeros(bundle.n_paths)
-    times = bundle.grid.times
-    t = times[t_index]
-    mass = np.maximum(
-        k.cell_l2_rows(t, times[:t_index], times[1:t_index + 1]), 0.0
-    )
-    w = np.sqrt(mass)
+    w = _weight_row(k, bundle.grid.times, t_index)
     z = bundle.z()[:, :t_index]
     return _co_sum_block(phi, w, z, quad_order)
 
@@ -376,10 +366,6 @@ def _block_ranges(paths):
     return [(s, min(BLOCK_PATHS, paths - s)) for s in starts]
 
 
-def _gamma_at(k: Kernel, pts) -> np.ndarray:
-    return np.array([k.total_l2(float(s)) for s in np.atleast_1d(pts)])
-
-
 # ---------------------------------------------------------------------------
 # Mean identity
 # ---------------------------------------------------------------------------
@@ -407,7 +393,7 @@ def _mean_identity_rhs(k, phi, gamma, t_idx, quad_order, stride=1):
         idx = len(keep) - 1
 
     def f(pts):
-        gam = _gamma_at(k, pts)
+        gam = k.total_l2(pts)
         return np.asarray(_mean_d2phi(phi, np.zeros_like(gam), gam, quad_order))
 
     integral = stieltjes_integrate(f, sub, 0, idx)
@@ -679,7 +665,7 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
                             monotone=True, kernel_id="lebesgue")
 
     def f(pts):
-        gam = _gamma_at(k, pts)
+        gam = k.total_l2(pts)
         return np.asarray(_mean_d2phi(phi, np.zeros_like(gam), gam, quad_order))
 
     lebesgue = stieltjes_integrate(f, linear, 0, t_idx)

@@ -178,14 +178,19 @@ class Kernel:
         raise NotImplementedError
 
     def cell_l2_rows(self, t, a, b):
-        """Vectorized cell_l2 over arrays a < b for a fixed t."""
+        """Vectorized cell_l2 over arrays a < b; an array t broadcasts with them."""
         raise NotImplementedError
 
-    def total_l2(self, t: float) -> float:
-        """Gamma(t) = integral of K(t, r)^2 over [0, t]."""
-        if t == 0.0:
-            return 0.0
-        return self.cell_l2(t, 0.0, t)
+    def total_l2(self, t):
+        """Gamma(t) = integral of K(t, r)^2 over [0, t], elementwise in t.
+
+        A scalar t gives a float; an array of times gives an array of the
+        same shape.
+        """
+        ts = np.asarray(t, dtype=float)
+        flat = ts.ravel()
+        vals = self.cell_l2_rows(flat, 0.0, flat)
+        return float(vals[0]) if ts.ndim == 0 else vals.reshape(ts.shape)
 
     # -- structure queries --------------------------------------------------
 
@@ -412,9 +417,8 @@ class TableKernel(Kernel):
         return float(np.sum((kl * kl + kl * kr + kr * kr) / 3.0 * np.diff(pts)))
 
     def cell_l2_rows(self, t, a, b):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        return np.array([self.cell_l2(t, ai, bi) for ai, bi in zip(a, b)])
+        return np.array([self.cell_l2(ti, ai, bi)
+                         for ti, ai, bi in np.broadcast(t, a, b)])
 
     def spec_dict(self):
         return {
@@ -688,17 +692,17 @@ def equal_energy_grid(k: Kernel, n_cells: int) -> TimeGrid:
     if isinstance(k, RiemannLiouvilleKernel):
         frac = np.arange(n_cells + 1) / n_cells
         return TimeGrid(T * frac ** (1.0 / (2.0 * k.hurst)))
-    total = k.total_l2(T)
-    times = [0.0]
-    for i in range(1, n_cells):
-        target = total * i / n_cells
-        lo, hi = times[-1], T
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if k.total_l2(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        times.append(0.5 * (lo + hi))
-    times.append(T)
-    return TimeGrid(np.asarray(times))
+    # bisect every interior node at once on [0, T], one array Gamma call per
+    # step; a bracket that stops changing never changes again
+    targets = k.total_l2(T) * np.arange(1, n_cells) / n_cells
+    lo = np.zeros(n_cells - 1)
+    hi = np.full(n_cells - 1, T)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = k.total_l2(mid) < targets
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    return TimeGrid(np.concatenate(([0.0], 0.5 * (lo + hi), [T])))

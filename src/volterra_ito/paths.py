@@ -58,7 +58,16 @@ def _uniforms(seed, streams, counters):
 
 
 def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
-    """[n_streams x n_draws] standard normals, rows keyed by stream index."""
+    """[n_streams x n_draws] standard normals, rows keyed by stream index.
+
+    Streams and counters each index 2^32 values; a range past either would
+    alias another stream's draws, so it is refused.
+    """
+    for what, start, count in (("stream indices", stream_start, n_streams),
+                               ("draw counters", counter_start, n_draws)):
+        if not 0 <= start <= start + count <= int(_STREAM_SPAN):
+            raise DomainError(
+                f"{what} [{start}, {start + count}) must lie in [0, 2^32)")
     streams = np.arange(stream_start, stream_start + n_streams, dtype=np.uint64)
     counters = np.arange(counter_start, counter_start + n_draws, dtype=np.uint64)
     u = _uniforms(seed, streams[:, None], counters[None, :])
@@ -112,20 +121,24 @@ def volterra_weights(k: Kernel, grid: TimeGrid) -> np.ndarray:
     """Cell weights Kbar[i, j] with Kbar^2 equal to the exact cell L2 mass.
 
     Row i gives the weights of X at grid point i over cells j < i; the weight
-    sign follows the kernel's sign at the cell midpoint (all built-in
-    families are nonnegative).
+    sign follows the kernel's sign at the cell midpoint (an exp-sum kernel
+    with negative weights can change sign).
     """
-    times = grid.times
     n = grid.n_cells
     w = np.zeros((n + 1, n))
     for i in range(1, n + 1):
-        t = times[i]
-        mass = np.maximum(k.cell_l2_rows(t, times[:i], times[1:i + 1]), 0.0)
-        mids = 0.5 * (times[:i] + times[1:i + 1])
-        sign = np.sign(k.lag_eval(t, t - mids, mids))
-        sign[sign == 0.0] = 1.0
-        w[i, :i] = sign * np.sqrt(mass)
+        w[i, :i] = _weight_row(k, grid.times, i)
     return w
+
+
+def _weight_row(k: Kernel, times: np.ndarray, i: int) -> np.ndarray:
+    """Signed weights of X at times[i] over cells j < i (row i of volterra_weights)."""
+    t = times[i]
+    mass = np.maximum(k.cell_l2_rows(t, times[:i], times[1:i + 1]), 0.0)
+    mids = 0.5 * (times[:i] + times[1:i + 1])
+    sign = np.sign(k.lag_eval(t, t - mids, mids))
+    sign[sign == 0.0] = 1.0
+    return sign * np.sqrt(mass)
 
 
 def _check_budget(paths, n_cells, budget):
@@ -146,7 +159,7 @@ def simulate_volterra(k: Kernel, grid: TimeGrid, paths: int, seed: int,
     """Simulate X_t = int_0^t K(t,s) dW_s on the grid for a batch of paths.
 
     Each path owns stream ``stream_offset + p``; the per-point variance of X
-    matches the energy function exactly by construction of the cell weights.
+    matches the energy function to rounding by construction of the cell weights.
 
     Parameters
     ----------

@@ -28,7 +28,29 @@ RL25 = RiemannLiouvilleKernel(hurst=0.25, horizon=1.0)
 ES = ExpSumKernel(weights=(1.0,), rates=(1.0,), horizon=1.0)
 
 
+def cumulative_cell_energy(k, grid):
+    """Reference: Gamma(t_i) as the row-by-row sum of exact cell masses."""
+    times = grid.times
+    vals = np.zeros(times.size)
+    for i in range(1, times.size):
+        vals[i] = np.sum(k.cell_l2_rows(times[i], times[:i], times[1:i + 1]))
+    return vals
+
+
 class TestEnergyFunction:
+    @pytest.mark.parametrize("k", [
+        BM,
+        RiemannLiouvilleKernel(hurst=0.1, horizon=1.0),
+        RL25,
+        RiemannLiouvilleKernel(hurst=0.75, horizon=1.0),
+        ExpSumKernel(weights=(1.0, -2.0), rates=(1.0, 10.0), horizon=1.0),
+    ])
+    def test_matches_cell_cumsums(self, k):
+        grid = TimeGrid(np.linspace(0.0, 1.0, 257) ** 2)
+        ef = energy_function(k, grid)
+        want = cumulative_cell_energy(k, grid)
+        assert np.allclose(ef.values, want, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.75])
     def test_rl_power_law(self, hurst):
         k = RiemannLiouvilleKernel(hurst=hurst, horizon=1.0)

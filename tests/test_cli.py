@@ -52,6 +52,12 @@ class TestBracket:
 
 
 class TestErrors:
+    def test_malformed_thread_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("VOLTERRA_ITO_THREADS", "abc")
+        code = run_cli(["bracket", "--kernel", "brownian", "--grid-n", "4"])
+        assert code == 2
+        assert "VOLTERRA_ITO_THREADS" in capsys.readouterr().err
+
     def test_malformed_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "kernel.json"
         spec.write_text('{"kind":"rl","T":1.0}')  # missing hurst

@@ -8,7 +8,9 @@ from scipy import integrate, stats
 
 from volterra_ito.errors import DomainError
 from volterra_ito.itoverify import (
+    DEFAULT_GH_ORDER,
     TestFunction,
+    _co_sum_block,
     clark_ocone_ito_sum,
     conditional_mean_and_var,
     mehler_conditional,
@@ -24,11 +26,12 @@ from volterra_ito.kernels import (
     TimeGrid,
     equal_energy_grid,
 )
-from volterra_ito.paths import simulate_volterra
+from volterra_ito.paths import simulate_volterra, volterra_weights
 
 BM = BrownianKernel(horizon=1.0)
 RL25 = RiemannLiouvilleKernel(hurst=0.25, horizon=1.0)
 ES = ExpSumKernel(weights=(1.0,), rates=(1.0,), horizon=1.0)
+SIGNED = ExpSumKernel(weights=(1.0, -2.0), rates=(1.0, 10.0), horizon=1.0)
 
 
 class TestTestFunction:
@@ -124,6 +127,13 @@ class TestConditionalMeanVar:
         assert v == 0.0
         assert m == pytest.approx(b.X[0, -1], rel=1e-12)
 
+    def test_full_conditioning_signed_kernel(self):
+        grid = TimeGrid.uniform(64, 1.0)
+        b = simulate_volterra(SIGNED, grid, 1, seed=4)
+        m, v = conditional_mean_and_var(SIGNED, grid, b.dW[0], 64, 64)
+        assert v == 0.0
+        assert m == pytest.approx(b.X[0, -1], rel=1e-12)
+
     def test_no_conditioning(self):
         grid = TimeGrid.uniform(16, 1.0)
         b = simulate_volterra(RL25, grid, 1, seed=4)
@@ -162,6 +172,16 @@ class TestClarkOconeSum:
                 co = clark_ocone_ito_sum(k, b, phi, 64)
                 se = co.std() / math.sqrt(paths)
                 assert abs(co.mean()) <= 4.0 * se, (k.kind, phi.label)
+
+    def test_signed_kernel_keeps_weight_signs(self):
+        grid = TimeGrid.uniform(64, 1.0)
+        b = simulate_volterra(SIGNED, grid, 200, seed=5)
+        phi = TestFunction.square()
+        co = clark_ocone_ito_sum(SIGNED, b, phi, 64)
+        w = volterra_weights(SIGNED, grid)[64]
+        assert np.any(w < 0)
+        want = _co_sum_block(phi, w, b.z(), DEFAULT_GH_ORDER)
+        assert np.array_equal(co, want)
 
     def test_brownian_square_is_ito_sum(self):
         # phi = x^2 on Brownian: the CO sum is exactly 2 sum W_j dW_j

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from volterra_ito.approx import fit_expsum
 from volterra_ito.errors import DomainError
 from volterra_ito.kernels import (
     BrownianKernel,
@@ -26,6 +27,7 @@ from volterra_ito.kernels import (
 BM = BrownianKernel(horizon=1.0)
 RL25 = RiemannLiouvilleKernel(hurst=0.25, horizon=1.0)
 ES = ExpSumKernel(weights=(1.0,), rates=(1.0,), horizon=1.0)
+SIGNED = ExpSumKernel(weights=(1.0, -2.0), rates=(1.0, 10.0), horizon=1.0)
 
 
 def make_table_from(kernel, n=32):
@@ -274,3 +276,81 @@ class TestTimeGrid:
         gam = np.array([ES.total_l2(t) for t in g.times])
         incs = np.diff(gam)
         assert np.allclose(incs, incs[0], rtol=1e-6)
+
+
+def sequential_energy_grid(k, n_cells):
+    """Reference: node-by-node scalar bisection on [previous node, T]."""
+    T = k.horizon
+    total = k.total_l2(T)
+    times = [0.0]
+    for i in range(1, n_cells):
+        target = total * i / n_cells
+        lo, hi = times[-1], T
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if k.total_l2(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        times.append(0.5 * (lo + hi))
+    times.append(T)
+    return np.asarray(times)
+
+
+@pytest.fixture(scope="module")
+def fitted16():
+    return fit_expsum(RL25, 16, 1e-4)
+
+
+class TestArrayGamma:
+    @pytest.mark.parametrize("kernel", [
+        BM,
+        RiemannLiouvilleKernel(hurst=0.1, horizon=1.0),
+        RL25,
+        RiemannLiouvilleKernel(hurst=0.75, horizon=1.0),
+        SIGNED,
+        "fitted16",
+        "table",
+    ], ids=["brownian", "rl0.1", "rl0.25", "rl0.75", "signed", "fitted16",
+            "table"])
+    def test_matches_cell_cumsums(self, kernel, request):
+        if kernel == "fitted16":
+            kernel = request.getfixturevalue("fitted16")
+        elif kernel == "table":
+            kernel = make_table_from(ES, 16)
+        times = TimeGrid.uniform(64, 1.0).times
+        got = kernel.total_l2(times)
+        want = np.array([
+            np.sum(kernel.cell_l2_rows(times[i], times[:i], times[1:i + 1]))
+            for i in range(times.size)
+        ])
+        assert got.shape == times.shape
+        assert got[0] == 0.0
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_scalar_and_shape(self):
+        assert isinstance(RL25.total_l2(0.25), float)
+        assert RL25.total_l2(0.25) == pytest.approx(0.5, rel=1e-15)
+        assert RL25.total_l2(0.0) == 0.0
+        ts = np.array([[0.25, 1.0], [0.0, 0.0625]])
+        got = RL25.total_l2(ts)
+        assert got.shape == (2, 2)
+        assert np.allclose(got, [[0.5, 1.0], [0.0, 0.25]], rtol=1e-15)
+
+
+class TestEqualEnergyBisection:
+    def test_bit_identical_to_sequential(self):
+        k = ExpSumKernel((1.0,), (1.0,))
+        got = equal_energy_grid(k, 1024).times
+        assert np.array_equal(got, sequential_energy_grid(k, 1024))
+
+    @pytest.mark.parametrize("kernel", [SIGNED, "fitted16"])
+    def test_close_to_sequential(self, kernel, request):
+        if kernel == "fitted16":
+            kernel = request.getfixturevalue("fitted16")
+        got = equal_energy_grid(kernel, 256).times
+        want = sequential_energy_grid(kernel, 256)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_single_cell(self):
+        assert np.array_equal(equal_energy_grid(ES, 1).times, [0.0, 1.0])
