@@ -2,9 +2,10 @@
 
 All stochastic sums use the left-point (adapted) convention: the conditional
 mean at cell j only sees increments strictly before the cell, matching the
-predictable projection. Monte Carlo runs are blocked over paths with a fixed
-block size, each block keyed by absolute path index, so results are
-bit-identical for any worker count.
+predictable projection. Monte Carlo means and SEs come from one reducer over
+fixed-size path blocks keyed by absolute path index, merged in path order by
+the (count, mean, M2) update of Chan, Golub & LeVeque (1983): the SE does not
+cancel, and results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from .bracket import EnergyFunction, energy_function, stieltjes_integrate
 from .errors import DomainError
 from .kernels import Kernel, TimeGrid, covariance
-from .paths import PathBundle, _weight_row, simulate_volterra, volterra_weights
+from .paths import (PathBundle, _normals_matrix, _weight_row, simulate_volterra,
+                    volterra_weights)
 
 __all__ = [
     "TestFunction",
@@ -217,6 +219,8 @@ def mehler_conditional(phi_prime, m, v, quad_order: int = DEFAULT_GH_ORDER):
     m, v : float or ndarray
         Conditional mean(s) and nonnegative residual variance(s).
     """
+    if quad_order < 1:
+        raise DomainError("Gauss-Hermite quadrature order must be >= 1")
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.any(v < -1e-12 * max(1.0, float(np.max(np.abs(v), initial=0.0)))):
@@ -354,16 +358,34 @@ class VerificationReport:
         )
 
 
-def _map_blocks(fn, starts, threads):
+def _mc_mean_se(sample, paths, threads):
+    """Monte Carlo mean and SE of ``sample(start, count)`` over ``paths`` draws.
+
+    Blocks of BLOCK_PATHS paths each give (count, sum, M2), M2 two-pass about
+    the block's own mean; merging them in path order (Chan, Golub & LeVeque)
+    makes the result independent of ``threads``.
+    """
+    if paths < 1:
+        raise DomainError("Monte Carlo checks need paths >= 1")
+
+    def block(start):
+        vals = sample(start, min(BLOCK_PATHS, paths - start))
+        total = np.sum(vals)
+        dev = vals - total / vals.size
+        return vals.size, total, np.sum(dev * dev)
+
+    starts = range(0, paths, BLOCK_PATHS)
     if threads <= 1:
-        return [fn(s) for s in starts]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, starts))
-
-
-def _block_ranges(paths):
-    starts = list(range(0, paths, BLOCK_PATHS))
-    return [(s, min(BLOCK_PATHS, paths - s)) for s in starts]
+        parts = [block(s) for s in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(block, starts))
+    n, total, m2 = parts[0]
+    for nb, sb, m2b in parts[1:]:
+        delta = sb / nb - total / n
+        m2 += m2b + delta * delta * (n * nb / (n + nb))
+        n, total = n + nb, total + sb
+    return total / paths, math.sqrt(m2 / paths / paths)
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +422,15 @@ def _mean_identity_rhs(k, phi, gamma, t_idx, quad_order, stride=1):
     return float(phi.phi(0.0)) + 0.5 * integral
 
 
-def _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads, weights=None):
-    """Blocked Monte Carlo mean and SE of phi(X_t)."""
-    if weights is None:
-        weights = volterra_weights(k, grid)
-    w_t = weights[t_idx]
+def _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads):
+    """Monte Carlo mean and SE of phi(X_t), with X_t = Z w_t."""
+    w_t = _weight_row(k, grid.times, t_idx)
 
-    def block(args):
-        start, count = args
-        bundle = simulate_volterra(k, grid, count, seed, stream_offset=start,
-                                   weights=weights, budget=_BLOCK_BUDGET)
-        xt = bundle.z() @ w_t[: grid.n_cells]
-        vals = phi.phi(xt)
-        return np.array([np.sum(vals), np.sum(vals * vals), count])
+    def sample(start, count):
+        z = _normals_matrix(np.uint64(seed % 2 ** 64), start, count, t_idx)
+        return phi.phi(z @ w_t)
 
-    parts = _map_blocks(block, _block_ranges(paths), threads)
-    sums = np.sum(np.stack(parts), axis=0)
-    mean = sums[0] / paths
-    var = max(sums[1] / paths - mean * mean, 0.0)
-    return mean, math.sqrt(var / paths)
+    return _mc_mean_se(sample, paths, threads)
 
 
 def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
@@ -433,6 +445,8 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
     Stieltjes rule on the grid. The bias bound is a Richardson estimate from
     recomputing the right side on the half-resolution subgrid.
     """
+    if paths < 0:
+        raise DomainError("paths must be >= 0 (0 selects quadrature only)")
     t_idx = grid.index_of(t)
     if t_idx == 0:
         raise DomainError("t must be a positive grid point")
@@ -487,8 +501,7 @@ def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, quad_order, threads
     w_t = weights[t_idx, :t_idx]
     phi0 = float(phi.phi(0.0))
 
-    def block(args):
-        start, count = args
+    def sample(start, count):
         bundle = simulate_volterra(k, grid, count, seed, stream_offset=start,
                                    weights=weights, budget=_BLOCK_BUDGET)
         z = bundle.z()[:, :t_idx]
@@ -498,14 +511,9 @@ def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, quad_order, threads
         mid = 0.5 * (d2[:, :-1] + d2[:, 1:])
         corr = mid @ dgam
         res = phi.phi(x[:, -1]) - phi0 - co - 0.5 * corr
-        r2 = res * res
-        return np.array([np.sum(r2), np.sum(r2 * r2), count])
+        return res * res
 
-    parts = _map_blocks(block, _block_ranges(paths), threads)
-    sums = np.sum(np.stack(parts), axis=0)
-    mean = sums[0] / paths
-    var = max(sums[1] / paths - mean * mean, 0.0)
-    return mean, math.sqrt(var / paths)
+    return _mc_mean_se(sample, paths, threads)
 
 
 def _pathwise_bias_bound(k, phi, grid, gamma_t):
@@ -584,29 +592,19 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
     t_idx = grid.index_of(t)
     if t_idx == 0:
         raise DomainError("t must be a positive grid point")
-    w1 = volterra_weights(k1, grid)[t_idx]
-    w2 = volterra_weights(k2, grid)[t_idx]
 
     if phi2d == "xy":
+        w1 = _weight_row(k1, grid.times, t_idx)
+        w2 = _weight_row(k2, grid.times, t_idx)
         reference = covariance(k1, k2, t, t)
         model_cov = float(np.dot(w1, w2))
         bias = abs(model_cov - reference)
 
-        def block(args):
-            start, count = args
-            b1 = simulate_volterra(k1, grid, count, seed, stream_offset=start,
-                                   budget=_BLOCK_BUDGET)
-            zmat = b1.z()
-            x1 = zmat @ w1[: grid.n_cells]
-            x2 = zmat @ w2[: grid.n_cells]
-            prod = x1 * x2
-            return np.array([np.sum(prod), np.sum(prod * prod), count])
+        def sample(start, count):
+            zmat = _normals_matrix(np.uint64(seed % 2 ** 64), start, count, t_idx)
+            return (zmat @ w1) * (zmat @ w2)
 
-        parts = _map_blocks(block, _block_ranges(paths), threads)
-        sums = np.sum(np.stack(parts), axis=0)
-        mean = sums[0] / paths
-        var = max(sums[1] / paths - mean * mean, 0.0)
-        se = math.sqrt(var / paths)
+        mean, se = _mc_mean_se(sample, paths, threads)
         passed = abs(mean - reference) <= z * se + bias
         detail = {"model_cross_bracket": model_cov}
         est, ref = mean, reference

@@ -360,6 +360,8 @@ def sandbox_suite(cases: int = 200, seed: int = 20240801) -> dict:
     (with the Hilbert-Schmidt-vs-exact trace gap reported, not asserted),
     and the factorization-defect continuum family.
     """
+    if cases < 1:
+        raise DomainError("sandbox suite needs cases >= 1")
     rng = np.random.default_rng(seed)
     res = {
         "cases": cases,

@@ -84,6 +84,25 @@ class TestErrors:
         code = run_cli(["bracket", "--kernel-spec", "/no/such/file.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-path", "--kernel", "brownian", "--grid-n", "8", "--paths", "0"],
+        ["verify-multi", "--kernel", "brownian", "--kernel2", "brownian",
+         "--grid-n", "8", "--phi2d", "xy", "--paths", "0"],
+        ["verify-mean", "--kernel", "brownian", "--grid-n", "8", "--paths", "-3"],
+        ["verify-mean", "--kernel", "brownian", "--grid-n", "8", "--phi", "cos",
+         "--quad-order", "0"],
+        ["verify-mean", "--kernel", "brownian", "--grid-n", "8", "--phi", "cos",
+         "--quad-order", "-1"],
+        ["sandbox", "--cases", "0"],
+    ], ids=["path-paths-0", "multi-xy-paths-0", "mean-paths-negative",
+            "quad-order-0", "quad-order-negative", "sandbox-cases-0"])
+    def test_out_of_range_count_is_bad_input(self, argv, capsys):
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, capsys):
         # hopeless fit: condition estimate reported, exit 3
         code = run_cli([

@@ -8,9 +8,12 @@ from scipy import integrate, stats
 
 from volterra_ito.errors import DomainError
 from volterra_ito.itoverify import (
+    BLOCK_PATHS,
     DEFAULT_GH_ORDER,
     TestFunction,
     _co_sum_block,
+    _mc_mean_se,
+    _mc_phi_moment,
     clark_ocone_ito_sum,
     conditional_mean_and_var,
     mehler_conditional,
@@ -223,6 +226,53 @@ class TestClarkOconeSum:
         assert got == pytest.approx(want, abs=1e-12)
 
 
+class TestMonteCarloReducer:
+    @staticmethod
+    def sample(offset):
+        def draw(start, count):
+            # blocks differ in mean and spread, so the merge term matters
+            b = start / BLOCK_PATHS
+            rng = np.random.default_rng(start)
+            return offset + b + rng.standard_normal(count) * (1.0 + b)
+        return draw
+
+    @pytest.mark.parametrize("offset", [0.0, 3.0, 1e8])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_matches_numpy_on_uneven_blocks(self, offset, threads):
+        paths = 2 * BLOCK_PATHS + 17
+        draw = self.sample(offset)
+        allv = np.concatenate([draw(s, min(BLOCK_PATHS, paths - s))
+                               for s in range(0, paths, BLOCK_PATHS)])
+        mean, se = _mc_mean_se(draw, paths, threads)
+        assert mean == pytest.approx(np.mean(allv), rel=1e-14, abs=1e-14)
+        # block means carry rounding of order eps * |offset|, which the merge
+        # term passes on to the SE in proportion to |offset| / spread
+        rel = 1e-14 * max(1.0, offset)
+        assert se == pytest.approx(np.std(allv) / math.sqrt(paths), rel=rel)
+
+    def test_se_survives_large_offset(self):
+        # phi = c + x^2: adding c must not move the SE (E[x^2] - mean^2 cancelled)
+        grid = TimeGrid.uniform(16, 1.0)
+
+        def se(c):
+            phi = TestFunction.polynomial([c, 0.0, 1.0])
+            return verify_mean_identity(BM, phi, grid, 20000, 1, 1.0).se
+
+        base = se(0.0)
+        assert base > 0.0
+        for c in (1e10, 1e12):
+            assert se(c) == pytest.approx(base, rel=1e-6)
+
+    def test_terminal_value_matches_full_path(self):
+        # drawing only the normals X_t reads gives X_t of the full simulation
+        grid = TimeGrid.uniform(48, 1.0)
+        t_idx = 29
+        phi = TestFunction.cosine(1.3)
+        mean, _ = _mc_phi_moment(SIGNED, phi, grid, t_idx, 300, 17, 1)
+        bundle = simulate_volterra(SIGNED, grid, 300, 17)
+        assert mean == pytest.approx(np.mean(phi.phi(bundle.X[:, t_idx])), rel=1e-12)
+
+
 class TestMeanIdentity:
     def test_square_both_sides_gamma(self):
         # phi = x^2: E[X_t^2] = Gamma(t) and the correction is Gamma(t)
@@ -373,3 +423,7 @@ class TestReportSchema:
         p1 = verify_pathwise_formula(*args, threads=1)
         p2 = verify_pathwise_formula(*args, threads=3)
         assert p1.to_dict() == p2.to_dict()
+        multi = (RL25, BM, "xy", grid, 10000, 3, 1.0)
+        m1 = verify_multivariate(*multi, threads=1)
+        m2 = verify_multivariate(*multi, threads=3)
+        assert m1.to_dict() == m2.to_dict()
