@@ -408,7 +408,9 @@ def _add_common_flags(p, paths_default=0):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--z", type=float, default=4.0)
-    p.add_argument("--quad-order", type=int, default=32)
+    p.add_argument("--quad-order", type=int, default=32,
+                   help="Gauss-Hermite order; used only where the mollified "
+                        "square's cutoff cuts the Gaussian stencil")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--output", default=None)

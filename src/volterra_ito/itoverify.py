@@ -37,14 +37,21 @@ __all__ = [
 BLOCK_PATHS = 4096
 _BLOCK_BUDGET = 2 ** 42  # blocks are memory-bounded by BLOCK_PATHS already
 DEFAULT_GH_ORDER = 32
+MAX_GH_ORDER = 1024  # bounds the order^2 companion matrix; weights overflow sooner
 DEFAULT_Z = 4.0
 
 _HERMGAUSS_CACHE: dict = {}
 
 
 def _hermgauss(order):
+    """Probabilists' Gauss-Hermite nodes and weights (weights sum to 1)."""
+    if not 1 <= order <= MAX_GH_ORDER:
+        raise DomainError(f"Gauss-Hermite order must be in [1, {MAX_GH_ORDER}]")
     if order not in _HERMGAUSS_CACHE:
-        x, w = np.polynomial.hermite.hermgauss(order)
+        with np.errstate(all="ignore"):
+            x, w = np.polynomial.hermite.hermgauss(order)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+            raise DomainError(f"Gauss-Hermite rule of order {order} overflows")
         _HERMGAUSS_CACHE[order] = (x, w / math.sqrt(math.pi))
     return _HERMGAUSS_CACHE[order]
 
@@ -84,7 +91,8 @@ def _bump_eta(y):
 
 
 class TestFunction:
-    """A C^3 test function phi with evaluable phi, phi', phi''.
+    """A C^3 test function phi with evaluable phi, phi', phi'' and their
+    Gaussian smoothings (``smooth``).
 
     Three families: polynomial (moments always finite but unbounded
     derivatives, admitted with that caveat), cosine phi(x) = cos(a x), and
@@ -98,8 +106,8 @@ class TestFunction:
         self.family = family
         if family == "polynomial":
             c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-            if c.size == 0:
-                raise DomainError("polynomial needs at least one coefficient")
+            if c.size == 0 or not np.all(np.isfinite(c)):
+                raise DomainError("polynomial needs one or more finite coefficients")
             self.coeffs = c
             self.dcoeffs = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
             self.d2coeffs = (
@@ -107,10 +115,12 @@ class TestFunction:
             )
         elif family == "cosine":
             self.freq = 1.0 if freq is None else float(freq)
+            if not math.isfinite(self.freq):
+                raise DomainError("cosine frequency must be finite")
         elif family == "mollified_square":
             self.cut = 100.0 if cut is None else float(cut)
-            if self.cut <= 0:
-                raise DomainError("mollified square cutoff must be positive")
+            if not (math.isfinite(self.cut) and self.cut > 0):
+                raise DomainError("mollified square cutoff must be finite and positive")
         else:
             raise DomainError(f"unknown test function family {family!r}")
 
@@ -163,10 +173,33 @@ class TestFunction:
         eta, e1, e2 = _bump_eta(x / c)
         return 2.0 * eta + 4.0 * x * e1 / c + x * x * e2 / c ** 2
 
-    @property
-    def dphi_coeffs(self):
-        """Polynomial coefficients of phi' when exact Gaussian moments apply."""
-        return self.dcoeffs if self.family == "polynomial" else None
+    def smooth(self, order, m, v, quad_order: int = DEFAULT_GH_ORDER):
+        """E[phi^(order)(m + sqrt(v) Z)] for Z ~ N(0,1) and order 0, 1 or 2.
+
+        Polynomials use exact Gaussian moments and the cosine its
+        characteristic function. The mollified square uses the exact x^2
+        moments where every Gauss-Hermite node of ``quad_order`` lies inside
+        the cutoff (there the rule is exact) and the rule itself elsewhere.
+        """
+        nodes, _ = _hermgauss(quad_order)
+        m = np.asarray(m, dtype=float)
+        v = _residual_variance(v)
+        if self.family == "polynomial":
+            coeffs = (self.coeffs, self.dcoeffs, self.d2coeffs)[order]
+            out = _gaussian_poly_mean(coeffs, m, v)
+        elif self.family == "cosine":
+            a = self.freq
+            trig = (np.cos, np.sin, np.cos)[order](a * m)
+            out = (1.0, -a, -a * a)[order] * trig * np.exp(-0.5 * a * a * v)
+        else:
+            m, v = np.broadcast_arrays(m, v)
+            square = np.polynomial.polynomial.polyder([0.0, 0.0, 1.0], order)
+            out = np.asarray(_gaussian_poly_mean(square, m, v))
+            band = np.abs(m) + np.sqrt(2.0 * v) * nodes[-1] > self.cut
+            if np.any(band):
+                g = (self.phi, self.dphi, self.d2phi)[order]
+                out[band] = mehler_conditional(g, m[band], v[band], quad_order)
+        return float(out) if out.ndim == 0 else out
 
     def sup_d2(self, radius: float) -> float:
         """Bound on |phi''| over [-radius, radius]."""
@@ -206,6 +239,14 @@ def _gaussian_poly_mean(coeffs, m, v):
     return out
 
 
+def _residual_variance(v):
+    """v as a float array, with rounding-level negatives clipped to 0."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v < -1e-12 * max(1.0, float(np.max(np.abs(v), initial=0.0)))):
+        raise DomainError("residual variance must be nonnegative")
+    return np.maximum(v, 0.0)
+
+
 def mehler_conditional(phi_prime, m, v, quad_order: int = DEFAULT_GH_ORDER):
     """E[g(m + sqrt(v) Z)] for Z ~ N(0,1): the Mehler conditional expectation.
 
@@ -219,17 +260,12 @@ def mehler_conditional(phi_prime, m, v, quad_order: int = DEFAULT_GH_ORDER):
     m, v : float or ndarray
         Conditional mean(s) and nonnegative residual variance(s).
     """
-    if quad_order < 1:
-        raise DomainError("Gauss-Hermite quadrature order must be >= 1")
+    nodes, weights = _hermgauss(quad_order)
     m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(v < -1e-12 * max(1.0, float(np.max(np.abs(v), initial=0.0)))):
-        raise DomainError("residual variance must be nonnegative")
-    v = np.maximum(v, 0.0)
+    v = _residual_variance(v)
     if not callable(phi_prime):
         out = _gaussian_poly_mean(np.atleast_1d(phi_prime), m, v)
         return float(out) if out.ndim == 0 else out
-    nodes, weights = _hermgauss(quad_order)
     sig = np.sqrt(2.0 * v)
     out = np.zeros(np.broadcast(m, v).shape)
     for x, w in zip(nodes, weights):
@@ -239,19 +275,6 @@ def mehler_conditional(phi_prime, m, v, quad_order: int = DEFAULT_GH_ORDER):
         exact = np.broadcast_to(phi_prime(m), out.shape)
         out = np.where(zero, exact, out)
     return float(out) if out.ndim == 0 else out
-
-
-def _mean_dphi(phi: TestFunction, m, v, quad_order):
-    coeffs = phi.dphi_coeffs
-    if coeffs is not None:
-        return mehler_conditional(coeffs, m, v, quad_order)
-    return mehler_conditional(phi.dphi, m, v, quad_order)
-
-
-def _mean_d2phi(phi: TestFunction, m, v, quad_order):
-    if phi.family == "polynomial":
-        return mehler_conditional(phi.d2coeffs, m, v, quad_order)
-    return mehler_conditional(phi.d2phi, m, v, quad_order)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +313,7 @@ def _co_sum_block(phi, weights_row, z, quad_order):
     mass = w * w
     v = np.concatenate([[0.0], np.cumsum(mass)])  # prefix masses
     v = v[-1] - v[:-1]  # residual variance at each cell, same for all paths
-    cond = _mean_dphi(phi, m, np.broadcast_to(v, m.shape), quad_order)
+    cond = phi.smooth(1, m, v, quad_order)
     return np.sum(cond * contrib, axis=1)
 
 
@@ -358,6 +381,11 @@ class VerificationReport:
         )
 
 
+def _check_z(z):
+    if not (math.isfinite(z) and z > 0):
+        raise DomainError("z must be finite and positive")
+
+
 def _mc_mean_se(sample, paths, threads):
     """Monte Carlo mean and SE of ``sample(start, count)`` over ``paths`` draws.
 
@@ -392,6 +420,11 @@ def _mc_mean_se(sample, paths, threads):
 # Mean identity
 # ---------------------------------------------------------------------------
 
+def _d2phi_mean(k, phi, quad_order):
+    """The Stieltjes integrand s -> E[phi''(X_s)], X_s ~ N(0, Gamma(s))."""
+    return lambda pts: np.asarray(phi.smooth(2, 0.0, k.total_l2(pts), quad_order))
+
+
 def _mean_identity_rhs(k, phi, gamma, t_idx, quad_order, stride=1):
     """phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s) by midpoint Stieltjes.
 
@@ -414,11 +447,7 @@ def _mean_identity_rhs(k, phi, gamma, t_idx, quad_order, stride=1):
         )
         idx = len(keep) - 1
 
-    def f(pts):
-        gam = k.total_l2(pts)
-        return np.asarray(_mean_d2phi(phi, np.zeros_like(gam), gam, quad_order))
-
-    integral = stieltjes_integrate(f, sub, 0, idx)
+    integral = stieltjes_integrate(_d2phi_mean(k, phi, quad_order), sub, 0, idx)
     return float(phi.phi(0.0)) + 0.5 * integral
 
 
@@ -445,6 +474,7 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
     Stieltjes rule on the grid. The bias bound is a Richardson estimate from
     recomputing the right side on the half-resolution subgrid.
     """
+    _check_z(z)
     if paths < 0:
         raise DomainError("paths must be >= 0 (0 selects quadrature only)")
     t_idx = grid.index_of(t)
@@ -453,9 +483,7 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
     gamma = energy_function(k, grid)
     gamma_t = gamma.values[t_idx]
 
-    lhs_quad = float(
-        np.asarray(mehler_conditional(phi.phi, 0.0, gamma_t, quad_order))
-    )
+    lhs_quad = float(phi.smooth(0, 0.0, gamma_t, quad_order))
     rhs = _mean_identity_rhs(k, phi, gamma, t_idx, quad_order)
     rhs_half = _mean_identity_rhs(k, phi, gamma, t_idx, quad_order, stride=2)
     bias = abs(rhs - rhs_half) + 1e-12 * max(1.0, abs(rhs))
@@ -536,6 +564,7 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     residual must be nonincreasing (1 SE slack per rung) and the finest value
     must fall below z * SE + bias bound.
     """
+    _check_z(z)
     grids = list(grid) if isinstance(grid, (list, tuple)) else [grid]
     ladder = []
     for g in grids:
@@ -587,6 +616,7 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
     divergence terms have zero mean). phi2d = "x2+y2": reduces to the two
     univariate square mean identities.
     """
+    _check_z(z)
     if phi2d not in ("xy", "x2+y2"):
         raise DomainError("phi2d must be 'xy' or 'x2+y2'")
     t_idx = grid.index_of(t)
@@ -651,6 +681,8 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
 
     eps = 0 degenerates to the plain mean identity check.
     """
+    if not math.isfinite(eps):
+        raise DomainError("eps must be finite")
     if eps == 0.0:
         return verify_mean_identity(k, phi, grid, paths, seed, t,
                                     quad_order=quad_order, z=z, threads=threads)
@@ -661,12 +693,8 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
     # Lebesgue part added by the corrupted integrator nu = Gamma + eps * s
     linear = EnergyFunction(grid=grid, values=grid.times.copy(),
                             monotone=True, kernel_id="lebesgue")
-
-    def f(pts):
-        gam = k.total_l2(pts)
-        return np.asarray(_mean_d2phi(phi, np.zeros_like(gam), gam, quad_order))
-
-    lebesgue = stieltjes_integrate(f, linear, 0, t_idx)
+    lebesgue = stieltjes_integrate(_d2phi_mean(k, phi, quad_order), linear, 0,
+                                   t_idx)
     rhs_nu = base.reference + 0.5 * eps * lebesgue
     estimate = base.estimate  # LHS (quadrature or MC, as in the base check)
     residual = abs(estimate - rhs_nu)

@@ -103,6 +103,33 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--quad-order", "400"],
+        ["--quad-order", "100000000"],
+        ["--phi", "cos", "--phi-freq", "nan"],
+        ["--phi", "cos", "--phi-freq", "inf"],
+        ["--phi", "mollified", "--phi-cut", "nan"],
+        ["--phi", "poly", "--phi-coeffs", "1,nan"],
+        ["--z", "-1"],
+        ["--z", "nan"],
+    ], ids=["quad-order-400", "quad-order-1e8", "freq-nan", "freq-inf",
+            "cut-nan", "coeffs-nan", "z-negative", "z-nan"])
+    def test_bad_parameter_is_bad_input(self, extra, capsys):
+        code = run_cli(["verify-mean", "--kernel", "brownian", "--grid-n", "16",
+                        *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_non_finite_eps_is_bad_input(self, capsys):
+        code = run_cli(["verify-unique", "--kernel", "brownian", "--grid-n", "16",
+                        "--eps", "nan"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_numerical_failure_exit_code(self, capsys):
         # hopeless fit: condition estimate reported, exit 3
         code = run_cli([

@@ -122,6 +122,87 @@ class TestMehler:
         assert np.allclose(got, 2 * m)
 
 
+def _derivative(phi, order):
+    return (phi.phi, phi.dphi, phi.d2phi)[order]
+
+
+class TestSmooth:
+    """TestFunction.smooth against the Gauss-Hermite rule it replaces."""
+
+    MS = np.array([-3.0, -1.1, -0.2, 0.0, 0.4, 1.7, 2.9])
+    VS = np.array([0.0, 1e-3, 0.3, 1.0, 2.5])
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("phi", [
+        TestFunction.polynomial([0.5, -1.0, 2.0, 0.3, -0.1]),
+        TestFunction.square(),
+        TestFunction.cosine(1.3),
+        TestFunction.cosine(0.0),
+        TestFunction.mollified_square(100.0),
+    ], ids=["poly4", "square", "cos1.3", "cos0", "mollified100"])
+    def test_matches_gauss_hermite(self, phi, order):
+        m, v = np.meshgrid(self.MS, self.VS)
+        got = phi.smooth(order, m, v, DEFAULT_GH_ORDER)
+        gh = mehler_conditional(_derivative(phi, order), m, v, DEFAULT_GH_ORDER)
+        assert got.shape == m.shape
+        np.testing.assert_allclose(got, gh, rtol=1e-13, atol=1e-13)
+        scalar = phi.smooth(order, m[2, 4], v[2, 4])
+        assert isinstance(scalar, float)
+        assert scalar == got[2, 4]
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_mollified_band_is_gauss_hermite_bit_for_bit(self, order):
+        cut = 2.0
+        phi = TestFunction.mollified_square(cut)
+        top = float(np.max(np.polynomial.hermite.hermgauss(DEFAULT_GH_ORDER)[0]))
+        ms, vs = [], []
+        for v in (0.0, 1e-4, 0.01, 0.09):
+            edge = cut - math.sqrt(2.0 * v) * top
+            for dm in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3, 0.5, 3.0):
+                for sign in (1.0, -1.0):
+                    ms.append(sign * (edge + dm))
+                    vs.append(v)
+        ms.extend([0.0, 1.0, -1.5])
+        vs.extend([0.0, 0.01, 0.04])
+        m, v = np.array(ms), np.array(vs)
+        got = phi.smooth(order, m, v, DEFAULT_GH_ORDER)
+        gh = mehler_conditional(_derivative(phi, order), m, v, DEFAULT_GH_ORDER)
+        band = np.abs(m) + np.sqrt(2.0 * v) * top > cut
+        assert 0 < np.count_nonzero(band) < band.size
+        assert np.array_equal(got[band], gh[band])
+        np.testing.assert_allclose(got[~band], gh[~band], rtol=1e-13, atol=1e-13)
+        exact = (m * m + v, 2.0 * m, np.full(m.shape, 2.0))[order]
+        assert np.array_equal(got[~band], exact[~band])
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(DomainError):
+            TestFunction.cosine().smooth(1, 0.0, -0.5)
+
+    @pytest.mark.parametrize("quad_order", [0, -1, 400, 10 ** 8])
+    @pytest.mark.parametrize("phi", [
+        TestFunction.square(), TestFunction.cosine(), TestFunction.mollified_square(),
+    ], ids=["square", "cos", "mollified"])
+    def test_order_checked_on_every_route(self, phi, quad_order):
+        with pytest.raises(DomainError):
+            phi.smooth(1, 0.0, 1.0, quad_order)
+        with pytest.raises(DomainError):
+            mehler_conditional(phi.dphi, 0.0, 1.0, quad_order)
+
+    @pytest.mark.parametrize("make", [
+        lambda: TestFunction.cosine(float("nan")),
+        lambda: TestFunction.cosine(float("inf")),
+        lambda: TestFunction.mollified_square(float("nan")),
+        lambda: TestFunction.mollified_square(float("inf")),
+        lambda: TestFunction.mollified_square(-1.0),
+        lambda: TestFunction.polynomial([1.0, float("nan")]),
+        lambda: TestFunction.polynomial([float("-inf")]),
+    ], ids=["freq-nan", "freq-inf", "cut-nan", "cut-inf", "cut-negative",
+            "coeffs-nan", "coeffs-inf"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+
 class TestConditionalMeanVar:
     def test_full_conditioning(self):
         grid = TimeGrid.uniform(16, 1.0)
@@ -427,3 +508,33 @@ class TestReportSchema:
         m1 = verify_multivariate(*multi, threads=1)
         m2 = verify_multivariate(*multi, threads=3)
         assert m1.to_dict() == m2.to_dict()
+
+    @pytest.mark.parametrize("phi", [
+        TestFunction.cosine(), TestFunction.mollified_square(1.5),
+    ], ids=["cos", "mollified-band"])
+    def test_threads_bit_identical_smoothing(self, phi):
+        grid = TimeGrid.uniform(16, 1.0)
+        args = (RL25, phi, grid, BLOCK_PATHS + 100, 5, 1.0)
+        p1 = verify_pathwise_formula(*args, threads=1)
+        p3 = verify_pathwise_formula(*args, threads=3)
+        assert p1.to_dict() == p3.to_dict()
+
+    @pytest.mark.parametrize("z", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_z_rejected(self, z):
+        grid = TimeGrid.uniform(8, 1.0)
+        sq = TestFunction.square()
+        with pytest.raises(DomainError):
+            verify_mean_identity(BM, sq, grid, 0, 1, 1.0, z=z)
+        with pytest.raises(DomainError):
+            verify_pathwise_formula(BM, sq, grid, 10, 1, 1.0, z=z)
+        with pytest.raises(DomainError):
+            verify_multivariate(BM, BM, "xy", grid, 10, 1, 1.0, z=z)
+        with pytest.raises(DomainError):
+            verify_uniqueness_perturbation(BM, sq, 0.01, grid, 0, 1, 1.0, z=z)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        grid = TimeGrid.uniform(8, 1.0)
+        with pytest.raises(DomainError):
+            verify_uniqueness_perturbation(BM, TestFunction.square(), eps,
+                                           grid, 0, 1, 1.0)
