@@ -23,6 +23,8 @@ from .bracket import cross_bracket, energy_function, estimate_hurst
 from .errors import DomainError, NumericalError
 from .itoverify import (
     TestFunction,
+    _check_z,
+    _hermgauss,
     verify_mean_identity,
     verify_multivariate,
     verify_pathwise_formula,
@@ -518,6 +520,10 @@ def _config_from_args(args) -> RunConfig:
             raise DomainError(
                 f"field 'VOLTERRA_ITO_THREADS': expected an integer, got {env!r}"
             ) from None
+    if hasattr(args, "z"):
+        # every subcommand with these flags refuses a bad value, used or not
+        _check_z(args.z)
+        _hermgauss(args.quad_order)
     return RunConfig(
         subcommand=args.subcommand,
         grid_n=getattr(args, "grid_n", 256),
@@ -545,9 +551,15 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    output = getattr(args, "output", None)
     try:
         config = _config_from_args(args)
         return _COMMANDS[args.subcommand](args, config)
+    except OSError as exc:
+        if output is None or exc.filename != output:
+            raise
+        print(f"error: cannot write {output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_DOMAIN
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -512,9 +512,12 @@ def _covariance_quad(k1, k2, t, u, quad):
         w = m * v ** p
         jac = m * p * v ** (p - 1)
         s = np.maximum(m - w, 0.0)
-        f1 = k1.lag_eval(t, (t - m) + w, s)
-        f2 = k2.lag_eval(u, (u - m) + w, s)
-        return f1 * f2 * jac
+        # Where m*v^p underflows to lag 0 a singular factor is inf and the
+        # product NaN; the integrand's limit there is 0, as p(1 + gamma) > 1.
+        with np.errstate(all="ignore"):
+            f1 = k1.lag_eval(t, (t - m) + w, s)
+            f2 = k2.lag_eval(u, (u - m) + w, s)
+            return np.where(w == 0.0, 0.0, f1 * f2 * jac)
 
     val, _ = _refining_gauss01(h, quad, f"covariance({t},{u})")
     return val

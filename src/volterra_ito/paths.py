@@ -6,6 +6,9 @@ same numbers no matter how paths are batched or distributed over workers.
 The generator is the SplitMix64 finalizer applied to a Weyl sequence over
 the combined (stream, counter) index; normals are produced by inverting the
 standard normal CDF (Cephes ``ndtri``, max absolute error well below 1e-9).
+A block of draws is evaluated in cache-sized chunks of rows, in place and
+straight into its output, with no full-size temporaries; the chunking does
+not change any draw.
 """
 
 from __future__ import annotations
@@ -37,28 +40,38 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHOLESKY_SALT = np.uint64(0x5DEECE66D)
 _STREAM_SPAN = np.uint64(2 ** 32)
+_CHUNK_WORDS = 2 ** 15  # uint64 words per chunk: its two 256 KiB buffers stay in L2
 
 
-def _mix64(x):
-    """SplitMix64 finalizer; uint64 array arithmetic wraps mod 2^64."""
-    x = np.asarray(x, dtype=np.uint64).copy()
-    x ^= x >> np.uint64(30)
+def _mix64(x, scratch=None):
+    """SplitMix64 finalizer applied in place to the uint64 array ``x``.
+
+    uint64 arithmetic wraps mod 2^64. ``scratch`` (same shape and dtype as
+    ``x``) holds the shifted words; one is allocated when it is not given.
+    """
+    t = np.empty_like(x) if scratch is None else scratch
+    np.right_shift(x, 30, out=t)
+    x ^= t
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, 27, out=t)
+    x ^= t
     x *= _MIX2
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, 31, out=t)
+    x ^= t
     return x
-
-
-def _uniforms(seed, streams, counters):
-    """Open-interval (0,1) uniforms, one per (stream, counter) pair."""
-    idx = streams.astype(np.uint64) * _STREAM_SPAN + counters.astype(np.uint64)
-    words = _mix64(np.uint64(seed) + _GAMMA * (idx + np.uint64(1)))
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
 def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
     """[n_streams x n_draws] standard normals, rows keyed by stream index.
+
+    Draw (s, c) is ndtri(((w >> 11) + 0.5) * 2^-53) with w the SplitMix64
+    finalizer of the Weyl index seed + GAMMA * (s * 2^32 + c + 1) mod 2^64.
+    That index splits into a per-row term seed + GAMMA * (s * 2^32 + 1) and a
+    per-column term GAMMA * c, so it is formed by one broadcast add per chunk.
+    Rows are processed in chunks of about ``_CHUNK_WORDS`` words (at least
+    one row), each finalized in place in two reused buffers and converted
+    straight into the output, so no full-size temporary is built and the
+    draws do not depend on the chunking.
 
     Streams and counters each index 2^32 values; a range past either would
     alias another stream's draws, so it is refused.
@@ -68,10 +81,26 @@ def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
         if not 0 <= start <= start + count <= int(_STREAM_SPAN):
             raise DomainError(
                 f"{what} [{start}, {start + count}) must lie in [0, 2^32)")
+    out = np.empty((n_streams, n_draws))
+    if out.size == 0:
+        return out
     streams = np.arange(stream_start, stream_start + n_streams, dtype=np.uint64)
-    counters = np.arange(counter_start, counter_start + n_draws, dtype=np.uint64)
-    u = _uniforms(seed, streams[:, None], counters[None, :])
-    return special.ndtri(u)
+    row_key = np.uint64(seed) + _GAMMA * (streams * _STREAM_SPAN + np.uint64(1))
+    col_key = _GAMMA * np.arange(counter_start, counter_start + n_draws,
+                                 dtype=np.uint64)
+    rows = max(1, _CHUNK_WORDS // n_draws)
+    words = np.empty((min(rows, n_streams), n_draws), dtype=np.uint64)
+    scratch = np.empty_like(words)
+    for r0 in range(0, n_streams, rows):
+        o = out[r0:r0 + rows]
+        x, t = words[:len(o)], scratch[:len(o)]
+        np.add(row_key[r0:r0 + rows, None], col_key, out=x)
+        _mix64(x, t)
+        x >>= np.uint64(11)
+        np.add(x, 0.5, out=o)
+        o *= 2.0 ** -53
+        special.ndtri(o, out=o)
+    return out
 
 
 @dataclass
@@ -215,7 +244,8 @@ def simulate_cholesky(k: Kernel, grid: TimeGrid, paths: int, seed: int,
                 "covariance Gram matrix is not positive semidefinite "
                 f"after {jitter:.3e} jitter"
             ) from None
-    salted = int(_mix64(np.uint64(seed % 2 ** 64) ^ _CHOLESKY_SALT)[()])
+    salted = int(_mix64(np.array([seed % 2 ** 64], dtype=np.uint64)
+                        ^ _CHOLESKY_SALT)[0])
     z = _normals_matrix(np.uint64(salted), stream_offset, paths, n)
     x = np.concatenate([np.zeros((paths, 1)), z @ chol.T], axis=1)
     return PathBundle(grid=grid, dW=np.zeros((paths, 0)), X=x,

@@ -122,6 +122,44 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bracket", "--kernel", "brownian", "--grid-n", "4",
+         "--quad-order", "0", "--z", "nan"],
+        ["bracket", "--kernel", "brownian", "--grid-n", "4", "--z", "nan"],
+        ["simulate", "--kernel", "brownian", "--grid-n", "4",
+         "--quad-order", "-5", "--z", "-1"],
+        ["simulate", "--kernel", "brownian", "--grid-n", "4",
+         "--quad-order", "-5"],
+        ["approx", "--kernel", "rl", "--hurst", "0.25", "--grid-n", "8",
+         "--quad-order", "400"],
+        ["hurst", "--kernel", "rl", "--hurst", "0.25", "--z", "inf"],
+    ], ids=["bracket-both", "bracket-z", "simulate-both", "simulate-order",
+            "approx-order", "hurst-z"])
+    def test_unused_flag_bad_value_is_bad_input(self, argv, capsys):
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--kernel", "brownian", "--grid-n", "4", "--paths", "2",
+         "--format", "csv"],
+        ["simulate", "--kernel", "brownian", "--grid-n", "4", "--paths", "2",
+         "--format", "csv", "--compress"],
+        ["simulate", "--kernel", "brownian", "--grid-n", "4", "--paths", "2"],
+        ["verify-mean", "--kernel", "brownian", "--grid-n", "4"],
+        ["bracket", "--kernel", "brownian", "--grid-n", "4", "--format", "csv"],
+    ], ids=["simulate-csv", "simulate-gzip", "simulate-json", "verify-mean",
+            "bracket-csv"])
+    def test_unwritable_output_is_bad_input(self, argv, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "out.txt")
+        code = run_cli([*argv, "--output", target])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_non_finite_eps_is_bad_input(self, capsys):
         code = run_cli(["verify-unique", "--kernel", "brownian", "--grid-n", "16",
                         "--eps", "nan"])

@@ -123,6 +123,15 @@ class TestCovariance:
             got = _covariance_quad(k, k, t, t, QuadSpec())
             assert got == pytest.approx(t ** (2 * hurst), rel=1e-10)
 
+    @pytest.mark.parametrize("h1, h2", [(0.02, 0.03), (0.05, 0.1)])
+    @pytest.mark.parametrize("m", [0.37, 1.0])
+    def test_small_hurst_rl_pair_quadrature(self, h1, h2, m):
+        # grading power p = ceil(9 / (h1 + h2)) makes m*v^p underflow to lag 0
+        k1 = RiemannLiouvilleKernel(hurst=h1, horizon=1.0)
+        k2 = RiemannLiouvilleKernel(hurst=h2, horizon=1.0)
+        want = 2.0 * math.sqrt(h1 * h2) / (h1 + h2) * m ** (h1 + h2)
+        assert covariance(k1, k2, m, m) == pytest.approx(want, rel=1e-12)
+
     def test_rl_brownian_cross(self):
         want = math.sqrt(0.5) * 4.0 / 3.0
         assert covariance(RL25, BM, 1.0, 1.0) == pytest.approx(want, rel=1e-12)

@@ -2,10 +2,11 @@
 
 import gzip
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from volterra_ito.bracket import energy_function
 from volterra_ito.errors import DomainError, ResourceError
@@ -16,7 +17,11 @@ from volterra_ito.kernels import (
     TimeGrid,
 )
 from volterra_ito.paths import (
+    _CHOLESKY_SALT,
+    _CHUNK_WORDS,
     RngStream,
+    _mix64,
+    _normals_matrix,
     dump_paths_csv,
     simulate_cholesky,
     simulate_volterra,
@@ -67,6 +72,85 @@ class TestRngStream:
         with pytest.raises(DomainError):
             simulate_volterra(BrownianKernel(), TimeGrid.uniform(4, 1.0), 2,
                               seed=1, stream_offset=2 ** 32 - 1)
+
+
+def _reference_mix64(x):
+    """SplitMix64 finalizer, one full-size temporary per step."""
+    x = np.asarray(x, dtype=np.uint64).copy()
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _reference_normals(seed, stream_start, n_streams, n_draws, counter_start=0):
+    """The generator as a whole-matrix formula: ndtri of SplitMix64 uniforms."""
+    streams = np.arange(stream_start, stream_start + n_streams, dtype=np.uint64)
+    counters = np.arange(counter_start, counter_start + n_draws, dtype=np.uint64)
+    idx = streams[:, None] * np.uint64(2 ** 32) + counters[None, :]
+    words = _reference_mix64(
+        np.uint64(seed) + np.uint64(0x9E3779B97F4A7C15) * (idx + np.uint64(1)))
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return special.ndtri(u)
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+    @pytest.mark.parametrize("shape", [
+        (_CHUNK_WORDS // 1024 - 1, 1024),
+        (_CHUNK_WORDS // 1024, 1024),
+        (_CHUNK_WORDS // 1024 + 1, 1024),
+        (3, 1000),
+        (1, 200000),
+        (0, 16),
+        (16, 0),
+    ], ids=["chunk-1", "chunk", "chunk+1", "ragged", "wide-row", "no-rows",
+            "no-draws"])
+    def test_matches_reference_formula(self, seed, shape):
+        got = _normals_matrix(np.uint64(seed), 7, *shape)
+        assert got.shape == shape
+        assert np.array_equal(got, _reference_normals(seed, 7, *shape))
+
+    def test_matches_reference_at_full_block(self):
+        got = _normals_matrix(np.uint64(42), 4096, 4096, 1024)
+        assert np.array_equal(got, _reference_normals(42, 4096, 4096, 1024))
+
+    def test_matches_reference_at_range_ends(self):
+        got = _normals_matrix(np.uint64(42), 2 ** 32 - 3, 3, 5,
+                              counter_start=2 ** 32 - 5)
+        want = _reference_normals(42, 2 ** 32 - 3, 3, 5,
+                                  counter_start=2 ** 32 - 5)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+    def test_cholesky_salt_matches_reference(self, seed):
+        got = _mix64(np.array([seed], dtype=np.uint64) ^ _CHOLESKY_SALT)[0]
+        assert got == _reference_mix64(np.uint64(seed) ^ _CHOLESKY_SALT)[()]
+
+    @pytest.mark.parametrize("stream, hexes", [
+        (0, ["0x1.4bdde731d47a4p-1", "-0x1.fd59dd259ccc8p-1",
+             "-0x1.2c8b8bd68b7a0p-1", "-0x1.9aad852db4893p-2",
+             "-0x1.c625fa87782f8p+0", "0x1.1e38ccc3407a4p+0",
+             "-0x1.8e205bdfc6a3cp-1", "0x1.b01117354176cp-1"]),
+        (2 ** 32 - 1, ["0x1.758212a1eb33cp-1", "-0x1.127d352cadb3ep-2",
+                       "0x1.9a0451506848ap+0", "-0x1.7f6db36ae846bp-1",
+                       "-0x1.e4116ab7bffdep-1", "-0x1.9d16808d9422ap-1",
+                       "0x1.255aa381a77b0p-2", "0x1.355457dbca282p-2"]),
+    ], ids=["stream-0", "stream-last"])
+    def test_pinned_draws(self, stream, hexes):
+        got = RngStream(seed=42, stream_index=stream).normals(8)
+        assert [float(x).hex() for x in got] == hexes
+
+    def test_no_full_size_temporaries(self):
+        tracemalloc.start()
+        try:
+            out = _normals_matrix(np.uint64(42), 0, 4096, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2 ** 20
 
 
 class TestSimulateVolterra:
