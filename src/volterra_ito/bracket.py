@@ -78,8 +78,7 @@ def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
         raise DomainError("kernels must share the horizon T")
     times = grid.times
     vals = np.zeros(times.size)
-    for i in range(1, times.size):
-        vals[i] = covariance(k1, k2, times[i], times[i])
+    vals[1:] = covariance(k1, k2, times[1:], times[1:])
     mono = bool(np.all(np.diff(vals) >= -1e-12 * max(1.0, np.max(np.abs(vals)))))
     return EnergyFunction(grid=grid, values=vals, monotone=mono,
                           kernel_id=f"{k1.kernel_id}*{k2.kernel_id}")

@@ -512,14 +512,18 @@ _COMMANDS = {
 
 def _config_from_args(args) -> RunConfig:
     threads = getattr(args, "threads", None)
+    source = "--threads"
     if threads is None:
-        env = os.environ.get("VOLTERRA_ITO_THREADS", "1")
+        source = "VOLTERRA_ITO_THREADS"
+        env = os.environ.get(source, "1")
         try:
             threads = int(env)
         except ValueError:
             raise DomainError(
-                f"field 'VOLTERRA_ITO_THREADS': expected an integer, got {env!r}"
+                f"field '{source}': expected an integer, got {env!r}"
             ) from None
+    if threads < 1:
+        raise DomainError(f"field '{source}': must be >= 1, got {threads}")
     if hasattr(args, "z"):
         # every subcommand with these flags refuses a bad value, used or not
         _check_z(args.z)

@@ -524,77 +524,98 @@ def _covariance_quad(k1, k2, t, u, quad):
 
 
 def _cov_closed(k1, k2, t, u):
-    """Closed-form covariance for the pairs that admit one, else None."""
-    m = min(t, u)
+    """Closed-form covariance elementwise over equal-shape 1-D time arrays.
+
+    Returns (values, closed): ``closed`` marks the elements whose pair and
+    times admit a stable closed form, and ``values`` holds them there (0
+    elsewhere).
+    """
+    m = np.minimum(t, u)
     a, b = sorted(((k1, t), (k2, u)), key=lambda p: p[0].kind)
     (ka, ta), (kb, tb) = a, b
     kinds = (ka.kind, kb.kind)
+    closed = np.ones(m.shape, dtype=bool)
 
     if kinds == ("brownian", "brownian"):
-        return m
+        return m, closed
     if kinds == ("brownian", "rl"):
         h = kb.hurst
         return (
             math.sqrt(2.0 * h) / (h + 0.5)
             * (tb ** (h + 0.5) - (tb - m) ** (h + 0.5))
-        )
+        ), closed
     if kinds == ("brownian", "expsum"):
         lam = np.asarray(kb.rates)
         c = np.asarray(kb.weights)
-        return float(np.sum(c / lam * (np.exp(-lam * (tb - m)) - np.exp(-lam * tb))))
+        lag, tb = (tb - m)[:, None], tb[:, None]
+        return np.sum(c / lam * (np.exp(-lam * lag) - np.exp(-lam * tb)),
+                      axis=-1), closed
     if kinds == ("expsum", "expsum"):
-        lam = np.asarray(ka.rates)
+        lam = np.asarray(ka.rates)[:, None]
         mu = np.asarray(kb.rates)
         cc = np.multiply.outer(np.asarray(ka.weights), np.asarray(kb.weights))
-        ee = np.exp(
-            -np.add.outer(lam * (ta - m), mu * (tb - m))
-        ) - np.exp(-np.add.outer(lam * ta, mu * tb))
-        return float(np.sum(cc * ee / np.add.outer(lam, mu)))
+        ta, tb, m = ta[:, None, None], tb[:, None, None], m[:, None, None]
+        ee = (np.exp(-(lam * (ta - m) + mu * (tb - m)))
+              - np.exp(-(lam * ta + mu * tb)))
+        terms = cc * ee / (lam + mu)
+        return np.sum(terms.reshape(m.size, -1), axis=-1), closed
     if kinds == ("expsum", "rl"):
-        # stable only when the exp-sum time does not trail the RL time
+        # stable only where the exp-sum time does not trail the RL time
+        closed = ~(ta < tb - 1e-12 * np.maximum(ta, tb))
         h = kb.hurst
-        if ta < tb - 1e-12 * max(ta, tb):
-            return None
         aa = h + 0.5
         lam = np.asarray(ka.rates)
         c = np.asarray(ka.weights)
+        ta, tb, m = ta[closed, None], tb[closed, None], m[closed, None]
         ginc = special.gammainc(aa, lam * tb) - special.gammainc(aa, lam * (tb - m))
         terms = c * np.exp(-lam * (ta - tb)) * lam ** (-aa) * ginc
-        return float(math.sqrt(2.0 * h) * special.gamma(aa) * np.sum(terms))
-    if kinds == ("rl", "rl"):
-        if ka.hurst != kb.hurst:
-            return None
+        vals = np.zeros(closed.shape)
+        vals[closed] = (math.sqrt(2.0 * h) * special.gamma(aa)
+                        * np.sum(terms, axis=-1))
+        return vals, closed
+    if kinds == ("rl", "rl") and ka.hurst == kb.hurst:
         h = ka.hurst
-        if math.isclose(ta, tb, rel_tol=1e-14):
-            return m ** (2.0 * h)
-        lo, hi = min(ta, tb), max(ta, tb)
+        # the diagonal test is math.isclose(ta, tb, rel_tol=1e-14), elementwise
+        diag = np.abs(ta - tb) <= 1e-14 * np.maximum(np.abs(ta), np.abs(tb))
+        lo, hi = m, np.maximum(ta, tb)
         hyp = special.hyp2f1(1.0, 0.5 - h, 1.5 + h, lo / hi)
-        return 2.0 * h * lo ** (h + 0.5) * hi ** (h - 0.5) * hyp / (h + 0.5)
-    return None
+        off = 2.0 * h * lo ** (h + 0.5) * hi ** (h - 0.5) * hyp / (h + 0.5)
+        return np.where(diag, m ** (2.0 * h), off), closed
+    return np.zeros(m.shape), ~closed
 
 
-def covariance(k1: Kernel, k2: Kernel, t: float, u: float,
-               quad: QuadSpec = DEFAULT_QUAD) -> float:
-    """E[X1_t X2_u] = int_0^(t^u) K1(t,s) K2(u,s) ds.
+def covariance(k1: Kernel, k2: Kernel, t, u, quad: QuadSpec = DEFAULT_QUAD):
+    """E[X1_t X2_u] = int_0^(t^u) K1(t,s) K2(u,s) ds, elementwise in (t, u).
 
-    Uses exact closed forms where the pair admits one and a graded
-    Gauss-Legendre rule otherwise.
+    Uses exact closed forms, evaluated over whole arrays, where the pair
+    admits one, and a graded Gauss-Legendre rule, one element at a time,
+    for the elements that do not.
 
     Parameters
     ----------
     k1, k2 : Kernel
-    t, u : float
-        Times in (0, T].
+    t, u : float or array_like
+        Times in (0, T]; arrays broadcast against each other.
     quad : QuadSpec
         Tolerances and budget for the quadrature fallback.
+
+    Returns
+    -------
+    float for a scalar pair, else an array of the broadcast shape.
     """
-    for x in (t, u):
-        if not 0.0 < x <= max(k1.horizon, k2.horizon) * (1 + 1e-12):
-            raise DomainError(f"covariance time {x} outside (0, T]")
-    closed = _cov_closed(k1, k2, t, u)
-    if closed is not None:
-        return float(closed)
-    return _covariance_quad(k1, k2, t, u, quad)
+    ts, us = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                 np.asarray(u, dtype=float))
+    shape = ts.shape
+    ts, us = ts.ravel(), us.ravel()
+    times = np.concatenate((ts, us))
+    limit = max(k1.horizon, k2.horizon) * (1 + 1e-12)
+    bad = ~((times > 0.0) & (times <= limit))
+    if bad.any():
+        raise DomainError(f"covariance time {times[np.argmax(bad)]} outside (0, T]")
+    vals, closed = _cov_closed(k1, k2, ts, us)
+    for i in np.flatnonzero(~closed):
+        vals[i] = _covariance_quad(k1, k2, float(ts[i]), float(us[i]), quad)
+    return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -230,9 +230,8 @@ def simulate_cholesky(k: Kernel, grid: TimeGrid, paths: int, seed: int,
     times = grid.times[1:]
     n = times.size
     gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            gram[i, j] = gram[j, i] = covariance(k, k, times[i], times[j])
+    i, j = np.tril_indices(n)
+    gram[i, j] = gram[j, i] = covariance(k, k, times[i], times[j])
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:

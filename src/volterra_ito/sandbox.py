@@ -7,9 +7,12 @@ conditions on coordinates < i) act in closed form. Expectations reduce to
 Wick/Isserlis moments, so every operator identity can be checked to machine
 precision with no simulation.
 
-Monomials are stored sparsely: a term key is a sorted tuple of
-(coordinate, power) pairs, so 256-coordinate functionals with few active
-variables per monomial stay cheap.
+Monomials are stored sparsely: a term key is a canonical tuple of
+(coordinate, power) pairs, with int coordinates strictly increasing in
+[0, n) and int powers >= 1, so 256-coordinate functionals with few active
+variables per monomial stay cheap. The public constructor refuses any other
+key; products merge two canonical keys in one pass, and results built
+inside this module skip the check.
 """
 
 from __future__ import annotations
@@ -50,10 +53,52 @@ def _moment(k: int) -> float:
 
 
 def _merge_keys(key1, key2):
-    exps = dict(key1)
-    for (c, p) in key2:
-        exps[c] = exps.get(c, 0) + p
-    return tuple(sorted(exps.items()))
+    """Key of the product of two monomials, merging two canonical keys."""
+    if not key1 or not key2:
+        return key1 or key2
+    # disjoint coordinate ranges, the common case: the product key is a
+    # concatenation
+    if key1[-1][0] < key2[0][0]:
+        return key1 + key2
+    if key2[-1][0] < key1[0][0]:
+        return key2 + key1
+    out = []
+    i = j = 0
+    n1, n2 = len(key1), len(key2)
+    while i < n1 and j < n2:
+        c1, p1 = key1[i]
+        c2, p2 = key2[j]
+        if c1 < c2:
+            out.append(key1[i])
+            i += 1
+        elif c2 < c1:
+            out.append(key2[j])
+            j += 1
+        else:
+            out.append((c1, p1 + p2))
+            i += 1
+            j += 1
+    return tuple(out) + key1[i:] + key2[j:]
+
+
+def _check_key(key, n):
+    """Refuse a key that is not canonical for n coordinates."""
+    if not isinstance(key, tuple):
+        raise DomainError(f"bad monomial key {key!r}: must be a tuple")
+    ints = (int, np.integer)
+    prev = -1
+    for entry in key:
+        ok = isinstance(entry, tuple) and len(entry) == 2
+        if ok:
+            c, p = entry
+            ok = (isinstance(c, ints) and isinstance(p, ints)
+                  and prev < c < n and p >= 1)
+        if not ok:
+            raise DomainError(
+                f"bad exponent entry {entry!r} in {key!r} for n={n}: keys "
+                "are (coordinate, power) int pairs with coordinates strictly "
+                "increasing in [0, n) and powers >= 1")
+        prev = c
 
 
 @dataclass(frozen=True)
@@ -68,11 +113,23 @@ class GaussPoly:
         for key, coef in self.terms.items():
             if coef == 0.0:
                 continue
-            for (c, p) in key:
-                if not 0 <= c < self.n or p < 1:
-                    raise DomainError(f"bad exponent entry {key} for n={self.n}")
+            _check_key(key, self.n)
             clean[key] = float(coef)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "GaussPoly":
+        """Wrap a fresh dict built by this module's algebra.
+
+        Its keys are canonical and its coefficients floats, so only zero
+        coefficients are dropped; the dict is kept when it holds none.
+        """
+        if 0.0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c != 0.0}
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # -- constructors -------------------------------------------------------
 
@@ -96,12 +153,12 @@ class GaussPoly:
         out = dict(self.terms)
         for key, coef in other.terms.items():
             out[key] = out.get(key, 0.0) + coef
-        return GaussPoly(self.n, out)
+        return GaussPoly._trusted(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussPoly(self.n, {k: -c for k, c in self.terms.items()})
+        return GaussPoly._trusted(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -110,13 +167,15 @@ class GaussPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return GaussPoly(self.n, {k: c * other for k, c in self.terms.items()})
+            other = float(other)
+            return GaussPoly._trusted(
+                self.n, {k: c * other for k, c in self.terms.items()})
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = _merge_keys(k1, k2)
                 out[key] = out.get(key, 0.0) + c1 * c2
-        return GaussPoly(self.n, out)
+        return GaussPoly._trusted(self.n, out)
 
     __rmul__ = __mul__
 
@@ -136,7 +195,7 @@ class GaussPoly:
                 exps[i] = p - 1
             new = tuple(sorted(exps.items()))
             out[new] = out.get(new, 0.0) + coef * p
-        return GaussPoly(self.n, out)
+        return GaussPoly._trusted(self.n, out)
 
     # -- inspection ---------------------------------------------------------
 
@@ -205,7 +264,7 @@ def derive(f: GaussPoly) -> PolyField:
                 new = key[:pos] + ((c, p - 1),) + key[pos + 1:]
             out = comps[c]
             out[new] = out.get(new, 0.0) + coef * p
-    return PolyField(tuple(GaussPoly(f.n, d) for d in comps))
+    return PolyField(tuple(GaussPoly._trusted(f.n, d) for d in comps))
 
 
 def diverge(u: PolyField) -> GaussPoly:
@@ -213,11 +272,13 @@ def diverge(u: PolyField) -> GaussPoly:
     n = u.n
     acc: dict = {}
     for i, comp in enumerate(u.components):
-        for key, coef in (GaussPoly.coordinate(n, i) * comp).terms.items():
+        xi = ((i, 1),)
+        for key, coef in comp.terms.items():
+            key = _merge_keys(xi, key)
             acc[key] = acc.get(key, 0.0) + coef
         for key, coef in comp.partial(i).terms.items():
             acc[key] = acc.get(key, 0.0) - coef
-    return GaussPoly(n, acc)
+    return GaussPoly._trusted(n, acc)
 
 
 def _condition_term(key, coef, i):
@@ -242,7 +303,7 @@ def project_predictable(u: PolyField) -> PolyField:
             new, c = _condition_term(key, coef, i)
             if c != 0.0:
                 out[new] = out.get(new, 0.0) + c
-        comps.append(GaussPoly(comp.n, out))
+        comps.append(GaussPoly._trusted(comp.n, out))
     return PolyField(tuple(comps))
 
 
@@ -252,7 +313,7 @@ def field_inner(u: PolyField, v: PolyField) -> GaussPoly:
     for a, b in zip(u.components, v.components):
         for key, coef in (a * b).terms.items():
             acc[key] = acc.get(key, 0.0) + coef
-    return GaussPoly(u.n, acc)
+    return GaussPoly._trusted(u.n, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,25 @@ class TestErrors:
         assert code == 2
         assert "VOLTERRA_ITO_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["-5", "0"])
+    def test_non_positive_threads_flag(self, threads, capsys):
+        code = run_cli(["verify-mean", "--kernel", "brownian", "--grid-n", "4",
+                        "--threads", threads, "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "--threads" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_thread_env(self, threads, monkeypatch, capsys):
+        monkeypatch.setenv("VOLTERRA_ITO_THREADS", threads)
+        code = run_cli(["verify-mean", "--kernel", "brownian", "--grid-n", "4",
+                        "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "VOLTERRA_ITO_THREADS" in err
+        assert "Traceback" not in err
+
     def test_malformed_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "kernel.json"
         spec.write_text('{"kind":"rl","T":1.0}')  # missing hurst

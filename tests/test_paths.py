@@ -15,6 +15,7 @@ from volterra_ito.kernels import (
     ExpSumKernel,
     RiemannLiouvilleKernel,
     TimeGrid,
+    covariance,
 )
 from volterra_ito.paths import (
     _CHOLESKY_SALT,
@@ -211,7 +212,35 @@ class TestSimulateVolterra:
         assert res.pvalue > 0.01
 
 
+def gram_by_loop(k, times):
+    """The Gram matrix as simulate_cholesky built it one entry at a time."""
+    n = times.size
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i, j] = gram[j, i] = covariance(k, k, times[i], times[j])
+    return gram
+
+
 class TestSimulateCholesky:
+    @pytest.mark.parametrize("k", KERNELS + [
+        ExpSumKernel(weights=(1.0, -2.0), rates=(1.0, 10.0), horizon=1.0)])
+    def test_gram_matches_entrywise_loop(self, k, monkeypatch):
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            factored.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        grid = TimeGrid(np.concatenate(([0.0], np.geomspace(1e-3, 1.0, 40))))
+        simulate_cholesky(k, grid, 4, seed=5)
+        gram = factored[0]
+        np.testing.assert_allclose(gram, gram_by_loop(k, grid.times[1:]),
+                                   rtol=1e-15, atol=0.0)
+        assert np.array_equal(gram, gram.T)
+
     def test_brownian_increments_independent(self):
         grid = TimeGrid.uniform(16, 1.0)
         b = simulate_cholesky(BM, grid, 20000, seed=21)

@@ -1,13 +1,17 @@
 """Exact Gaussian polynomial calculus: operator identities at machine precision."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from volterra_ito.errors import DomainError
 from volterra_ito.sandbox import (
     GaussPoly,
     PolyField,
+    _merge_keys,
+    _random_poly,
     check_adjointness,
     check_isometry,
     check_ortho_identity,
@@ -206,3 +210,106 @@ class TestValidation:
     def test_zero_coefficients_dropped(self):
         p = GaussPoly(2, {((0, 1),): 0.0, ((1, 1),): 1.0})
         assert ((0, 1),) not in p.terms
+
+    @pytest.mark.parametrize("key", [
+        ((2, 1), (0, 1)),  # coordinates out of order
+        ((1, 1), (1, 1)),  # repeated coordinate
+        ((0, 1.5),),  # fractional power
+        ((0, 2.0),),  # float power
+        ((1.0, 1),),  # float coordinate
+        ((-1, 1),),
+        ((3, 1),),
+        ((0, 1, 2),),
+        ((0,),),
+        "ab",  # not a tuple of pairs
+    ])
+    def test_non_canonical_keys_refused(self, key):
+        with pytest.raises(DomainError):
+            GaussPoly(3, {key: 1.0})
+
+    def test_numpy_integer_keys_accepted(self):
+        p = GaussPoly(3, {((np.int64(0), np.int64(2)),): 1.0})
+        assert wick_expectation(p) == 1.0
+
+
+def merge_by_dict(key1, key2):
+    """The product key as a dict of powers, sorted: the merge's oracle."""
+    exps = dict(key1)
+    for (c, p) in key2:
+        exps[c] = exps.get(c, 0) + p
+    return tuple(sorted(exps.items()))
+
+
+def random_key(rng, n):
+    coords = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+    return tuple((int(c), int(rng.integers(1, 4))) for c in coords)
+
+
+class TestMergeKeys:
+    @pytest.mark.parametrize("key1, key2", [
+        ((), ()),
+        ((), ((1, 2),)),
+        (((0, 1), (3, 2)), ()),
+        (((0, 1), (1, 2)), ((2, 1), (5, 3))),  # disjoint, in order
+        (((4, 1), (6, 2)), ((0, 1), (2, 1))),  # disjoint, reversed
+        (((0, 1), (2, 2)), ((1, 1), (3, 3))),  # interleaved
+        (((0, 1), (2, 2)), ((2, 1), (3, 3))),  # overlapping at one coordinate
+        (((0, 1), (1, 2), (5, 1)), ((0, 2), (1, 1), (5, 4))),  # same coordinates
+        (((1, 1),), ((0, 1), (1, 1), (2, 1))),  # one inside the other
+    ])
+    def test_matches_oracle(self, key1, key2):
+        assert _merge_keys(key1, key2) == merge_by_dict(key1, key2)
+        assert _merge_keys(key2, key1) == merge_by_dict(key1, key2)
+
+    def test_matches_oracle_on_random_keys(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            key1, key2 = random_key(rng, n), random_key(rng, n)
+            assert _merge_keys(key1, key2) == merge_by_dict(key1, key2)
+
+    def test_product_term_order_matches_oracle(self):
+        # dict insertion order fixes the order of float accumulation
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            f = _random_poly(rng, n) * 0.1
+            g = _random_poly(rng, n) * (1.0 / 3.0)
+            want: dict = {}
+            for (k1, c1), (k2, c2) in itertools.product(f.terms.items(),
+                                                        g.terms.items()):
+                key = merge_by_dict(k1, k2)
+                want[key] = want.get(key, 0.0) + c1 * c2
+            want = {k: c for k, c in want.items() if c != 0.0}
+            assert list((f * g).terms.items()) == list(want.items())
+
+
+class TestSuitePinned:
+    def test_full_output_bit_for_bit(self):
+        zero = 0.0
+        defect = {
+            str(n): {"l2_norm": float.fromhex(h), "expected": float.fromhex(h),
+                     "rel_error": zero}
+            for n, h in ((4, "0x1.6a09e667f3bcdp-1"), (16, "0x1.6a09e667f3bcdp-2"),
+                         (64, "0x1.6a09e667f3bcdp-3"), (256, "0x1.6a09e667f3bcdp-4"))
+        }
+        rep = sandbox_suite()
+        assert rep == {
+            "cases": 200,
+            "adjointness_max": zero,
+            "product_rule_max": zero,
+            "ortho_identity_max": zero,
+            "projection_idempotence_max": zero,
+            "projection_self_adjoint_max": zero,
+            "isometry_exact_max": zero,
+            "isometry_hs_gap_max": float.fromhex("0x1.bdc3d34c81fa2p+2"),
+            "defect_multilinear_max": zero,
+            "defect_bm_square": defect,
+            "pass": True,
+        }
+        assert list(rep) == ["cases", "adjointness_max", "product_rule_max",
+                             "ortho_identity_max", "projection_idempotence_max",
+                             "projection_self_adjoint_max", "isometry_exact_max",
+                             "isometry_hs_gap_max", "defect_multilinear_max",
+                             "defect_bm_square", "pass"]
+        assert rep["isometry_hs_gap_max"].hex() == "0x1.bdc3d34c81fa2p+2"
