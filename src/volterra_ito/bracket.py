@@ -51,10 +51,6 @@ class EnergyFunction:
                 raise DomainError("atom locations must lie in (0, T]")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.values))))
-
     def to_rows(self):
         return zip(self.grid.times, self.values)
 

@@ -40,6 +40,11 @@ __all__ = [
 # Time grids
 # ---------------------------------------------------------------------------
 
+def _check_horizon(horizon):
+    if not 0.0 < horizon < math.inf:
+        raise DomainError("field 'T': horizon must be positive and finite")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing partition 0 = t_0 < t_1 < ... < t_n = T."""
@@ -60,8 +65,7 @@ class TimeGrid:
     def uniform(cls, n_cells: int, horizon: float) -> "TimeGrid":
         if n_cells < 1:
             raise DomainError("need at least one cell")
-        if horizon <= 0:
-            raise DomainError("horizon must be positive")
+        _check_horizon(horizon)
         return cls(np.linspace(0.0, horizon, n_cells + 1))
 
     @property
@@ -75,10 +79,6 @@ class TimeGrid:
     @property
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.times[:-1] + self.times[1:])
 
     @property
     def mesh(self) -> float:
@@ -173,12 +173,9 @@ class Kernel:
         """K(t, s) from the stable lag t - s (arrays supported)."""
         raise NotImplementedError
 
-    def cell_l2(self, t: float, a: float, b: float) -> float:
-        """Integral of K(t, r)^2 over [a, b]."""
-        raise NotImplementedError
-
     def cell_l2_rows(self, t, a, b):
-        """Vectorized cell_l2 over arrays a < b; an array t broadcasts with them."""
+        """Integral of K(t, r)^2 over [a, b], elementwise over broadcast
+        arrays a < b (an array t broadcasts with them)."""
         raise NotImplementedError
 
     def total_l2(self, t):
@@ -236,14 +233,10 @@ class BrownianKernel(Kernel):
     kind = "brownian"
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise DomainError("field 'T': horizon must be positive")
+        _check_horizon(self.horizon)
 
     def lag_eval(self, t, lag, s):
         return np.ones_like(np.asarray(lag, dtype=float))
-
-    def cell_l2(self, t, a, b):
-        return b - a
 
     def cell_l2_rows(self, t, a, b):
         return np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
@@ -267,19 +260,14 @@ class RiemannLiouvilleKernel(Kernel):
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise DomainError("field 'hurst': must lie strictly inside (0, 1)")
-        if self.horizon <= 0:
-            raise DomainError("field 'T': horizon must be positive")
+        _check_horizon(self.horizon)
 
     def lag_eval(self, t, lag, s):
         h = self.hurst
         return math.sqrt(2.0 * h) * np.asarray(lag, dtype=float) ** (h - 0.5)
 
-    def cell_l2(self, t, a, b):
-        # K^2 = 2H (t-r)^(2H-1) integrates exactly to the power difference
-        h2 = 2.0 * self.hurst
-        return max(t - a, 0.0) ** h2 - max(t - b, 0.0) ** h2
-
     def cell_l2_rows(self, t, a, b):
+        # K^2 = 2H (t-r)^(2H-1) integrates exactly to the power difference
         h2 = 2.0 * self.hurst
         ta = np.maximum(t - np.asarray(a, dtype=float), 0.0)
         tb = np.maximum(t - np.asarray(b, dtype=float), 0.0)
@@ -319,8 +307,7 @@ class ExpSumKernel(Kernel):
             raise DomainError("field 'weights': must be finite")
         if any((not math.isfinite(x)) or x <= 0 for x in r):
             raise DomainError("field 'rates': must be finite and strictly positive")
-        if self.horizon <= 0:
-            raise DomainError("field 'T': horizon must be positive")
+        _check_horizon(self.horizon)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rates", r)
 
@@ -329,9 +316,6 @@ class ExpSumKernel(Kernel):
         c = np.asarray(self.weights)
         lam = np.asarray(self.rates)
         return np.exp(-np.multiply.outer(lag, lam)) @ c
-
-    def cell_l2(self, t, a, b):
-        return float(self.cell_l2_rows(t, np.asarray([a]), np.asarray([b]))[0])
 
     def cell_l2_rows(self, t, a, b):
         # K^2 expands into exponentials with summed rates, integrable exactly
@@ -405,20 +389,20 @@ class TableKernel(Kernel):
     def lag_eval(self, t, lag, s):
         return self._interp_row(float(t), np.asarray(s, dtype=float))
 
-    def cell_l2(self, t, a, b):
+    def cell_l2_rows(self, t, a, b):
         # piecewise linear in s along fixed t, so K^2 is piecewise quadratic
         # and the closed form (Kl^2 + Kl*Kr + Kr^2)/3 per piece is exact
         times = self.grid.times
-        self._check_range(t, (a, b))
-        cuts = times[(times > a) & (times < b)]
-        pts = np.concatenate(([a], cuts, [b]))
-        k = self._interp_row(float(t), pts)
-        kl, kr = k[:-1], k[1:]
-        return float(np.sum((kl * kl + kl * kr + kr * kr) / 3.0 * np.diff(pts)))
-
-    def cell_l2_rows(self, t, a, b):
-        return np.array([self.cell_l2(ti, ai, bi)
-                         for ti, ai, bi in np.broadcast(t, a, b)])
+        cells = np.broadcast(t, a, b)
+        out = np.empty(cells.shape)
+        for i, (ti, ai, bi) in enumerate(cells):
+            self._check_range(ti, (ai, bi))
+            cuts = times[(times > ai) & (times < bi)]
+            pts = np.concatenate(([ai], cuts, [bi]))
+            k = self._interp_row(float(ti), pts)
+            kl, kr = k[:-1], k[1:]
+            out.flat[i] = np.sum((kl * kl + kl * kr + kr * kr) / 3.0 * np.diff(pts))
+        return out
 
     def spec_dict(self):
         return {
@@ -489,7 +473,7 @@ def kernel_cell_l2(k: Kernel, t: float, a: float, b: float) -> float:
         raise DomainError(f"cell requires a < b, got a={a}, b={b}")
     if a < 0 or b > t * (1 + 1e-12):
         raise DomainError("cell must satisfy 0 <= a < b <= t")
-    return float(k.cell_l2(t, a, min(b, t)))
+    return float(k.cell_l2_rows(t, a, min(b, t)))
 
 
 # ---------------------------------------------------------------------------

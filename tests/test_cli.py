@@ -2,10 +2,14 @@
 
 import gzip
 import json
+import shlex
+import warnings
+from pathlib import Path
 
 import pytest
 
-from volterra_ito.cli import main
+from volterra_ito.cli import build_parser, main
+from volterra_ito.sandbox import sandbox_suite
 
 
 def run_cli(args):
@@ -54,7 +58,7 @@ class TestBracket:
 class TestErrors:
     def test_malformed_thread_env(self, monkeypatch, capsys):
         monkeypatch.setenv("VOLTERRA_ITO_THREADS", "abc")
-        code = run_cli(["bracket", "--kernel", "brownian", "--grid-n", "4"])
+        code = run_cli(["verify-mean", "--kernel", "brownian", "--grid-n", "4"])
         assert code == 2
         assert "VOLTERRA_ITO_THREADS" in capsys.readouterr().err
 
@@ -195,6 +199,141 @@ class TestErrors:
         ])
         assert code == 3
         assert "cond" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["bracket", "--kernel", "brownian", "--grid-n", "4", "--paths", "-3",
+         "--threads", "-2", "--t", "nan"],
+        ["hurst", "--kernel", "rl", "--hurst", "0.25", "--grid-n", "8"],
+        ["verify-multi", "--kernel", "brownian", "--kernel2", "brownian",
+         "--grid-n", "8", "--quad-order", "5"],
+        ["approx", "--kernel", "rl", "--hurst", "0.25", "--t", "0.5"],
+        ["bracket", "--kernel", "brownian", "--grid-n", "abc"],
+        ["verify-mean", "--kernel", "brownian", "--grid-n", "4", "--format", "csv"],
+        ["approx", "--kernel", "rl", "--hurst", "0.25", "--n-terms", "2.7,4.9"],
+        ["verify-path", "--kernel", "brownian", "--grid-n", "64",
+         "--ladder", "16.5,64"],
+        ["approx", "--kernel", "rl", "--hurst", "0.25", "--n-terms", ""],
+        ["frobnicate"],
+        [],
+    ], ids=["unread-flags", "hurst-grid-n", "multi-quad-order",
+            "no-abbreviation", "grid-n-abc", "mean-csv", "n-terms-fraction",
+            "ladder-fraction", "n-terms-empty", "unknown-subcommand",
+            "empty-argv"])
+    def test_parser_failure_exits_2(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err and "usage:" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [["--version"], ["bracket", "--help"]])
+    def test_help_and_version_still_exit(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+
+
+class TestNonFiniteHorizon:
+    def _assert_refused(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "field 'T'" in err
+        assert caught == []
+
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_flag(self, horizon, capsys):
+        self._assert_refused(["bracket", "--kernel", "brownian", "--grid-n", "4",
+                              "--T", horizon], capsys)
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"brownian","T":NaN}',
+        '{"kind":"rl","hurst":0.25,"T":Infinity}',
+        '{"kind":"expsum","weights":[1.0],"rates":[1.0],"T":NaN}',
+    ], ids=["brownian", "rl", "expsum"])
+    def test_spec_file(self, spec, tmp_path, capsys):
+        path = tmp_path / "kernel.json"
+        path.write_text(spec)
+        self._assert_refused(["bracket", "--kernel-spec", str(path),
+                              "--grid-n", "4"], capsys)
+
+
+class TestConfigEcho:
+    OUTPUT = {"subcommand", "format", "no_timestamp"}
+    KERNEL_GRID = OUTPUT | {"kernel", "grid_n", "grid_kind"}
+    DRAWS = {"paths", "seed"}
+    CHECK = {"t", "z", "threads"}
+    PHI = {"quad_order", "phi"}
+    rl = ["--kernel", "rl", "--hurst", "0.25"]
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["bracket", *rl, "--grid-n", "4"], KERNEL_GRID | {"kernel2"}),
+        (["simulate", *rl, "--grid-n", "4", "--paths", "2"],
+         KERNEL_GRID | DRAWS | {"sampler", "compress"}),
+        (["verify-mean", *rl, "--grid-n", "8"], KERNEL_GRID | DRAWS | CHECK | PHI),
+        (["verify-path", *rl, "--grid-n", "8", "--paths", "64"],
+         KERNEL_GRID | DRAWS | CHECK | PHI | {"ladder"}),
+        (["verify-unique", *rl, "--grid-n", "16"],
+         KERNEL_GRID | DRAWS | CHECK | PHI | {"eps"}),
+        (["verify-multi", *rl, "--kernel2", "brownian", "--grid-n", "8",
+          "--paths", "64"], KERNEL_GRID | DRAWS | CHECK | {"kernel2", "phi2d"}),
+        (["sandbox", "--cases", "2"], OUTPUT | {"cases", "seed"}),
+        (["approx", *rl, "--grid-n", "16", "--n-terms", "2,4"],
+         KERNEL_GRID | DRAWS | {"n_terms", "t_min"}),
+        (["hurst", *rl], OUTPUT | {"kernel", "window_lo", "window_hi", "fit_n",
+                                   "t_min"}),
+    ], ids=["bracket", "simulate", "verify-mean", "verify-path", "verify-unique",
+            "verify-multi", "sandbox", "approx", "hurst"])
+    def test_keys_are_the_subcommands_own(self, argv, keys, tmp_path):
+        out = tmp_path / "run.json"
+        assert main([*argv, "--no-timestamp", "--output", str(out)]) in (0, 1)
+        assert set(json.loads(out.read_text())["config"]) == keys
+
+    def test_resolved_values(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VOLTERRA_ITO_THREADS", "3")
+        out = tmp_path / "run.json"
+        assert main(["verify-mean", "--kernel", "brownian", "--grid-n", "8",
+                     "--phi", "cos", "--phi-freq", "2", "--no-timestamp",
+                     "--output", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["kernel"] == {"kind": "brownian", "T": 1.0}
+        assert config["phi"] == {"family": "cosine", "freq": 2.0}
+        assert config["threads"] == 3
+        assert config["t"] is None
+
+
+class TestSandboxSeed:
+    @pytest.mark.parametrize("argv, seed", [
+        (["--seed", "0"], 0), ([], 20240801),
+    ], ids=["zero", "default"])
+    def test_runs_the_seed_it_echoes(self, argv, seed, tmp_path):
+        out = tmp_path / "sandbox.json"
+        assert main(["sandbox", "--cases", "3", *argv, "--no-timestamp",
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["seed"] == seed
+        want = json.loads(json.dumps(sandbox_suite(cases=3, seed=seed)))
+        assert doc["sandbox"] == want
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("volterra-ito ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert len(examples) >= 9
+    for argv in examples:
+        build_parser().parse_args(argv)
 
 
 class TestVerifySubcommands:

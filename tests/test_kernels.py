@@ -387,6 +387,17 @@ class TestTimeGrid:
         assert g.n_cells == 4
         assert g.horizon == 1.0
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf, 0.0])
+    def test_uniform_needs_finite_positive_horizon(self, horizon):
+        with pytest.raises(DomainError, match="field 'T'"):
+            TimeGrid.uniform(4, horizon)
+        for make in (lambda: BrownianKernel(horizon=horizon),
+                     lambda: RiemannLiouvilleKernel(hurst=0.25, horizon=horizon),
+                     lambda: ExpSumKernel(weights=(1.0,), rates=(1.0,),
+                                          horizon=horizon)):
+            with pytest.raises(DomainError, match="field 'T'"):
+                make()
+
     def test_must_start_at_zero(self):
         with pytest.raises(DomainError):
             TimeGrid(np.array([0.1, 0.5, 1.0]))
