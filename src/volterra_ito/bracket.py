@@ -27,18 +27,12 @@ __all__ = [
 
 @dataclass
 class EnergyFunction:
-    """Sampled bracket t_i -> Gamma(t_i), plus optional atoms (jump masses).
-
-    values[i] is the full CDF at t_i including any atoms in (0, t_i]; the
-    continuous part of a cell increment is the increment minus the atom
-    masses inside the cell.
-    """
+    """Sampled bracket t_i -> Gamma(t_i)."""
 
     grid: TimeGrid
     values: np.ndarray
     monotone: bool = True
     kernel_id: str = ""
-    atoms: tuple = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -46,9 +40,6 @@ class EnergyFunction:
             raise DomainError("values must align with the grid points")
         if vals[0] != 0.0:
             raise DomainError("energy function must start at 0")
-        for (a, _mass) in self.atoms:
-            if not 0.0 < a <= self.grid.horizon:
-                raise DomainError("atom locations must lie in (0, T]")
         object.__setattr__(self, "values", vals)
 
     def to_rows(self):
@@ -103,11 +94,9 @@ def _sample(f, grid: TimeGrid, points: np.ndarray) -> np.ndarray:
 def stieltjes_integrate(f, g: EnergyFunction, i0: int = 0, i1=None) -> float:
     """Midpoint Riemann-Stieltjes integral of f against dGamma over the grid.
 
-    The continuous part of each cell samples f at the cell midpoint; atoms
-    are assigned to their time point with f sampled at the jump time. For
-    smooth f and integrator the error is O(mesh^2 |f''| TV(Gamma)); rough
-    integrators need grids graded so the per-cell increments stay balanced
-    (see ``equal_energy_grid``).
+    Each cell samples f at its midpoint. For smooth f and integrator the
+    error is O(mesh^2 |f''| TV(Gamma)); rough integrators need grids graded
+    so the per-cell increments stay balanced (see ``equal_energy_grid``).
 
     Parameters
     ----------
@@ -122,22 +111,9 @@ def stieltjes_integrate(f, g: EnergyFunction, i0: int = 0, i1=None) -> float:
         i1 = times.size - 1
     if not 0 <= i0 < i1 <= times.size - 1:
         raise DomainError(f"invalid index range [{i0}, {i1}]")
-    lo, hi = times[i0], times[i1]
-
     incs = np.diff(g.values[i0:i1 + 1])
     mids = 0.5 * (times[i0:i1] + times[i0 + 1:i1 + 1])
-
-    atom_total = 0.0
-    if g.atoms:
-        for (a, mass) in g.atoms:
-            if lo < a <= hi:
-                cell = int(np.searchsorted(times[i0:i1 + 1], a, side="left")) - 1
-                cell = max(cell, 0)
-                incs[cell] -= mass
-                atom_total += float(_sample(f, g.grid, np.asarray([a]))[0]) * mass
-
-    fmid = _sample(f, g.grid, mids)
-    return float(np.dot(fmid, incs)) + atom_total
+    return float(np.dot(_sample(f, g.grid, mids), incs))
 
 
 def estimate_hurst(g: EnergyFunction, fit_window) -> tuple:

@@ -28,7 +28,6 @@ from .bracket import cross_bracket, energy_function, estimate_hurst
 from .errors import DomainError, NumericalError
 from .itoverify import (
     TestFunction,
-    _hermgauss,
     verify_mean_identity,
     verify_multivariate,
     verify_pathwise_formula,
@@ -83,16 +82,6 @@ def _thread_count(text):
             "expected an integer >= 1 (from the flag or VOLTERRA_ITO_THREADS), "
             f"got {text!r}")
     return threads
-
-
-def _quad_order(text):
-    """argparse type of --quad-order: an order whose Gauss-Hermite rule exists."""
-    try:
-        order = int(text)
-        _hermgauss(order)
-    except ValueError as exc:  # DomainError is a ValueError
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return order
 
 
 def _kernel_from_args(args, suffix=""):
@@ -182,8 +171,7 @@ def _write_csv(args, header, rows) -> None:
     def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
     if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
@@ -256,7 +244,7 @@ def _cmd_verify_mean(args):
     phi = _phi_from_args(args)
     return _emit_report(args, verify_mean_identity(
         k, phi, grid, args.paths, args.seed, _check_time(args, k),
-        quad_order=args.quad_order, z=args.z, threads=args.threads))
+        z=args.z, threads=args.threads))
 
 
 def _cmd_verify_path(args):
@@ -268,7 +256,7 @@ def _cmd_verify_path(args):
         grids = _grid_for(k, args.grid_n, args.grid_kind)
     return _emit_report(args, verify_pathwise_formula(
         k, phi, grids, args.paths, args.seed, _check_time(args, k),
-        quad_order=args.quad_order, z=args.z, threads=args.threads))
+        z=args.z, threads=args.threads))
 
 
 def _cmd_verify_multi(args):
@@ -286,7 +274,7 @@ def _cmd_verify_unique(args):
     phi = _phi_from_args(args)
     return _emit_report(args, verify_uniqueness_perturbation(
         k, phi, args.eps, grid, args.paths, args.seed, _check_time(args, k),
-        quad_order=args.quad_order, z=args.z, threads=args.threads))
+        z=args.z, threads=args.threads))
 
 
 def _cmd_sandbox(args):
@@ -398,9 +386,6 @@ def _add_check_flags(p):
 
 
 def _add_phi_flags(p):
-    p.add_argument("--quad-order", type=_quad_order, default=32,
-                   help="Gauss-Hermite order; used only where the mollified "
-                        "square's cutoff cuts the Gaussian stencil")
     p.add_argument("--phi", default="square",
                    choices=["square", "cos", "cosine", "mollified",
                             "mollified_square", "poly"])

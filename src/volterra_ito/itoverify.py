@@ -10,15 +10,17 @@ cancel, and results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg, special
 
 from .bracket import EnergyFunction, energy_function, stieltjes_integrate
-from .errors import DomainError
-from .kernels import Kernel, TimeGrid, covariance
+from .errors import DomainError, NumericalError
+from .kernels import Kernel, TimeGrid, _leggauss01, covariance
 from .paths import (PathBundle, _normals_matrix, _weight_row, simulate_volterra,
                     volterra_weights)
 
@@ -37,23 +39,33 @@ __all__ = [
 BLOCK_PATHS = 4096
 _BLOCK_BUDGET = 2 ** 42  # blocks are memory-bounded by BLOCK_PATHS already
 DEFAULT_GH_ORDER = 32
-MAX_GH_ORDER = 1024  # bounds the order^2 companion matrix; weights overflow sooner
+MAX_GH_ORDER = 1024  # bounds the order^2 companion matrix; weights underflow sooner
 DEFAULT_Z = 4.0
 
-_HERMGAUSS_CACHE: dict = {}
 
-
+@functools.cache
 def _hermgauss(order):
     """Probabilists' Gauss-Hermite nodes and weights (weights sum to 1)."""
     if not 1 <= order <= MAX_GH_ORDER:
         raise DomainError(f"Gauss-Hermite order must be in [1, {MAX_GH_ORDER}]")
-    if order not in _HERMGAUSS_CACHE:
-        with np.errstate(all="ignore"):
-            x, w = np.polynomial.hermite.hermgauss(order)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-            raise DomainError(f"Gauss-Hermite rule of order {order} overflows")
-        _HERMGAUSS_CACHE[order] = (x, w / math.sqrt(math.pi))
-    return _HERMGAUSS_CACHE[order]
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(order)
+    w = w / math.sqrt(math.pi)
+    # from order 371 the weights underflow (to 0, then to nan)
+    if not (np.all(np.isfinite(x)) and abs(np.sum(w) - 1.0) <= 1e-12):
+        raise DomainError(f"Gauss-Hermite weights of order {order} underflow")
+    return x, w
+
+
+# Where |m| + sqrt(2 v) _REACH <= cut, N(m, v) has mass below 1e-23 past the
+# mollified square's cutoff, and its smoothing is the exact x^2 moments. _REACH
+# is the top node of the order-32 Gauss-Hermite rule, which set this split.
+_REACH = 7.125813909830728
+_REACH_Z = math.sqrt(2.0) * _REACH  # the same reach in standard deviations
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_BAND_RTOL = 1e-9
+_BAND_CHUNK = 2048
+_WIDE = 0.1  # sqrt(v) >= cut/10: nodes shared by all elements resolve N(m, v)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +185,14 @@ class TestFunction:
         eta, e1, e2 = _bump_eta(x / c)
         return 2.0 * eta + 4.0 * x * e1 / c + x * x * e2 / c ** 2
 
-    def smooth(self, order, m, v, quad_order: int = DEFAULT_GH_ORDER):
+    def smooth(self, order, m, v):
         """E[phi^(order)(m + sqrt(v) Z)] for Z ~ N(0,1) and order 0, 1 or 2.
 
         Polynomials use exact Gaussian moments and the cosine its
         characteristic function. The mollified square uses the exact x^2
-        moments where every Gauss-Hermite node of ``quad_order`` lies inside
-        the cutoff (there the rule is exact) and the rule itself elsewhere.
+        moments where the Gaussian stays inside the cutoff to _REACH_Z
+        standard deviations, and ``_smooth_band`` where it reaches the band.
         """
-        nodes, _ = _hermgauss(quad_order)
         m = np.asarray(m, dtype=float)
         v = _residual_variance(v)
         if self.family == "polynomial":
@@ -195,18 +206,82 @@ class TestFunction:
             m, v = np.broadcast_arrays(m, v)
             square = np.polynomial.polynomial.polyder([0.0, 0.0, 1.0], order)
             out = np.asarray(_gaussian_poly_mean(square, m, v))
-            band = np.abs(m) + np.sqrt(2.0 * v) * nodes[-1] > self.cut
+            band = np.abs(m) + np.sqrt(2.0 * v) * _REACH > self.cut
             if np.any(band):
-                g = (self.phi, self.dphi, self.d2phi)[order]
-                out[band] = mehler_conditional(g, m[band], v[band], quad_order)
+                out[band] = self._smooth_band(order, m[band], v[band])
         return float(out) if out.ndim == 0 else out
+
+    def _smooth_band(self, order, m, v):
+        """``smooth`` of the mollified square for 1-d m, v whose Gaussian
+        reaches the band cut < |x| < 2 cut: truncated Gaussian moments of
+        (x^2)^(order) on |x| <= cut, and on each band interval the 64- and
+        128-node Gauss-Legendre rules (nodes shared in x by wide Gaussians,
+        per element in z for narrow ones). NumericalError is raised where the
+        rules differ by more than _BAND_RTOL of the result plus the band's
+        absolute integral.
+        """
+        c = self.cut
+        g = (self.phi, self.dphi, self.d2phi)[order]
+        # both rules' nodes on [0, 1]; weight columns: 64-node, 128-node, 128 again
+        (t64, w64), (t128, w128) = _leggauss01(64), _leggauss01(128)
+        t = np.concatenate([t64, t128])
+        w = linalg.block_diag(w64[:, None], w128[:, None])[:, [0, 1, 1]]
+        bands = ((c, 2.0 * c), (-2.0 * c, -c))
+        x = np.concatenate([lo + (hi - lo) * t for lo, hi in bands])
+        f = g(x)
+        fw = np.vstack([w, w]) * np.column_stack([f, f, np.abs(f)])
+        buf = np.empty((min(m.size, _BAND_CHUNK), x.size))
+        out = np.empty(m.shape)
+        for start in range(0, m.size, _BAND_CHUNK):  # chunks bound the memory
+            mc, vc = m[start:start + _BAND_CHUNK], v[start:start + _BAND_CHUNK]
+            s = np.sqrt(vc)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a, b = (-c - mc) / s, (c - mc) / s
+                pa, pb = (np.exp(-0.5 * z * z) / _SQRT_2PI for z in (a, b))
+                # P(|X| <= c); a window right of 0 differences the right tails
+                p_in = np.where(a > 0, special.ndtr(-a) - special.ndtr(-b),
+                                special.ndtr(b) - special.ndtr(a))
+                inner = ((mc * mc + vc) * p_in + s * ((mc - c) * pa - (mc + c) * pb),
+                         2.0 * (mc * p_in + s * (pa - pb)),
+                         2.0 * p_in)[order]
+            sums = np.zeros((mc.size, 3))  # band integrals: coarse, fine, |fine|
+            wide = s >= _WIDE * c
+            if np.any(wide):  # in place: q = exp(-(x - m)^2 / 2v) per element and node
+                r = 1.0 / (math.sqrt(2.0) * s[wide])
+                q = np.multiply.outer(r, x, out=buf[:r.size])
+                q -= (mc[wide] * r)[:, None]
+                np.square(q, out=q)
+                np.negative(q, out=q)
+                np.exp(q, out=q)
+                sums[wide] = (q @ fw) * (r * (c / math.sqrt(math.pi)))[:, None]
+            narrow = np.flatnonzero(~wide & (s > 0))
+            mn, sn = mc[narrow], s[narrow]
+            for lo, hi in bands:  # nodes per element in z, clipped to +-_REACH_Z
+                za = np.clip((lo - mn) / sn, -_REACH_Z, _REACH_Z)
+                zb = np.clip((hi - mn) / sn, -_REACH_Z, _REACH_Z)
+                hit = zb > za
+                span = (zb - za)[hit, None]
+                z = za[hit, None] + span * t
+                h = g(mn[hit, None] + sn[hit, None] * z) * np.exp(-0.5 * z * z)
+                sums[narrow[hit]] += (span / _SQRT_2PI) * np.column_stack(
+                    [h @ w[:, :2], np.abs(h) @ w[:, 2]])
+            err = np.abs(sums[:, 1] - sums[:, 0])
+            res = np.where(s > 0, inner + sums[:, 1], g(mc))
+            floor = np.finfo(float).eps * c ** (2 - order)  # rounding of phi^(order)
+            bad = ~(err <= _BAND_RTOL * (np.abs(res) + sums[:, 2]) + floor)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise NumericalError(
+                    f"Gaussian smoothing of {self.label} on its cutoff band missed "
+                    f"{_BAND_RTOL:g} relative at m={mc[i]:.6g}, v={vc[i]:.6g}",
+                    estimate=float(res[i]), bound=float(err[i]))
+            out[start:start + _BAND_CHUNK] = res
+        return out
 
     def sup_d2(self, radius: float) -> float:
         """Bound on |phi''| over [-radius, radius]."""
         if self.family == "cosine":
             return self.freq ** 2
-        if self.family == "mollified_square" and radius <= self.cut:
-            return 2.0
         xs = np.linspace(-radius, radius, 4097)
         return float(np.max(np.abs(self.d2phi(xs))))
 
@@ -232,9 +307,7 @@ def _gaussian_poly_mean(coeffs, m, v):
         if ck == 0.0:
             continue
         for l in range(0, k + 1, 2):
-            dfac = 1.0
-            for j in range(l - 1, 0, -2):
-                dfac *= j
+            dfac = math.prod(range(l - 1, 0, -2))  # (l-1)!!
             out = out + ck * math.comb(k, l) * dfac * m ** (k - l) * v ** (l // 2)
     return out
 
@@ -250,30 +323,25 @@ def _residual_variance(v):
 def mehler_conditional(phi_prime, m, v, quad_order: int = DEFAULT_GH_ORDER):
     """E[g(m + sqrt(v) Z)] for Z ~ N(0,1): the Mehler conditional expectation.
 
+    The generic route for any callable; the built-in test functions own
+    exact smoothings (``TestFunction.smooth``).
+
     Parameters
     ----------
-    phi_prime : callable or 1-d coefficient array
-        The function to average. A coefficient array selects the exact
-        Gaussian-moment expansion; a callable is integrated by Gauss-Hermite
-        quadrature of the given order (exact for polynomials of degree
-        <= 2*order - 1).
+    phi_prime : callable
+        The function to average, integrated by Gauss-Hermite quadrature of
+        the given order (exact for polynomials of degree <= 2*order - 1).
     m, v : float or ndarray
         Conditional mean(s) and nonnegative residual variance(s).
     """
     nodes, weights = _hermgauss(quad_order)
     m = np.asarray(m, dtype=float)
     v = _residual_variance(v)
-    if not callable(phi_prime):
-        out = _gaussian_poly_mean(np.atleast_1d(phi_prime), m, v)
-        return float(out) if out.ndim == 0 else out
     sig = np.sqrt(2.0 * v)
     out = np.zeros(np.broadcast(m, v).shape)
     for x, w in zip(nodes, weights):
         out = out + w * phi_prime(m + sig * x)
-    zero = np.broadcast_to(v == 0.0, out.shape)
-    if np.any(zero):
-        exact = np.broadcast_to(phi_prime(m), out.shape)
-        out = np.where(zero, exact, out)
+    out = np.where(v == 0.0, phi_prime(m), out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -304,21 +372,20 @@ def conditional_mean_and_var(k: Kernel, grid: TimeGrid, dw: np.ndarray,
     return m, v
 
 
-def _co_sum_block(phi, weights_row, z, quad_order):
-    """Clark-Ocone Ito sum for a block: rows of z, weights for the target time."""
-    w = weights_row
+def _co_sum_block(phi, w, z):
+    """Clark-Ocone Ito sum for a block: rows of z, weights w for the target time."""
     contrib = z * w[None, :]
     m = np.cumsum(contrib, axis=1)
     m = np.concatenate([np.zeros((z.shape[0], 1)), m[:, :-1]], axis=1)
     mass = w * w
     v = np.concatenate([[0.0], np.cumsum(mass)])  # prefix masses
     v = v[-1] - v[:-1]  # residual variance at each cell, same for all paths
-    cond = phi.smooth(1, m, v, quad_order)
+    cond = phi.smooth(1, m, v)
     return np.sum(cond * contrib, axis=1)
 
 
 def clark_ocone_ito_sum(k: Kernel, bundle: PathBundle, phi: TestFunction,
-                        t_index: int, quad_order: int = DEFAULT_GH_ORDER):
+                        t_index: int):
     """Adapted Ito discretization of the divergence term, one value per path.
 
     Per path: sum over cells j < t_index of
@@ -333,7 +400,7 @@ def clark_ocone_ito_sum(k: Kernel, bundle: PathBundle, phi: TestFunction,
         return np.zeros(bundle.n_paths)
     w = _weight_row(k, bundle.grid.times, t_index)
     z = bundle.z()[:, :t_index]
-    return _co_sum_block(phi, w, z, quad_order)
+    return _co_sum_block(phi, w, z)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +426,9 @@ class VerificationReport:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "estimate": self.estimate,
-            "reference": self.reference,
-            "se": self.se,
-            "bias_bound": self.bias_bound,
-            "grid_n": self.grid_n,
-            "paths": self.paths,
-            "seed": self.seed,
-            "pass": self.passed,
-            "z": self.z,
-        }
+        keys = ("identity", "estimate", "reference", "se", "bias_bound",
+                "grid_n", "paths", "seed", "z")
+        return {**{key: getattr(self, key) for key in keys}, "pass": self.passed}
 
     def summary_line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -420,35 +478,23 @@ def _mc_mean_se(sample, paths, threads):
 # Mean identity
 # ---------------------------------------------------------------------------
 
-def _d2phi_mean(k, phi, quad_order):
+def _d2phi_mean(k, phi):
     """The Stieltjes integrand s -> E[phi''(X_s)], X_s ~ N(0, Gamma(s))."""
-    return lambda pts: np.asarray(phi.smooth(2, 0.0, k.total_l2(pts), quad_order))
+    return lambda pts: np.asarray(phi.smooth(2, 0.0, k.total_l2(pts)))
 
 
-def _mean_identity_rhs(k, phi, gamma, t_idx, quad_order, stride=1):
+def _mean_identity_rhs(k, phi, gamma, t_idx, stride=1):
     """phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s) by midpoint Stieltjes.
 
     stride > 1 coarsens the grid (every stride-th point) for the Richardson
     error estimate.
     """
-    grid = gamma.grid
-    if stride == 1:
-        sub = gamma
-        idx = t_idx
-    else:
-        keep = np.arange(0, t_idx + 1, stride)
-        if keep[-1] != t_idx:
-            keep = np.append(keep, t_idx)
-        sub = EnergyFunction(
-            grid=TimeGrid(grid.times[keep]),
-            values=gamma.values[keep],
-            monotone=gamma.monotone,
-            kernel_id=gamma.kernel_id,
-        )
-        idx = len(keep) - 1
-
-    integral = stieltjes_integrate(_d2phi_mean(k, phi, quad_order), sub, 0, idx)
-    return float(phi.phi(0.0)) + 0.5 * integral
+    keep = np.arange(0, t_idx + 1, stride)
+    if keep[-1] != t_idx:
+        keep = np.append(keep, t_idx)
+    sub = EnergyFunction(grid=TimeGrid(gamma.grid.times[keep]),
+                         values=gamma.values[keep])
+    return float(phi.phi(0.0)) + 0.5 * stieltjes_integrate(_d2phi_mean(k, phi), sub)
 
 
 def _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads):
@@ -464,12 +510,11 @@ def _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads):
 
 def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
                          paths: int, seed: int, t: float,
-                         quad_order: int = DEFAULT_GH_ORDER,
                          z: float = DEFAULT_Z,
                          threads: int = 1) -> VerificationReport:
     """Check E[phi(X_t)] = phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s).
 
-    The left side is computed exactly by Gauss-Hermite against N(0, Gamma(t))
+    The left side is computed exactly by the test function's smoothing
     and, when paths > 0, also by Monte Carlo; the right side is the midpoint
     Stieltjes rule on the grid. The bias bound is a Richardson estimate from
     recomputing the right side on the half-resolution subgrid.
@@ -483,9 +528,9 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
     gamma = energy_function(k, grid)
     gamma_t = gamma.values[t_idx]
 
-    lhs_quad = float(phi.smooth(0, 0.0, gamma_t, quad_order))
-    rhs = _mean_identity_rhs(k, phi, gamma, t_idx, quad_order)
-    rhs_half = _mean_identity_rhs(k, phi, gamma, t_idx, quad_order, stride=2)
+    lhs_quad = float(phi.smooth(0, 0.0, gamma_t))
+    rhs = _mean_identity_rhs(k, phi, gamma, t_idx)
+    rhs_half = _mean_identity_rhs(k, phi, gamma, t_idx, stride=2)
     bias = abs(rhs - rhs_half) + 1e-12 * max(1.0, abs(rhs))
 
     detail = {
@@ -495,9 +540,8 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
         "gamma_t": float(gamma_t),
     }
     if paths > 0:
-        mc_mean, se = _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads)
-        estimate = mc_mean
-        detail["lhs_monte_carlo"] = mc_mean
+        estimate, se = _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads)
+        detail["lhs_monte_carlo"] = estimate
     else:
         estimate, se = lhs_quad, 0.0
 
@@ -521,7 +565,7 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
 # Pathwise operator Ito formula
 # ---------------------------------------------------------------------------
 
-def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, quad_order, threads):
+def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, threads):
     """Blocked mean and SE of the squared pathwise residual."""
     weights = volterra_weights(k, grid)
     gamma = energy_function(k, grid)
@@ -533,7 +577,7 @@ def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, quad_order, threads
         bundle = simulate_volterra(k, grid, count, seed, stream_offset=start,
                                    weights=weights, budget=_BLOCK_BUDGET)
         z = bundle.z()[:, :t_idx]
-        co = _co_sum_block(phi, w_t, z, quad_order)
+        co = _co_sum_block(phi, w_t, z)
         x = bundle.X[:, : t_idx + 1]
         d2 = phi.d2phi(x)
         mid = 0.5 * (d2[:, :-1] + d2[:, 1:])
@@ -554,7 +598,6 @@ def _pathwise_bias_bound(k, phi, grid, gamma_t):
 
 def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
                             seed: int, t: float,
-                            quad_order: int = DEFAULT_GH_ORDER,
                             z: float = DEFAULT_Z,
                             threads: int = 1) -> VerificationReport:
     """Check phi(X_t) = phi(0) + delta-term + (1/2) int phi''(X_s) dGamma(s)
@@ -571,9 +614,7 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
         t_idx = g.index_of(t)
         if t_idx == 0:
             raise DomainError("t must be a positive grid point")
-        est, se = _pathwise_res2_moments(
-            k, phi, g, paths, seed, t_idx, quad_order, threads
-        )
+        est, se = _pathwise_res2_moments(k, phi, g, paths, seed, t_idx, threads)
         ladder.append({"grid_n": g.n_cells, "estimate": float(est), "se": float(se)})
 
     final = ladder[-1]
@@ -673,7 +714,6 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
 def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
                                    grid: TimeGrid, paths: int, seed: int,
                                    t: float,
-                                   quad_order: int = DEFAULT_GH_ORDER,
                                    z: float = DEFAULT_Z,
                                    threads: int = 1) -> VerificationReport:
     """Rerun the mean identity with integrator Gamma + eps*t and require the
@@ -683,18 +723,14 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
     """
     if not math.isfinite(eps):
         raise DomainError("eps must be finite")
+    base = verify_mean_identity(k, phi, grid, paths, seed, t, z=z, threads=threads)
     if eps == 0.0:
-        return verify_mean_identity(k, phi, grid, paths, seed, t,
-                                    quad_order=quad_order, z=z, threads=threads)
-    base = verify_mean_identity(k, phi, grid, paths, seed, t,
-                                quad_order=quad_order, z=z, threads=threads)
+        return base
     t_idx = grid.index_of(t)
 
     # Lebesgue part added by the corrupted integrator nu = Gamma + eps * s
-    linear = EnergyFunction(grid=grid, values=grid.times.copy(),
-                            monotone=True, kernel_id="lebesgue")
-    lebesgue = stieltjes_integrate(_d2phi_mean(k, phi, quad_order), linear, 0,
-                                   t_idx)
+    linear = EnergyFunction(grid=grid, values=grid.times.copy(), kernel_id="lebesgue")
+    lebesgue = stieltjes_integrate(_d2phi_mean(k, phi), linear, 0, t_idx)
     rhs_nu = base.reference + 0.5 * eps * lebesgue
     estimate = base.estimate  # LHS (quadrature or MC, as in the base check)
     residual = abs(estimate - rhs_nu)

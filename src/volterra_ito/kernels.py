@@ -441,7 +441,9 @@ def kernel_from_spec(spec: dict) -> Kernel:
             )
     except KeyError as exc:
         raise DomainError(f"kernel spec missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except DomainError:
+        raise  # the constructor's own refusal names its field
+    except (TypeError, ValueError) as exc:  # a field that does not convert
         raise DomainError(f"malformed kernel spec: {exc}") from None
     raise DomainError(f"field 'kind': unknown kernel kind {kind!r}")
 

@@ -151,20 +151,6 @@ class TestStieltjes:
         # midpoint rule: error 1/(6 n^2) for this pair
         assert got == pytest.approx(2.0 / 3.0, abs=2e-7)
 
-    def test_atom_sampled_at_jump(self):
-        grid = TimeGrid.uniform(4, 1.0)
-        vals = np.where(grid.times >= 0.5, 1.0, 0.0)
-        ef = EnergyFunction(grid=grid, values=vals, atoms=((0.5, 1.0),))
-        got = stieltjes_integrate(lambda s: s, ef)
-        assert got == pytest.approx(0.5, rel=1e-14)
-
-    def test_atom_inside_cell(self):
-        grid = TimeGrid.uniform(4, 1.0)
-        vals = np.where(grid.times >= 0.6, 1.0, 0.0)
-        ef = EnergyFunction(grid=grid, values=vals, atoms=((0.6, 1.0),))
-        got = stieltjes_integrate(lambda s: s * s, ef)
-        assert got == pytest.approx(0.36, rel=1e-14)
-
     def test_linearity(self):
         grid = TimeGrid.uniform(64, 1.0)
         ef = energy_function(RL25, grid)

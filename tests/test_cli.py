@@ -1,7 +1,9 @@
 """CLI: flags, exit codes, artifact formats, determinism."""
 
+import argparse
 import gzip
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -201,6 +203,24 @@ class TestErrors:
         assert "cond" in capsys.readouterr().err
 
 
+class TestKernelErrors:
+    @pytest.mark.parametrize("argv, line", [
+        (["bracket", "--kernel", "brownian", "--grid-n", "4", "--T", "inf"],
+         "error: field 'T': horizon must be positive and finite\n"),
+        (["bracket", "--kernel", "rl", "--hurst", "1.5"],
+         "error: field 'hurst': must lie strictly inside (0, 1)\n"),
+    ], ids=["T-inf", "hurst-1.5"])
+    def test_flag_refusal_names_the_field(self, argv, line, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == line
+
+    def test_unconvertible_spec_field_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "kernel.json"
+        path.write_text('{"kind": "rl", "hurst": "abc", "T": 1.0}')
+        assert main(["bracket", "--kernel-spec", str(path), "--grid-n", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed kernel spec: ")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["bracket", "--kernel", "brownian", "--grid-n", "4", "--paths", "-3",
@@ -228,6 +248,13 @@ class TestUsageErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err and "usage:" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("sub", ["verify-mean", "verify-path", "verify-unique"])
+    def test_quad_order_is_gone(self, sub, capsys):
+        assert main([sub, "--kernel", "brownian", "--grid-n", "8",
+                     "--quad-order", "32"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unrecognized arguments: --quad-order 32\n"
 
     @pytest.mark.parametrize("argv", [["--version"], ["bracket", "--help"]])
     def test_help_and_version_still_exit(self, argv, capsys):
@@ -269,7 +296,7 @@ class TestConfigEcho:
     KERNEL_GRID = OUTPUT | {"kernel", "grid_n", "grid_kind"}
     DRAWS = {"paths", "seed"}
     CHECK = {"t", "z", "threads"}
-    PHI = {"quad_order", "phi"}
+    PHI = {"phi"}
     rl = ["--kernel", "rl", "--hurst", "0.25"]
 
     @pytest.mark.parametrize("argv, keys", [
@@ -334,6 +361,57 @@ def test_readme_cli_examples_parse():
     assert len(examples) >= 9
     for argv in examples:
         build_parser().parse_args(argv)
+
+
+def _readme_cli_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+_FLAG = r"`(--[\w-]+)`(?: \((\w+)\))?"  # a flag and the default after it, if any
+
+
+def test_readme_flag_tables_match_parser():
+    section = _readme_cli_section()
+    groups = {
+        name: re.findall(r"`(--[\w-]+)`", body)
+        for name, body in re.findall(r"^- (\w+)[^:]*: (.*?)(?=\n- |\n\n)", section,
+                                     re.M | re.S)
+    }
+    rows = re.findall(r"^\| `([\w-]+)` \|(.*?)\|(.*?)\|(.*?)\|$", section, re.M)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(name for name, *_ in rows) == sorted(subparsers)
+    for name, group_cell, own_cell, format_cell in rows:
+        actions = {s: a for a in subparsers[name]._actions for s in a.option_strings}
+        want = set(groups["output"])
+        defaults = {}
+        for group in filter(None, (g.strip() for g in group_cell.split(","))):
+            group, _, paths = group.partition(" (")
+            want.update(groups[group])
+            if paths:
+                defaults["--paths"] = paths.rstrip(")")
+        for flag, default in re.findall(_FLAG, own_cell):
+            want.add(flag)
+            if default:
+                defaults[flag] = default
+        assert set(actions) - {"-h", "--help"} == want, name
+        for flag, default in defaults.items():
+            assert str(actions[flag].default) == default, (name, flag)
+        formats = [f.strip() for f in format_cell.split(",")]
+        assert list(actions["--format"].choices) == formats, name
+
+
+@pytest.mark.parametrize("kernel", [
+    ["brownian"], ["rl", "--hurst", "0.25"], ["rl", "--hurst", "0.75"],
+], ids=["brownian", "rl025", "rl075"])
+@pytest.mark.parametrize("grid_kind", ["uniform", "energy"])
+@pytest.mark.parametrize("cut", ["1", "2", "5"])
+def test_mollified_mean_identity_closes_at_small_cuts(kernel, grid_kind, cut, capsys):
+    # the cutoff band is inside the Gaussian's reach for every cut here
+    assert main(["verify-mean", "--kernel", *kernel, "--grid-n", "256",
+                 "--grid-kind", grid_kind, "--phi", "mollified", "--phi-cut", cut,
+                 "--no-timestamp"]) == 0
 
 
 class TestVerifySubcommands:

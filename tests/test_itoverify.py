@@ -1,12 +1,14 @@
 """Mehler conditionals, Clark-Ocone sums, and the verification machinery."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from volterra_ito.errors import DomainError
+from volterra_ito import itoverify
+from volterra_ito.errors import DomainError, NumericalError
 from volterra_ito.itoverify import (
     BLOCK_PATHS,
     DEFAULT_GH_ORDER,
@@ -84,10 +86,15 @@ class TestTestFunction:
 
 class TestMehler:
     def test_linear_mean(self):
-        assert mehler_conditional(np.array([0.0, 2.0]), 1.5, 9.0) == 3.0
+        exact = TestFunction.polynomial([0.0, 2.0]).smooth(0, 1.5, 9.0)
+        assert exact == 3.0
+        assert mehler_conditional(lambda x: 2.0 * x, 1.5, 9.0) == pytest.approx(
+            exact, rel=1e-14)
 
     def test_pure_square(self):
-        assert mehler_conditional(np.array([0.0, 0.0, 1.0]), 0.0, 1.0) == 1.0
+        exact = TestFunction.square().smooth(0, 0.0, 1.0)
+        assert exact == 1.0
+        assert mehler_conditional(np.square, 0.0, 1.0) == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("s2", [0.25, 1.0, 2.0, 4.0])
     def test_cosine_characteristic_function(self, s2):
@@ -108,7 +115,7 @@ class TestMehler:
             deg = int(rng.integers(1, 12))
             coeffs = rng.integers(-3, 4, size=deg + 1).astype(float)
             m, v = rng.normal(), rng.uniform(0.1, 2.0)
-            exact = mehler_conditional(coeffs, m, v)
+            exact = TestFunction.polynomial(coeffs).smooth(0, m, v)
             def p(x, c=coeffs):
                 return np.polynomial.polynomial.polyval(x, c)
             gh = mehler_conditional(p, m, v, 32)
@@ -118,16 +125,37 @@ class TestMehler:
     def test_array_broadcast(self):
         m = np.array([0.0, 1.0, -1.0])
         v = np.array([0.0, 1.0, 4.0])
-        got = mehler_conditional(np.array([0.0, 2.0]), m, v)
-        assert np.allclose(got, 2 * m)
+        exact = TestFunction.polynomial([0.0, 2.0]).smooth(0, m, v)
+        assert np.array_equal(exact, 2 * m)
+        got = mehler_conditional(lambda x: 2.0 * x, m, v)
+        assert got.shape == m.shape
+        assert np.allclose(got, exact, rtol=1e-14, atol=1e-14)
+
+    def test_order_370_is_the_largest_rule(self):
+        # from order 371 every weight underflows while the nodes stay finite
+        got = mehler_conditional(np.cos, 0.0, 1.0, 370)
+        assert got == pytest.approx(math.exp(-0.5), abs=1e-13)
+        with pytest.raises(DomainError):
+            mehler_conditional(np.cos, 0.0, 1.0, 371)
 
 
 def _derivative(phi, order):
     return (phi.phi, phi.dphi, phi.d2phi)[order]
 
 
+def _smoothing_oracle(g, m, v):
+    """E[g(m + sqrt(v) Z)] for each element, by adaptive quadrature in z."""
+    s = np.sqrt(v)
+
+    def f(z):
+        return g(m + s * z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    return integrate.quad_vec(f, -12.0, 12.0, epsabs=1e-14, epsrel=1e-13,
+                              norm="max", limit=10000)[0]
+
+
 class TestSmooth:
-    """TestFunction.smooth against the Gauss-Hermite rule it replaces."""
+    """TestFunction.smooth against Gauss-Hermite and adaptive quadrature."""
 
     MS = np.array([-3.0, -1.1, -0.2, 0.0, 0.4, 1.7, 2.9])
     VS = np.array([0.0, 1e-3, 0.3, 1.0, 2.5])
@@ -142,7 +170,7 @@ class TestSmooth:
     ], ids=["poly4", "square", "cos1.3", "cos0", "mollified100"])
     def test_matches_gauss_hermite(self, phi, order):
         m, v = np.meshgrid(self.MS, self.VS)
-        got = phi.smooth(order, m, v, DEFAULT_GH_ORDER)
+        got = phi.smooth(order, m, v)
         gh = mehler_conditional(_derivative(phi, order), m, v, DEFAULT_GH_ORDER)
         assert got.shape == m.shape
         np.testing.assert_allclose(got, gh, rtol=1e-13, atol=1e-13)
@@ -151,28 +179,35 @@ class TestSmooth:
         assert scalar == got[2, 4]
 
     @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_mollified_band_is_gauss_hermite_bit_for_bit(self, order):
-        cut = 2.0
-        phi = TestFunction.mollified_square(cut)
+    def test_mollified_band_matches_quadrature_oracle(self, order):
         top = float(np.max(np.polynomial.hermite.hermgauss(DEFAULT_GH_ORDER)[0]))
-        ms, vs = [], []
-        for v in (0.0, 1e-4, 0.01, 0.09):
-            edge = cut - math.sqrt(2.0 * v) * top
-            for dm in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3, 0.5, 3.0):
-                for sign in (1.0, -1.0):
-                    ms.append(sign * (edge + dm))
-                    vs.append(v)
-        ms.extend([0.0, 1.0, -1.5])
-        vs.extend([0.0, 0.01, 0.04])
-        m, v = np.array(ms), np.array(vs)
-        got = phi.smooth(order, m, v, DEFAULT_GH_ORDER)
-        gh = mehler_conditional(_derivative(phi, order), m, v, DEFAULT_GH_ORDER)
-        band = np.abs(m) + np.sqrt(2.0 * v) * top > cut
-        assert 0 < np.count_nonzero(band) < band.size
-        assert np.array_equal(got[band], gh[band])
-        np.testing.assert_allclose(got[~band], gh[~band], rtol=1e-13, atol=1e-13)
-        exact = (m * m + v, 2.0 * m, np.full(m.shape, 2.0))[order]
-        assert np.array_equal(got[~band], exact[~band])
+        for cut in (1.0, 2.0, 5.0):
+            phi = TestFunction.mollified_square(cut)
+            g = _derivative(phi, order)
+            split = cut - math.sqrt(2e-2) * top  # where v = 1e-2 meets the band
+            ms = [sign * (edge + dm) for sign in (1.0, -1.0)
+                  for edge in (cut, 2.0 * cut, split)
+                  for dm in (0.0, -1e-12, 1e-12, -1e-3, 1e-3, -0.3, 0.3)]
+            m, v = (a.ravel() for a in np.meshgrid(
+                ms + [0.0, 3.0 * cut], [0.0, 1e-8, 1e-2, 1.0, 4.0]))
+            got = phi.smooth(order, m, v)
+            zero = v == 0.0
+            assert np.array_equal(got[zero], g(m[zero]))
+            want = _smoothing_oracle(g, m[~zero], v[~zero])
+            np.testing.assert_allclose(got[~zero], want, rtol=1e-11, atol=1e-11)
+            # the Gaussian stays inside the cutoff: exact x^2 moments, bit for bit
+            inside = np.abs(m) + np.sqrt(2.0 * v) * top <= cut
+            assert 0 < np.count_nonzero(inside) < inside.size
+            exact = (m * m + v, 2.0 * m, np.full(m.shape, 2.0))[order]
+            assert np.array_equal(got[inside], exact[inside])
+
+    def test_unresolved_band_rule_raises(self, monkeypatch):
+        # a Gaussian 1000x narrower than the band, on the nodes shared by wide
+        # elements: the 64- and 128-node rules disagree
+        monkeypatch.setattr(itoverify, "_WIDE", 0.0)
+        with pytest.raises(NumericalError) as exc:
+            TestFunction.mollified_square(1.0).smooth(2, 1.5, 1e-6)
+        assert exc.value.bound > 1e-9 * abs(exc.value.estimate)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(DomainError):
@@ -183,8 +218,6 @@ class TestSmooth:
         TestFunction.square(), TestFunction.cosine(), TestFunction.mollified_square(),
     ], ids=["square", "cos", "mollified"])
     def test_order_checked_on_every_route(self, phi, quad_order):
-        with pytest.raises(DomainError):
-            phi.smooth(1, 0.0, 1.0, quad_order)
         with pytest.raises(DomainError):
             mehler_conditional(phi.dphi, 0.0, 1.0, quad_order)
 
@@ -201,6 +234,12 @@ class TestSmooth:
     def test_non_finite_parameters_rejected(self, make):
         with pytest.raises(DomainError):
             make()
+
+
+def test_no_public_function_takes_a_quadrature_order():
+    for fn in (TestFunction.smooth, clark_ocone_ito_sum, verify_mean_identity,
+               verify_pathwise_formula, verify_uniqueness_perturbation):
+        assert "quad_order" not in inspect.signature(fn).parameters, fn.__name__
 
 
 class TestConditionalMeanVar:
@@ -264,7 +303,7 @@ class TestClarkOconeSum:
         co = clark_ocone_ito_sum(SIGNED, b, phi, 64)
         w = volterra_weights(SIGNED, grid)[64]
         assert np.any(w < 0)
-        want = _co_sum_block(phi, w, b.z(), DEFAULT_GH_ORDER)
+        want = _co_sum_block(phi, w, b.z())
         assert np.array_equal(co, want)
 
     def test_brownian_square_is_ito_sum(self):
