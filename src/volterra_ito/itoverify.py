@@ -21,8 +21,7 @@ from scipy import linalg, special
 from .bracket import EnergyFunction, energy_function, stieltjes_integrate
 from .errors import DomainError, NumericalError
 from .kernels import Kernel, TimeGrid, _leggauss01, covariance
-from .paths import (PathBundle, _normals_matrix, _weight_row, simulate_volterra,
-                    volterra_weights)
+from .paths import PathBundle, _normals_matrix, _weight_row
 
 __all__ = [
     "TestFunction",
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 4096
-_BLOCK_BUDGET = 2 ** 42  # blocks are memory-bounded by BLOCK_PATHS already
 DEFAULT_GH_ORDER = 32
 MAX_GH_ORDER = 1024  # bounds the order^2 companion matrix; weights underflow sooner
 DEFAULT_Z = 4.0
@@ -185,31 +183,84 @@ class TestFunction:
         eta, e1, e2 = _bump_eta(x / c)
         return 2.0 * eta + 4.0 * x * e1 / c + x * x * e2 / c ** 2
 
-    def smooth(self, order, m, v):
+    def smooth(self, order, m, v, out=None):
         """E[phi^(order)(m + sqrt(v) Z)] for Z ~ N(0,1) and order 0, 1 or 2.
 
         Polynomials use exact Gaussian moments and the cosine its
         characteristic function. The mollified square uses the exact x^2
         moments where the Gaussian stays inside the cutoff to _REACH_Z
         standard deviations, and ``_smooth_band`` where it reaches the band.
+        ``out`` (of the broadcast shape, and may be ``m`` itself) receives the
+        result in place.
         """
         m = np.asarray(m, dtype=float)
         v = _residual_variance(v)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(m.shape, v.shape))
         if self.family == "polynomial":
             coeffs = (self.coeffs, self.dcoeffs, self.d2coeffs)[order]
-            out = _gaussian_poly_mean(coeffs, m, v)
+            _gaussian_poly_mean(coeffs, m, v, out)
         elif self.family == "cosine":
             a = self.freq
-            trig = (np.cos, np.sin, np.cos)[order](a * m)
-            out = (1.0, -a, -a * a)[order] * trig * np.exp(-0.5 * a * a * v)
+            np.multiply(m, a, out=out)
+            (np.cos, np.sin, np.cos)[order](out, out=out)
+            out *= (1.0, -a, -a * a)[order] * np.exp(-0.5 * a * a * v)
         else:
-            m, v = np.broadcast_arrays(m, v)
-            square = np.polynomial.polynomial.polyder([0.0, 0.0, 1.0], order)
-            out = np.asarray(_gaussian_poly_mean(square, m, v))
             band = np.abs(m) + np.sqrt(2.0 * v) * _REACH > self.cut
-            if np.any(band):
-                out[band] = self._smooth_band(order, m[band], v[band])
+            reach = None
+            if np.any(band):  # copied before out, which may be m, is written
+                reach = [a[band] for a in np.broadcast_arrays(m, v)]
+            square = np.polynomial.polynomial.polyder([0.0, 0.0, 1.0], order)
+            _gaussian_poly_mean(square, m, v, out)
+            if reach is not None:
+                out[band] = self._smooth_band(order, *reach)
         return float(out) if out.ndim == 0 else out
+
+    def smooth_square_mean(self, order, s, v):
+        """E[smooth(order, M, v)^2] for M ~ N(0, s), elementwise in (s, v).
+
+        Closed forms for polynomials (Gaussian moments of the smoothed
+        coefficients) and the cosine (E cos^2 = (1 + e^(-2 a^2 s)) / 2). The
+        mollified square takes the 64-node Gauss-Legendre rule in m on each
+        piece between its breakpoints +-cut, +-2 cut, within M's reach and
+        the reach 2 cut + _REACH_Z sqrt(v) past which the smoothing is 0:
+        Gauss-Hermite over M misses the band's swings of phi'' (order 32
+        gave 7.39 for 20.39 at cut 1.5, s = 1, v = 0).
+        """
+        s = _residual_variance(s)
+        v = _residual_variance(v)
+        if self.family == "polynomial":
+            coeffs = (self.coeffs, self.dcoeffs, self.d2coeffs)[order]
+            b = _smoothed_coeffs(coeffs, v)
+            out = np.zeros(np.broadcast_shapes(s.shape, v.shape))
+            for i, bi in enumerate(b):
+                for j in range(i % 2, len(b), 2):  # E[M^(i+j)] = (i+j-1)!! s^((i+j)/2)
+                    dfac = math.prod(range(i + j - 1, 0, -2))
+                    out += bi * b[j] * dfac * s ** ((i + j) // 2)
+            return out
+        if self.family == "cosine":
+            a = self.freq
+            sign = (1.0, -1.0, 1.0)[order]  # cos^2 or sin^2
+            return ((1.0, a * a, a ** 4)[order] * np.exp(-a * a * v)
+                    * 0.5 * (1.0 + sign * np.exp(-2.0 * a * a * s)))
+        shape = np.broadcast_shapes(s.shape, v.shape)
+        s, v = (np.broadcast_to(a, shape).ravel() for a in (s, v))
+        c = self.cut
+        reach = np.minimum(_REACH_Z * np.sqrt(s), 2.0 * c + _REACH_Z * np.sqrt(v))
+        edges = np.array([-np.inf, -2.0 * c, -c, c, 2.0 * c, np.inf])
+        lo = np.clip(edges[:-1], -reach[:, None], reach[:, None])
+        hi = np.clip(edges[1:], -reach[:, None], reach[:, None])
+        el, piece = np.nonzero(hi > lo)
+        span = (hi - lo)[el, piece, None]
+        t, wl = _leggauss01(64)
+        m = lo[el, piece, None] + span * t
+        g = self.smooth(order, m, v[el, None])
+        dens = np.exp(-0.5 * m * m / s[el, None]) / np.sqrt(2.0 * math.pi * s[el, None])
+        out = np.bincount(el, weights=(g * g * dens * span) @ wl,
+                          minlength=s.size).astype(float)  # int when el is empty
+        point = s == 0.0  # M = 0
+        out[point] = self.smooth(order, 0.0, v[point]) ** 2
+        return out.reshape(shape)
 
     def _smooth_band(self, order, m, v):
         """``smooth`` of the mollified square for 1-d m, v whose Gaussian
@@ -278,13 +329,6 @@ class TestFunction:
             out[start:start + _BAND_CHUNK] = res
         return out
 
-    def sup_d2(self, radius: float) -> float:
-        """Bound on |phi''| over [-radius, radius]."""
-        if self.family == "cosine":
-            return self.freq ** 2
-        xs = np.linspace(-radius, radius, 4097)
-        return float(np.max(np.abs(self.d2phi(xs))))
-
     @property
     def label(self) -> str:
         if self.family == "polynomial":
@@ -298,17 +342,46 @@ class TestFunction:
 # Gaussian conditional expectations (Mehler formula)
 # ---------------------------------------------------------------------------
 
-def _gaussian_poly_mean(coeffs, m, v):
-    """E[p(m + sqrt(v) Z)] exactly, from even Gaussian moments."""
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(np.broadcast(m, v).shape)
-    for k, ck in enumerate(coeffs):
-        if ck == 0.0:
-            continue
-        for l in range(0, k + 1, 2):
-            dfac = math.prod(range(l - 1, 0, -2))  # (l-1)!!
-            out = out + ck * math.comb(k, l) * dfac * m ** (k - l) * v ** (l // 2)
+def _smoothed_coeffs(coeffs, v):
+    """Coefficients b_i(v) in m of E[p(m + sqrt(v) Z)] = sum_i b_i m^i.
+
+    b_i = sum over even l of c_(i+l) C(i+l, l) (l-1)!! v^(l/2): a float where
+    no v term enters, else an array shaped like v. Trailing zero
+    coefficients are dropped; the list is never empty.
+    """
+    nonzero = np.flatnonzero(coeffs)
+    deg = int(nonzero[-1]) if nonzero.size else 0
+    b = []
+    for i in range(deg + 1):
+        bi = 0.0
+        for l in range(0, deg - i + 1, 2):
+            c = coeffs[i + l]
+            if c == 0.0:
+                continue
+            term = c * math.comb(i + l, l) * math.prod(range(l - 1, 0, -2))
+            bi = bi + (term * v ** (l // 2) if l else term)
+        b.append(bi)
+    return b
+
+
+def _gaussian_poly_mean(coeffs, m, v, out):
+    """E[p(m + sqrt(v) Z)] exactly into ``out`` (which may be ``m``), by
+    Horner in m over the smoothed coefficients."""
+    b = _smoothed_coeffs(coeffs, v)
+    deg = len(b) - 1
+    if deg == 0:
+        out[...] = b[0]
+        return out
+    if deg == 1:
+        np.multiply(m, b[1], out=out)
+    else:  # buf holds (b_deg m + ... + b_i) m; its last product lands in out
+        buf = np.multiply(m, b[deg], out=np.empty(out.shape))
+        for i in range(deg - 1, 0, -1):
+            if np.any(b[i]):
+                buf += b[i]
+            np.multiply(buf, m, out=out if i == 1 else buf)
+    if np.any(b[0]):
+        out += b[0]
     return out
 
 
@@ -372,16 +445,24 @@ def conditional_mean_and_var(k: Kernel, grid: TimeGrid, dw: np.ndarray,
     return m, v
 
 
+def _prefix_masses(w):
+    """(s, v): the variance of X_t's increments before cell j, and from it on."""
+    s = np.concatenate([[0.0], np.cumsum(w * w)])
+    return s[:-1], s[-1] - s[:-1]
+
+
 def _co_sum_block(phi, w, z):
-    """Clark-Ocone Ito sum for a block: rows of z, weights w for the target time."""
-    contrib = z * w[None, :]
-    m = np.cumsum(contrib, axis=1)
-    m = np.concatenate([np.zeros((z.shape[0], 1)), m[:, :-1]], axis=1)
-    mass = w * w
-    v = np.concatenate([[0.0], np.cumsum(mass)])  # prefix masses
-    v = v[-1] - v[:-1]  # residual variance at each cell, same for all paths
-    cond = phi.smooth(1, m, v)
-    return np.sum(cond * contrib, axis=1)
+    """Clark-Ocone Ito sum for a block: rows of z, weights w for the target time.
+
+    Two block-sized buffers: the increments w_j z_j and the conditional means
+    m_j (their prefix sums), which the smoothing overwrites in place.
+    """
+    contrib = z * w
+    m = np.empty_like(contrib)
+    m[:, 0] = 0.0
+    np.cumsum(contrib[:, :-1], axis=1, out=m[:, 1:])
+    cond = phi.smooth(1, m, _prefix_masses(w)[1], out=m)
+    return np.einsum("ij,ij->i", cond, contrib)
 
 
 def clark_ocone_ito_sum(k: Kernel, bundle: PathBundle, phi: TestFunction,
@@ -447,18 +528,22 @@ def _check_z(z):
 def _mc_mean_se(sample, paths, threads):
     """Monte Carlo mean and SE of ``sample(start, count)`` over ``paths`` draws.
 
-    Blocks of BLOCK_PATHS paths each give (count, sum, M2), M2 two-pass about
-    the block's own mean; merging them in path order (Chan, Golub & LeVeque)
-    makes the result independent of ``threads``.
+    ``sample`` returns ``count`` values, or a stack of several quantities
+    with the paths along the last axis; each is reduced on its own (floats
+    for one quantity, arrays for a stack). Blocks of BLOCK_PATHS paths each
+    give (count, sum, M2), M2 two-pass about the block's own mean; merging
+    them in path order (Chan, Golub & LeVeque) makes the result independent
+    of ``threads``.
     """
     if paths < 1:
         raise DomainError("Monte Carlo checks need paths >= 1")
 
     def block(start):
         vals = sample(start, min(BLOCK_PATHS, paths - start))
-        total = np.sum(vals)
-        dev = vals - total / vals.size
-        return vals.size, total, np.sum(dev * dev)
+        count = vals.shape[-1]
+        total = np.sum(vals, axis=-1)
+        dev = vals - np.expand_dims(total / count, -1)
+        return count, total, np.sum(dev * dev, axis=-1)
 
     starts = range(0, paths, BLOCK_PATHS)
     if threads <= 1:
@@ -471,7 +556,8 @@ def _mc_mean_se(sample, paths, threads):
         delta = sb / nb - total / n
         m2 += m2b + delta * delta * (n * nb / (n + nb))
         n, total = n + nb, total + sb
-    return total / paths, math.sqrt(m2 / paths / paths)
+    mean, se = total / paths, np.sqrt(m2 / paths / paths)
+    return (float(mean), float(se)) if np.ndim(mean) == 0 else (mean, se)
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +569,19 @@ def _d2phi_mean(k, phi):
     return lambda pts: np.asarray(phi.smooth(2, 0.0, k.total_l2(pts)))
 
 
+def _stride_keep(t_idx, stride):
+    """Every stride-th grid index up to t_idx, and t_idx itself."""
+    keep = np.arange(0, t_idx + 1, stride)
+    return keep if keep[-1] == t_idx else np.append(keep, t_idx)
+
+
 def _mean_identity_rhs(k, phi, gamma, t_idx, stride=1):
     """phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s) by midpoint Stieltjes.
 
     stride > 1 coarsens the grid (every stride-th point) for the Richardson
     error estimate.
     """
-    keep = np.arange(0, t_idx + 1, stride)
-    if keep[-1] != t_idx:
-        keep = np.append(keep, t_idx)
+    keep = _stride_keep(t_idx, stride)
     sub = EnergyFunction(grid=TimeGrid(gamma.grid.times[keep]),
                          values=gamma.values[keep])
     return float(phi.phi(0.0)) + 0.5 * stieltjes_integrate(_d2phi_mean(k, phi), sub)
@@ -565,47 +655,75 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
 # Pathwise operator Ito formula
 # ---------------------------------------------------------------------------
 
+def _res2_leading(phi, w):
+    """P = (1/2) sum_j w_j^4 E[smooth(2, m_j, v_j)^2], m_j ~ N(0, s_j): the
+    leading term of E[res^2] for the weight row w of X_t.
+
+    Cell j's martingale increment of E[phi(X_t) | F] minus its Ito term is
+    smooth(2, m_j, v_j) w_j^2 (z_j^2 - 1) / 2 + O(w_j^3), by the heat
+    equation d_v G = d_mm G / 2, and the cells are orthogonal. P is exact
+    for quadratic phi.
+    """
+    s, v = _prefix_masses(w)
+    mass = w * w
+    return 0.5 * float(np.sum(mass * mass * phi.smooth_square_mean(2, s, v)))
+
+
 def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, threads):
-    """Blocked mean and SE of the squared pathwise residual."""
-    weights = volterra_weights(k, grid)
+    """E[res^2] of res = phi(X_t) - c - CO_t on the grid and on its stride-2
+    coarsening, from the same draws, with each level's leading term P.
+
+    c is the mean identity's right side on the level's grid, X_t = Z w_t and
+    CO_t the Clark-Ocone sum; only the t_idx normals X_t reads are drawn. A
+    coarse cell's normal is sum_j z_j sqrt(dt_j) / sqrt(sum_j dt_j) over its
+    fine cells, so both levels see the same Brownian driver. ``floor``
+    bounds the rounding of res^2: 1e-24 times E[(c + CO_t)^2], the second
+    moment of what is subtracted from phi(X_t).
+    """
     gamma = energy_function(k, grid)
-    dgam = np.diff(gamma.values[: t_idx + 1])
-    w_t = weights[t_idx, :t_idx]
-    phi0 = float(phi.phi(0.0))
+    keep = _stride_keep(t_idx, 2)
+    w_t = _weight_row(k, grid.times, t_idx)
+    w_c = _weight_row(k, grid.times[keep], keep.size - 1)
+    c_t = _mean_identity_rhs(k, phi, gamma, t_idx)
+    c_c = _mean_identity_rhs(k, phi, gamma, t_idx, stride=2)
+    dt = grid.dt[:t_idx]
+    a = np.sqrt(dt / np.repeat(np.diff(grid.times[keep]), np.diff(keep)))
+    pairs = t_idx // 2
+    seed64 = np.uint64(seed % 2 ** 64)
+
+    def residual(z, w, c):
+        return phi.phi(z @ w) - c - _co_sum_block(phi, w, z)
 
     def sample(start, count):
-        bundle = simulate_volterra(k, grid, count, seed, stream_offset=start,
-                                   weights=weights, budget=_BLOCK_BUDGET)
-        z = bundle.z()[:, :t_idx]
-        co = _co_sum_block(phi, w_t, z)
-        x = bundle.X[:, : t_idx + 1]
-        d2 = phi.d2phi(x)
-        mid = 0.5 * (d2[:, :-1] + d2[:, 1:])
-        corr = mid @ dgam
-        res = phi.phi(x[:, -1]) - phi0 - co - 0.5 * corr
+        z = _normals_matrix(seed64, start, count, t_idx)
+        zc = z[:, 0::2] * a[0::2]
+        zc[:, :pairs] += z[:, 1::2] * a[1::2]
+        res = np.stack([residual(z, w_t, c_t), residual(zc, w_c, c_c)])
         return res * res
 
-    return _mc_mean_se(sample, paths, threads)
-
-
-def _pathwise_bias_bound(k, phi, grid, gamma_t):
-    """C * mesh^min(2H,1), calibrated so the Brownian x^2 case is exact."""
-    radius = 6.0 * math.sqrt(max(gamma_t, 0.0)) + 1.0
-    q = phi.sup_d2(radius) / 2.0
-    rate = min(2.0 * k.hurst_exponent, 1.0)
-    return 2.0 * (q * gamma_t) ** 2 * grid.mesh ** rate
+    (est, est_c), (se, se_c) = _mc_mean_se(sample, paths, threads)
+    s, v = _prefix_masses(w_t)
+    co2 = float(np.sum(w_t * w_t * phi.smooth_square_mean(1, s, v)))
+    return {"grid_n": grid.n_cells, "estimate": float(est), "se": float(se),
+            "p_n": _res2_leading(phi, w_t), "coarse_estimate": float(est_c),
+            "coarse_se": float(se_c), "coarse_p_n": _res2_leading(phi, w_c),
+            "floor": 1e-24 * (c_t * c_t + co2)}
 
 
 def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
                             seed: int, t: float,
                             z: float = DEFAULT_Z,
                             threads: int = 1) -> VerificationReport:
-    """Check phi(X_t) = phi(0) + delta-term + (1/2) int phi''(X_s) dGamma(s)
-    pathwise in L2.
+    """Check phi(X_t) = phi(0) + delta(Pi D phi(X_t)) + (1/2) int E[phi''(X_s)]
+    dGamma(s) pathwise in L2.
 
-    Accepts a single grid or a refinement ladder; with a ladder the squared
-    residual must be nonincreasing (1 SE slack per rung) and the finest value
-    must fall below z * SE + bias bound.
+    The estimate is E[res^2] by Monte Carlo, with reference 0. Its leading
+    term P_n (``_res2_leading``) is known, so the bias bound is P_n plus a
+    remainder: the Richardson gap |(E_n - P_n) - (E_coarse - P_coarse)| of
+    the coupled stride-2 residual, plus a rounding floor. The check passes
+    when |estimate - P_n| <= z * SE + remainder, which includes estimate <=
+    z * SE + bias bound. A ladder of grids must also be nonincreasing (1 SE
+    slack per rung); the finest grid is judged.
     """
     _check_z(z)
     grids = list(grid) if isinstance(grid, (list, tuple)) else [grid]
@@ -614,32 +732,34 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
         t_idx = g.index_of(t)
         if t_idx == 0:
             raise DomainError("t must be a positive grid point")
-        est, se = _pathwise_res2_moments(k, phi, g, paths, seed, t_idx, threads)
-        ladder.append({"grid_n": g.n_cells, "estimate": float(est), "se": float(se)})
+        ladder.append(_pathwise_res2_moments(k, phi, g, paths, seed, t_idx, threads))
 
     final = ladder[-1]
-    fine_grid = grids[-1]
-    gamma_t = energy_function(k, fine_grid).values[fine_grid.index_of(t)]
-    bias = _pathwise_bias_bound(k, phi, fine_grid, gamma_t)
+    est, se, p_n = final["estimate"], final["se"], final["p_n"]
+    remainder = abs((est - p_n) - (final["coarse_estimate"] - final["coarse_p_n"]))
+    remainder += final["floor"]
+    bias = p_n + remainder
 
     monotone = all(
         ladder[i + 1]["estimate"]
         <= ladder[i]["estimate"] + (ladder[i]["se"] + ladder[i + 1]["se"])
         for i in range(len(ladder) - 1)
     )
-    passed = monotone and final["estimate"] <= z * final["se"] + bias
+    passed = (monotone and est <= z * se + bias
+              and abs(est - p_n) <= z * se + remainder)
     return VerificationReport(
         identity="pathwise_formula",
-        estimate=float(final["estimate"]),
+        estimate=est,
         reference=0.0,
-        se=float(final["se"]),
+        se=se,
         bias_bound=float(bias),
         grid_n=int(final["grid_n"]),
         paths=paths,
         seed=seed,
         passed=bool(passed),
         z=z,
-        detail={"ladder": ladder, "monotone": monotone},
+        detail={"ladder": ladder, "monotone": monotone, "p_n": p_n,
+                "remainder": remainder, "coarse_estimate": final["coarse_estimate"]},
     )
 
 

@@ -483,15 +483,32 @@ def kernel_cell_l2(k: Kernel, t: float, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _covariance_quad(k1, k2, t, u, quad):
-    """Graded-quadrature fallback for covariance integrals."""
+    """Graded-quadrature fallback for covariance integrals.
+
+    Lags below L = tiny * max(m, 1), with tiny the smallest normal float,
+    underflow or lose precision in m*v^p. Near lag 0 the integrand is
+    lag^g times a factor that does not decrease, where g sums the diagonal
+    exponent of each kernel whose time is m and the negative exponent of
+    the other, so those lags hold at most (L/m)^(1 + g) of the integral;
+    past ``quad.rel_tol`` a NumericalError is raised.
+    """
     m = min(t, u)
     gamma = 0.0
+    lost = 0.0
     singular = False
     for k, tau in ((k1, t), (k2, u)):
         g = k.diag_exponent
         if g is not None and math.isclose(tau, m, rel_tol=1e-12):
             gamma += g
+            lost += g
             singular = True
+        elif g is not None:
+            lost += min(g, 0.0)
+    share = min(1.0, np.finfo(float).tiny * max(m, 1.0) / m) ** (1.0 + lost)
+    if share > quad.rel_tol:
+        raise NumericalError(
+            f"covariance({t},{u}): lags that underflow may hold {share:.3g} of "
+            f"the integral, above {quad.rel_tol:g}", bound=share)
     p = _grading_power(gamma, singular)
 
     def h(v):

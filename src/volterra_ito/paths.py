@@ -183,8 +183,7 @@ def _check_budget(paths, n_cells, budget):
 
 def simulate_volterra(k: Kernel, grid: TimeGrid, paths: int, seed: int,
                       stream_offset: int = 0,
-                      budget: int = DEFAULT_SIM_BUDGET,
-                      weights: np.ndarray | None = None) -> PathBundle:
+                      budget: int = DEFAULT_SIM_BUDGET) -> PathBundle:
     """Simulate X_t = int_0^t K(t,s) dW_s on the grid for a batch of paths.
 
     Each path owns stream ``stream_offset + p``; the per-point variance of X
@@ -202,18 +201,14 @@ def simulate_volterra(k: Kernel, grid: TimeGrid, paths: int, seed: int,
         First path's stream index, for block-wise generation.
     budget : int
         Refusal cap on paths * cells^2.
-    weights : ndarray, optional
-        Precomputed ``volterra_weights(k, grid)`` to share across blocks.
     """
     if paths < 1:
         raise DomainError("paths must be >= 1")
     n = grid.n_cells
     _check_budget(paths, n, budget)
-    if weights is None:
-        weights = volterra_weights(k, grid)
     z = _normals_matrix(np.uint64(seed % 2 ** 64), stream_offset, paths, n)
     dw = z * np.sqrt(grid.dt)[None, :]
-    x = z @ weights.T
+    x = z @ volterra_weights(k, grid).T
     return PathBundle(grid=grid, dW=dw, X=x, kernel_id=k.kernel_id,
                       seed=seed, stream_offset=stream_offset)
 

@@ -430,6 +430,24 @@ class TestVerifySubcommands:
             "grid_n", "paths", "seed", "pass", "z",
         }
 
+    @pytest.mark.parametrize("argv", [
+        "--kernel brownian --grid-n 1024 --paths 8192 --phi cos --seed 42",
+        "--kernel rl --hurst 0.75 --grid-n 256 --paths 4096 --phi square --seed 42",
+    ], ids=["brownian-cos", "rl075-square"])
+    def test_verify_path_consistent_identity_passes(self, argv, capsys):
+        # both exited 1 while the corrector was (1/2) int phi''(X_s) dGamma
+        # and the bias bound a mesh-power heuristic
+        assert run_cli(["verify-path", *argv.split(), "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["pass"] is True
+
+    def test_unresolvable_covariance_exits_3(self, capsys):
+        code = run_cli(["verify-multi", "--kernel", "rl", "--hurst", "0.02",
+                        "--kernel2", "rl", "--hurst2", "0.03", "--T", "1e-300",
+                        "--grid-n", "4", "--paths", "100"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "underflow" in err and "Traceback" not in err
+
     def test_verify_path_ladder(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run_cli([

@@ -2,12 +2,14 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from volterra_ito import itoverify
+from volterra_ito import paths as paths_module
 from volterra_ito.errors import DomainError, NumericalError
 from volterra_ito.itoverify import (
     BLOCK_PATHS,
@@ -16,6 +18,7 @@ from volterra_ito.itoverify import (
     _co_sum_block,
     _mc_mean_se,
     _mc_phi_moment,
+    _res2_leading,
     clark_ocone_ito_sum,
     conditional_mean_and_var,
     mehler_conditional,
@@ -31,10 +34,11 @@ from volterra_ito.kernels import (
     TimeGrid,
     equal_energy_grid,
 )
-from volterra_ito.paths import simulate_volterra, volterra_weights
+from volterra_ito.paths import _weight_row, simulate_volterra, volterra_weights
 
 BM = BrownianKernel(horizon=1.0)
 RL25 = RiemannLiouvilleKernel(hurst=0.25, horizon=1.0)
+RL75 = RiemannLiouvilleKernel(hurst=0.75, horizon=1.0)
 ES = ExpSumKernel(weights=(1.0,), rates=(1.0,), horizon=1.0)
 SIGNED = ExpSumKernel(weights=(1.0, -2.0), rates=(1.0, 10.0), horizon=1.0)
 
@@ -201,6 +205,49 @@ class TestSmooth:
             exact = (m * m + v, 2.0 * m, np.full(m.shape, 2.0))[order]
             assert np.array_equal(got[inside], exact[inside])
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("phi", [
+        TestFunction.polynomial([0.5, -1.0, 2.0, 0.3, -0.1]),
+        TestFunction.square(),
+        TestFunction.cosine(1.3),
+        TestFunction.mollified_square(1.5),
+    ], ids=["poly4", "square", "cos1.3", "mollified-band"])
+    def test_in_place_output(self, phi, order):
+        # the Clark-Ocone block smooths over its buffer of conditional means
+        m = np.outer(np.linspace(-3.5, 3.5, 9), np.ones(5))
+        v = self.VS
+        want = phi.smooth(order, m, v)
+        buf = m.copy()
+        got = phi.smooth(order, buf, v, out=buf)
+        assert got is buf
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("phi", [
+        TestFunction.polynomial([0.5, -1.0, 2.0, 0.3, -0.1]),
+        TestFunction.square(),
+        TestFunction.cosine(1.3),
+        TestFunction.mollified_square(1.5),
+        TestFunction.mollified_square(0.3),
+        TestFunction.mollified_square(100.0),
+    ], ids=["poly4", "square", "cos1.3", "mollified1.5", "mollified0.3",
+            "mollified100"])
+    def test_square_mean_matches_quadrature(self, phi, order):
+        s, v = (a.ravel() for a in np.meshgrid([1e-4, 0.3, 1.0, 4.0], self.VS))
+        got = phi.smooth_square_mean(order, s, v)
+        sd = np.sqrt(s)
+
+        def f(x):  # x standard normal, M = sd x
+            g = phi.smooth(order, sd * x, v)
+            return g * g * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+        want = integrate.quad_vec(f, -12.0, 12.0, epsabs=1e-14, epsrel=1e-12,
+                                  norm="max", limit=10000)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+        point = phi.smooth_square_mean(order, 0.0, v)  # s = 0: M = 0
+        np.testing.assert_allclose(point, phi.smooth(order, 0.0, v) ** 2,
+                                   rtol=1e-14, atol=1e-300)
+
     def test_unresolved_band_rule_raises(self, monkeypatch):
         # a Gaussian 1000x narrower than the band, on the nodes shared by wide
         # elements: the 64- and 128-node rules disagree
@@ -306,6 +353,36 @@ class TestClarkOconeSum:
         want = _co_sum_block(phi, w, b.z())
         assert np.array_equal(co, want)
 
+    @pytest.mark.parametrize("phi", [
+        TestFunction.square(), TestFunction.polynomial([0.5, -1.0, 2.0, 0.3]),
+        TestFunction.cosine(1.3), TestFunction.mollified_square(1.5),
+    ], ids=["square", "cubic", "cos", "mollified-band"])
+    def test_block_matches_reference_formula(self, phi):
+        grid = TimeGrid.uniform(64, 1.0)
+        w = volterra_weights(SIGNED, grid)[64]
+        z = np.random.default_rng(3).standard_normal((300, 64))
+        contrib = z * w
+        m = np.concatenate([np.zeros((300, 1)), np.cumsum(contrib, axis=1)[:, :-1]],
+                           axis=1)
+        v = np.sum(w * w) - np.concatenate([[0.0], np.cumsum(w * w)[:-1]])
+        want = np.sum(phi.smooth(1, m, v) * contrib, axis=1)  # the pre-lean block
+        np.testing.assert_allclose(_co_sum_block(phi, w, z), want,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("phi", [TestFunction.square(), TestFunction.cosine()],
+                             ids=["square", "cos"])
+    def test_block_holds_two_block_buffers(self, phi):
+        # the increments and the conditional means, smoothed in place
+        z = np.random.default_rng(4).standard_normal((4096, 256))
+        w = volterra_weights(RL25, TimeGrid.uniform(256, 1.0))[256]
+        tracemalloc.start()
+        try:
+            _co_sum_block(phi, w, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * z.nbytes + 2 ** 20
+
     def test_brownian_square_is_ito_sum(self):
         # phi = x^2 on Brownian: the CO sum is exactly 2 sum W_j dW_j
         grid = TimeGrid.uniform(32, 1.0)
@@ -369,6 +446,17 @@ class TestMonteCarloReducer:
         # term passes on to the SE in proportion to |offset| / spread
         rel = 1e-14 * max(1.0, offset)
         assert se == pytest.approx(np.std(allv) / math.sqrt(paths), rel=rel)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_columns_reduce_like_single_samples(self, threads):
+        # each row of a stacked sample gives what it gives on its own, bit for bit
+        paths = 2 * BLOCK_PATHS + 17
+        a, b = self.sample(0.0), self.sample(1e8)
+        means, ses = _mc_mean_se(lambda s, n: np.stack([a(s, n), b(s, n)]),
+                                 paths, threads)
+        assert means.shape == ses.shape == (2,)
+        assert (means[0], ses[0]) == _mc_mean_se(a, paths, 1)
+        assert (means[1], ses[1]) == _mc_mean_se(b, paths, 1)
 
     def test_se_survives_large_offset(self):
         # phi = c + x^2: adding c must not move the SE (E[x^2] - mean^2 cancelled)
@@ -458,6 +546,79 @@ class TestPathwise:
         ests = [r["estimate"] for r in rep.detail["ladder"]]
         assert ests[0] > ests[-1]
         assert rep.detail["monotone"]
+        assert rep.passed
+
+
+    @pytest.mark.parametrize("phi", [
+        TestFunction.cosine(), TestFunction.mollified_square(1.5),
+    ], ids=["cos", "mollified1.5"])
+    @pytest.mark.parametrize("k", [BM, RL25, RL75], ids=["brownian", "rl025", "rl075"])
+    def test_leading_term_matches_monte_carlo(self, k, phi):
+        rep = verify_pathwise_formula(k, phi, TimeGrid.uniform(128, 1.0), 4096,
+                                      42, 1.0)
+        p_n = rep.detail["p_n"]
+        assert abs(rep.estimate - p_n) <= 4.0 * rep.se
+        assert rep.bias_bound == p_n + rep.detail["remainder"]
+        assert rep.passed
+
+    @pytest.mark.parametrize("k", [BM, RL25, RL75, SIGNED])
+    def test_square_leading_term_is_exact(self, k):
+        # phi = x^2: res = sum_j w_j^2 (z_j^2 - 1) up to rounding, E[res^2] = 2 sum w^4
+        grid = TimeGrid.uniform(64, 1.0)
+        w = _weight_row(k, grid.times, 64)
+        assert _res2_leading(TestFunction.square(), w) == pytest.approx(
+            2.0 * np.sum(w ** 4), rel=1e-14)
+        rep = verify_pathwise_formula(k, TestFunction.square(), grid, 8192, 3, 1.0)
+        assert abs(rep.estimate - rep.detail["p_n"]) <= 4.0 * rep.se
+        assert rep.passed
+
+    def test_linear_phi_residual_is_rounding(self):
+        # phi = 3 + 1000 x: CO_t is 1000 X_t, so only rounding is left
+        rep = verify_pathwise_formula(RL25, TestFunction.polynomial([3.0, 1e3]),
+                                      TimeGrid.uniform(256, 1.0), 4096, 5, 1.0)
+        assert rep.detail["p_n"] == 0.0
+        assert 0.0 < rep.estimate <= 1e-20
+        assert rep.passed
+
+    def test_wrong_correction_is_detected(self, monkeypatch):
+        # a correction off by 0.05 adds 0.0025 to E[res^2] on both levels, so
+        # the Richardson remainder does not absorb it
+        rhs = itoverify._mean_identity_rhs
+        monkeypatch.setattr(itoverify, "_mean_identity_rhs",
+                            lambda *a, **kw: rhs(*a, **kw) + 0.05)
+        rep = verify_pathwise_formula(BM, TestFunction.cosine(),
+                                      TimeGrid.uniform(256, 1.0), 4096, 42, 1.0)
+        assert rep.estimate > rep.z * rep.se + rep.bias_bound
+        assert not rep.passed
+
+    def test_estimate_below_leading_term_fails(self, monkeypatch):
+        # a leading term 0.01 too high passes the upper side alone
+        lead = itoverify._res2_leading
+        monkeypatch.setattr(itoverify, "_res2_leading",
+                            lambda phi, w: lead(phi, w) + 0.01)
+        rep = verify_pathwise_formula(BM, TestFunction.cosine(),
+                                      TimeGrid.uniform(256, 1.0), 4096, 42, 1.0)
+        assert rep.estimate <= rep.z * rep.se + rep.bias_bound
+        assert not rep.passed
+
+    def test_never_simulates_whole_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_pathwise_formula simulated whole paths")
+
+        for name in ("simulate_volterra", "volterra_weights"):
+            monkeypatch.setattr(paths_module, name, refuse)
+            monkeypatch.setattr(itoverify, name, refuse, raising=False)
+        grids = [TimeGrid.uniform(16, 1.0), TimeGrid.uniform(64, 1.0)]
+        for phi in (TestFunction.square(), TestFunction.cosine(),
+                    TestFunction.mollified_square(1.5)):
+            assert verify_pathwise_formula(RL25, phi, grids, 300, 1, 1.0).passed
+
+    def test_off_terminal_time_and_odd_cell_count(self):
+        # t = 0.5 on 50 cells: 25 cells, so the coarse level ends on a lone cell
+        grid = TimeGrid.uniform(50, 1.0)
+        rep = verify_pathwise_formula(RL25, TestFunction.square(), grid, 8192, 4, 0.5)
+        w = _weight_row(RL25, grid.times, 25)
+        assert rep.detail["p_n"] == pytest.approx(2.0 * np.sum(w ** 4), rel=1e-14)
         assert rep.passed
 
 

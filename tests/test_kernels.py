@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volterra_ito.approx import fit_expsum
-from volterra_ito.errors import DomainError
+from volterra_ito.errors import DomainError, NumericalError
 from volterra_ito.kernels import (
     BrownianKernel,
     ExpSumKernel,
@@ -133,6 +133,21 @@ class TestCovariance:
         k2 = RiemannLiouvilleKernel(hurst=h2, horizon=1.0)
         want = 2.0 * math.sqrt(h1 * h2) / (h1 + h2) * m ** (h1 + h2)
         assert covariance(k1, k2, m, m) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1e-300, 1e-200, 1e-100, 1e-50])
+    def test_tiny_time_rl_pair_is_right_or_refused(self, m):
+        # lags below the smallest normal float are lost; at 1e-300 they held
+        # 6.6% of the integral and the value came back silently wrong
+        k1 = RiemannLiouvilleKernel(hurst=0.02, horizon=1.0)
+        k2 = RiemannLiouvilleKernel(hurst=0.03, horizon=1.0)
+        want = 2.0 * math.sqrt(0.02 * 0.03) / 0.05 * m ** 0.05
+        try:
+            got = covariance(k1, k2, m, m)
+        except NumericalError as exc:
+            assert m <= 1e-200, exc
+            assert exc.bound > 1e-9
+        else:
+            assert got == pytest.approx(want, rel=1e-9)
 
     def test_rl_brownian_cross(self):
         want = math.sqrt(0.5) * 4.0 / 3.0
