@@ -1,7 +1,7 @@
 """Numerical verification engine for the operator Ito formula on Volterra
 Gaussian processes: kernels, exact Gaussian polynomial calculus, path
-simulation, energy functions / intrinsic brackets, Clark-Ocone Ito sums and
-Markovian kernel approximation."""
+simulation, energy functions / intrinsic brackets and Markovian kernel
+approximation."""
 
 __version__ = "0.1.0"
 
@@ -17,8 +17,6 @@ from .errors import DomainError, NumericalError, ResourceError
 from .itoverify import (
     TestFunction,
     VerificationReport,
-    clark_ocone_ito_sum,
-    conditional_mean_and_var,
     mehler_conditional,
     verify_mean_identity,
     verify_multivariate,
@@ -42,7 +40,6 @@ from .kernels import (
     kernel_l2mu_distance,
 )
 from .paths import (
-    PathBundle,
     RngStream,
     dump_paths_csv,
     simulate_cholesky,
@@ -69,16 +66,14 @@ __all__ = [
     "EnergyFunction", "cross_bracket", "energy_function", "estimate_hurst",
     "stieltjes_integrate",
     "DomainError", "NumericalError", "ResourceError",
-    "TestFunction", "VerificationReport", "clark_ocone_ito_sum",
-    "conditional_mean_and_var", "mehler_conditional", "verify_mean_identity",
-    "verify_multivariate", "verify_pathwise_formula",
+    "TestFunction", "VerificationReport", "mehler_conditional",
+    "verify_mean_identity", "verify_multivariate", "verify_pathwise_formula",
     "verify_uniqueness_perturbation",
     "BrownianKernel", "ExpSumKernel", "Kernel", "QuadSpec",
     "RiemannLiouvilleKernel", "TableKernel", "TimeGrid", "covariance",
     "equal_energy_grid", "kernel_cell_l2", "kernel_eval", "kernel_from_json",
     "kernel_from_spec", "kernel_l2mu_distance",
-    "PathBundle", "RngStream", "dump_paths_csv", "simulate_cholesky",
-    "simulate_volterra",
+    "RngStream", "dump_paths_csv", "simulate_cholesky", "simulate_volterra",
     "GaussPoly", "PolyField", "check_adjointness", "check_isometry",
     "check_ortho_identity", "check_product_rule", "derive", "diverge",
     "factorization_defect", "project_predictable", "sandbox_suite",

@@ -69,6 +69,11 @@ class ApproxReport:
         )
 
 
+def _check_t_min(t_min, T):
+    if not 0.0 < t_min < T:
+        raise DomainError("field 't_min': must lie strictly inside (0, T)")
+
+
 def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
     """Fit sum_j c_j exp(-lambda_j (t-s)) to a Riemann-Liouville kernel.
 
@@ -89,8 +94,7 @@ def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     T = target.horizon
-    if not 0.0 < t_min < T:
-        raise DomainError("t_min must lie strictly inside (0, T)")
+    _check_t_min(t_min, T)
 
     rates = np.geomspace(1.0 / T, 1.0 / t_min, n_terms)
 
@@ -133,12 +137,18 @@ def convergence_suite(target: Kernel, n_list, grid: TimeGrid, paths: int,
 
     Per n: the L2(mu) kernel distance, the sup over the grid of the bracket
     error (with the pointwise Cauchy-Schwarz bound asserted), and the
-    mean-identity residual for phi = cos on the fitted kernel.
+    mean-identity residual for phi = cos on the fitted kernel. The term
+    counts must be strictly increasing: the suite judges its errors as
+    decreasing in n.
     """
     n_list = list(n_list)
     if not n_list:
         raise DomainError("need at least one term count")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise DomainError(
+            f"field 'n_terms': term counts must be strictly increasing, got {n_list}")
     T = target.horizon
+    _check_t_min(t_min, T)
     if hurst_window is None:
         hurst_window = (t_min, 10.0 * t_min)
     # log-spaced grid so the scaling window holds enough points for the fit

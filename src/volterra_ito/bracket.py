@@ -32,7 +32,6 @@ class EnergyFunction:
     grid: TimeGrid
     values: np.ndarray
     monotone: bool = True
-    kernel_id: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -55,8 +54,7 @@ def energy_function(k: Kernel, grid: TimeGrid) -> EnergyFunction:
     vals = np.zeros(grid.times.size)
     vals[1:] = k.total_l2(grid.times[1:])
     mono = bool(np.all(np.diff(vals) >= -1e-12 * max(1.0, np.max(np.abs(vals)))))
-    return EnergyFunction(grid=grid, values=vals, monotone=mono,
-                          kernel_id=k.kernel_id)
+    return EnergyFunction(grid=grid, values=vals, monotone=mono)
 
 
 def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
@@ -67,8 +65,7 @@ def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
     vals = np.zeros(times.size)
     vals[1:] = covariance(k1, k2, times[1:], times[1:])
     mono = bool(np.all(np.diff(vals) >= -1e-12 * max(1.0, np.max(np.abs(vals)))))
-    return EnergyFunction(grid=grid, values=vals, monotone=mono,
-                          kernel_id=f"{k1.kernel_id}*{k2.kernel_id}")
+    return EnergyFunction(grid=grid, values=vals, monotone=mono)
 
 
 def _sample(f, grid: TimeGrid, points: np.ndarray) -> np.ndarray:

@@ -220,21 +220,21 @@ def _cmd_simulate(args):
     k = _kernel_from_args(args)
     grid = _grid_for(k, args.grid_n, args.grid_kind)
     sampler = simulate_cholesky if args.sampler == "cholesky" else simulate_volterra
-    bundle = sampler(k, grid, args.paths, args.seed)
+    x = sampler(k, grid, args.paths, args.seed)
     if args.format == "csv":
-        dump_paths_csv(bundle, args.output, compress=args.compress)
+        dump_paths_csv(grid, x, args.output, compress=args.compress)
         return EXIT_OK
-    xt = bundle.X[:, -1]
+    xt = x[:, -1]
     payload = {
         "simulate": {
-            "paths": bundle.n_paths,
+            "paths": x.shape[0],
             "grid_n": grid.n_cells,
             "sampler": args.sampler,
             "mean_XT": float(np.mean(xt)),
             "var_XT": float(np.var(xt)),
         }
     }
-    _emit(args, payload, [f"{bundle.n_paths} paths, var(X_T) = {np.var(xt):.6g}"])
+    _emit(args, payload, [f"{x.shape[0]} paths, var(X_T) = {np.var(xt):.6g}"])
     return EXIT_OK
 
 

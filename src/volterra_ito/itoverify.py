@@ -1,4 +1,4 @@
-"""Mehler conditionals, Clark-Ocone Ito sums, and the verification suites.
+"""Mehler conditionals and the verification suites.
 
 All stochastic sums use the left-point (adapted) convention: the conditional
 mean at cell j only sees increments strictly before the cell, matching the
@@ -21,14 +21,12 @@ from scipy import linalg, special
 from .bracket import EnergyFunction, energy_function, stieltjes_integrate
 from .errors import DomainError, NumericalError
 from .kernels import Kernel, TimeGrid, _leggauss01, covariance
-from .paths import PathBundle, _normals_matrix, _weight_row
+from .paths import _normals_matrix, _weight_row
 
 __all__ = [
     "TestFunction",
     "VerificationReport",
     "mehler_conditional",
-    "conditional_mean_and_var",
-    "clark_ocone_ito_sum",
     "verify_mean_identity",
     "verify_pathwise_formula",
     "verify_multivariate",
@@ -422,29 +420,6 @@ def mehler_conditional(phi_prime, m, v, quad_order: int = DEFAULT_GH_ORDER):
 # Discrete conditional structure of X_t
 # ---------------------------------------------------------------------------
 
-def conditional_mean_and_var(k: Kernel, grid: TimeGrid, dw: np.ndarray,
-                             r_index: int, t_index: int):
-    """Discrete (E[X_t | F_r], Var(X_t - E[X_t | F_r])) for one path.
-
-    The mean uses increments strictly before cell r; the residual variance
-    is the deterministic sum of cell masses from r to t.
-    """
-    if r_index > t_index:
-        raise DomainError("conditioning time must not exceed the target time")
-    if not 0 <= t_index <= grid.n_cells:
-        raise DomainError("t_index outside the grid")
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape != (grid.n_cells,):
-        raise DomainError("dw must hold one increment per grid cell")
-    if t_index == 0:
-        return 0.0, 0.0
-    w = _weight_row(k, grid.times, t_index)
-    z = dw[:t_index] / np.sqrt(grid.dt[:t_index])
-    m = float(np.dot(w[:r_index], z[:r_index]))
-    v = float(np.sum(w[r_index:] ** 2))
-    return m, v
-
-
 def _prefix_masses(w):
     """(s, v): the variance of X_t's increments before cell j, and from it on."""
     s = np.concatenate([[0.0], np.cumsum(w * w)])
@@ -454,6 +429,9 @@ def _prefix_masses(w):
 def _co_sum_block(phi, w, z):
     """Clark-Ocone Ito sum for a block: rows of z, weights w for the target time.
 
+    Per row, the sum over cells j of E[phi'(X_t) | F_{s_j}] w_j z_j, the
+    conditional expectation being phi's smoothing at the adapted (m_j, v_j):
+    m_j sums w_i z_i over i < j, v_j is ``_prefix_masses``'s residual variance.
     Two block-sized buffers: the increments w_j z_j and the conditional means
     m_j (their prefix sums), which the smoothing overwrites in place.
     """
@@ -463,25 +441,6 @@ def _co_sum_block(phi, w, z):
     np.cumsum(contrib[:, :-1], axis=1, out=m[:, 1:])
     cond = phi.smooth(1, m, _prefix_masses(w)[1], out=m)
     return np.einsum("ij,ij->i", cond, contrib)
-
-
-def clark_ocone_ito_sum(k: Kernel, bundle: PathBundle, phi: TestFunction,
-                        t_index: int):
-    """Adapted Ito discretization of the divergence term, one value per path.
-
-    Per path: sum over cells j < t_index of
-    E[phi'(X_t) | F_{s_j}] * Kbar(t, cell j) * z_j, with the conditional
-    expectation from the Mehler formula at the discrete (m_j, v_j).
-    """
-    if bundle.kernel_id != k.kernel_id:
-        raise DomainError("bundle was generated by a different kernel")
-    if not 0 <= t_index <= bundle.grid.n_cells:
-        raise DomainError("t_index outside the grid")
-    if t_index == 0:
-        return np.zeros(bundle.n_paths)
-    w = _weight_row(k, bundle.grid.times, t_index)
-    z = bundle.z()[:, :t_index]
-    return _co_sum_block(phi, w, z)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +551,7 @@ def _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads):
     w_t = _weight_row(k, grid.times, t_idx)
 
     def sample(start, count):
-        z = _normals_matrix(np.uint64(seed % 2 ** 64), start, count, t_idx)
+        z = _normals_matrix(seed, start, count, t_idx)
         return phi.phi(z @ w_t)
 
     return _mc_mean_se(sample, paths, threads)
@@ -689,13 +648,12 @@ def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, threads):
     dt = grid.dt[:t_idx]
     a = np.sqrt(dt / np.repeat(np.diff(grid.times[keep]), np.diff(keep)))
     pairs = t_idx // 2
-    seed64 = np.uint64(seed % 2 ** 64)
 
     def residual(z, w, c):
         return phi.phi(z @ w) - c - _co_sum_block(phi, w, z)
 
     def sample(start, count):
-        z = _normals_matrix(seed64, start, count, t_idx)
+        z = _normals_matrix(seed, start, count, t_idx)
         zc = z[:, 0::2] * a[0::2]
         zc[:, :pairs] += z[:, 1::2] * a[1::2]
         res = np.stack([residual(z, w_t, c_t), residual(zc, w_c, c_c)])
@@ -722,11 +680,16 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     remainder: the Richardson gap |(E_n - P_n) - (E_coarse - P_coarse)| of
     the coupled stride-2 residual, plus a rounding floor. The check passes
     when |estimate - P_n| <= z * SE + remainder, which includes estimate <=
-    z * SE + bias bound. A ladder of grids must also be nonincreasing (1 SE
-    slack per rung); the finest grid is judged.
+    z * SE + bias bound. A ladder of grids, given coarsest first with strictly
+    increasing cell counts, must also be nonincreasing (1 SE slack per rung);
+    the finest grid is judged.
     """
     _check_z(z)
     grids = list(grid) if isinstance(grid, (list, tuple)) else [grid]
+    cells = [g.n_cells for g in grids]
+    if any(b <= a for a, b in zip(cells, cells[1:])):
+        raise DomainError(
+            f"field 'ladder': cell counts must be strictly increasing, got {cells}")
     ladder = []
     for g in grids:
         t_idx = g.index_of(t)
@@ -792,7 +755,7 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
         bias = abs(model_cov - reference)
 
         def sample(start, count):
-            zmat = _normals_matrix(np.uint64(seed % 2 ** 64), start, count, t_idx)
+            zmat = _normals_matrix(seed, start, count, t_idx)
             return (zmat @ w1) * (zmat @ w2)
 
         mean, se = _mc_mean_se(sample, paths, threads)
@@ -849,7 +812,7 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
     t_idx = grid.index_of(t)
 
     # Lebesgue part added by the corrupted integrator nu = Gamma + eps * s
-    linear = EnergyFunction(grid=grid, values=grid.times.copy(), kernel_id="lebesgue")
+    linear = EnergyFunction(grid=grid, values=grid.times.copy())
     lebesgue = stieltjes_integrate(_d2phi_mean(k, phi), linear, 0, t_idx)
     rhs_nu = base.reference + 0.5 * eps * lebesgue
     estimate = base.estimate  # LHS (quadrature or MC, as in the base check)

@@ -80,10 +80,6 @@ class TimeGrid:
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
 
-    @property
-    def mesh(self) -> float:
-        return float(np.max(self.dt))
-
     def index_of(self, t: float) -> int:
         """Index i with times[i] == t (to 1e-12 relative), else DomainError."""
         i = int(np.argmin(np.abs(self.times - t)))
@@ -201,11 +197,6 @@ class Kernel:
         """True when K(t, s) depends on t - s only."""
         return False
 
-    @property
-    def hurst_exponent(self) -> float:
-        """Scaling exponent used for discretization-bias bounds."""
-        return 0.5
-
     # -- serialization ------------------------------------------------------
 
     def spec_dict(self) -> dict:
@@ -280,10 +271,6 @@ class RiemannLiouvilleKernel(Kernel):
     @property
     def stationary(self):
         return True
-
-    @property
-    def hurst_exponent(self):
-        return self.hurst
 
     def spec_dict(self):
         return {"kind": "rl", "hurst": self.hurst, "T": self.horizon}
@@ -631,18 +618,17 @@ def kernel_l2mu_distance(k1: Kernel, k2: Kernel,
     if not math.isclose(k1.horizon, k2.horizon, rel_tol=1e-12):
         raise DomainError("kernels must share the horizon T")
     T = k1.horizon
+    gamma = 0.0
+    singular = False
+    for k in (k1, k2):
+        g = k.diag_exponent
+        if g is not None:
+            gamma = min(gamma, 2.0 * g) if singular else 2.0 * g
+            singular = True
+    p = _grading_power(gamma, singular)
 
     if k1.stationary and k2.stationary:
         # lag w = t - s has triangle measure (T - w) dw
-        gamma = 0.0
-        singular = False
-        for k in (k1, k2):
-            g = k.diag_exponent
-            if g is not None:
-                gamma = min(gamma, 2.0 * g) if singular else 2.0 * g
-                singular = True
-        p = _grading_power(gamma, singular)
-
         def h(v):
             w = T * v ** p
             jac = T * p * v ** (p - 1)
@@ -665,15 +651,6 @@ def kernel_l2mu_distance(k1: Kernel, k2: Kernel,
     )
 
     def inner(tv):
-        gamma = 0.0
-        singular = False
-        for k in (k1, k2):
-            g = k.diag_exponent
-            if g is not None:
-                gamma = min(gamma, 2.0 * g) if singular else 2.0 * g
-                singular = True
-        p = _grading_power(gamma, singular)
-
         def h(v):
             w = tv * v ** p
             jac = tv * p * v ** (p - 1)

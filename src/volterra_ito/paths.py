@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import gzip
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -25,15 +25,14 @@ from .kernels import Kernel, TimeGrid, covariance
 
 __all__ = [
     "RngStream",
-    "PathBundle",
     "simulate_volterra",
     "simulate_cholesky",
     "volterra_weights",
     "dump_paths_csv",
-    "DEFAULT_SIM_BUDGET",
+    "SIM_BUDGET",
 ]
 
-DEFAULT_SIM_BUDGET = 2 ** 33
+SIM_BUDGET = 2 ** 33  # refusal cap on paths * cells^2 for simulate_volterra
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -65,7 +64,8 @@ def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
     """[n_streams x n_draws] standard normals, rows keyed by stream index.
 
     Draw (s, c) is ndtri(((w >> 11) + 0.5) * 2^-53) with w the SplitMix64
-    finalizer of the Weyl index seed + GAMMA * (s * 2^32 + c + 1) mod 2^64.
+    finalizer of the Weyl index seed + GAMMA * (s * 2^32 + c + 1) mod 2^64;
+    ``seed`` is any integer (or numpy integer), taken mod 2^64.
     That index splits into a per-row term seed + GAMMA * (s * 2^32 + 1) and a
     per-column term GAMMA * c, so it is formed by one broadcast add per chunk.
     Rows are processed in chunks of about ``_CHUNK_WORDS`` words (at least
@@ -85,7 +85,8 @@ def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
     if out.size == 0:
         return out
     streams = np.arange(stream_start, stream_start + n_streams, dtype=np.uint64)
-    row_key = np.uint64(seed) + _GAMMA * (streams * _STREAM_SPAN + np.uint64(1))
+    row_key = (np.uint64(int(seed) % 2 ** 64)
+               + _GAMMA * (streams * _STREAM_SPAN + np.uint64(1)))
     col_key = _GAMMA * np.arange(counter_start, counter_start + n_draws,
                                  dtype=np.uint64)
     rows = max(1, _CHUNK_WORDS // n_draws)
@@ -112,38 +113,10 @@ class RngStream:
     counter: int = 0
 
     def normals(self, count: int) -> np.ndarray:
-        out = _normals_matrix(
-            np.uint64(self.seed % 2 ** 64),
-            self.stream_index, 1, count, counter_start=self.counter,
-        )[0]
+        out = _normals_matrix(self.seed, self.stream_index, 1, count,
+                              counter_start=self.counter)[0]
         self.counter += count
         return out
-
-
-@dataclass
-class PathBundle:
-    """Simulated driving increments and process values on a grid.
-
-    dW has shape [paths x n_cells] (empty for the Cholesky oracle), X has
-    shape [paths x (n_cells+1)] with X[:, 0] = 0.
-    """
-
-    grid: TimeGrid
-    dW: np.ndarray = field(repr=False)
-    X: np.ndarray = field(repr=False)
-    kernel_id: str
-    seed: int
-    stream_offset: int = 0
-
-    @property
-    def n_paths(self) -> int:
-        return self.X.shape[0]
-
-    def z(self) -> np.ndarray:
-        """Standardized increments dW_j / sqrt(dt_j)."""
-        if self.dW.shape[1] == 0:
-            raise DomainError("bundle has no driver decomposition")
-        return self.dW / np.sqrt(self.grid.dt)[None, :]
 
 
 def volterra_weights(k: Kernel, grid: TimeGrid) -> np.ndarray:
@@ -170,55 +143,35 @@ def _weight_row(k: Kernel, times: np.ndarray, i: int) -> np.ndarray:
     return sign * np.sqrt(mass)
 
 
-def _check_budget(paths, n_cells, budget):
-    required = paths * n_cells * n_cells
-    if required > budget:
-        raise ResourceError(
-            f"simulation needs paths*cells^2 = {required}, over budget {budget}; "
-            "raise the budget or simulate in smaller batches",
-            required=required,
-            budget=budget,
-        )
-
-
-def simulate_volterra(k: Kernel, grid: TimeGrid, paths: int, seed: int,
-                      stream_offset: int = 0,
-                      budget: int = DEFAULT_SIM_BUDGET) -> PathBundle:
+def simulate_volterra(k: Kernel, grid: TimeGrid, paths: int, seed: int) -> np.ndarray:
     """Simulate X_t = int_0^t K(t,s) dW_s on the grid for a batch of paths.
 
-    Each path owns stream ``stream_offset + p``; the per-point variance of X
-    matches the energy function to rounding by construction of the cell weights.
-
-    Parameters
-    ----------
-    k : Kernel
-    grid : TimeGrid
-    paths : int
-        Number of paths (>= 1).
-    seed : int
-        Master seed; (seed, stream) determines every draw.
-    stream_offset : int
-        First path's stream index, for block-wise generation.
-    budget : int
-        Refusal cap on paths * cells^2.
+    Returns X of shape [paths x (n_cells+1)] with X[:, 0] = 0. Path p owns
+    stream p of ``seed``; the per-point variance of X matches the energy
+    function to rounding by construction of the cell weights. A run needing
+    more than SIM_BUDGET paths * cells^2 is refused.
     """
     if paths < 1:
         raise DomainError("paths must be >= 1")
     n = grid.n_cells
-    _check_budget(paths, n, budget)
-    z = _normals_matrix(np.uint64(seed % 2 ** 64), stream_offset, paths, n)
-    dw = z * np.sqrt(grid.dt)[None, :]
-    x = z @ volterra_weights(k, grid).T
-    return PathBundle(grid=grid, dW=dw, X=x, kernel_id=k.kernel_id,
-                      seed=seed, stream_offset=stream_offset)
+    required = paths * n * n
+    if required > SIM_BUDGET:
+        raise ResourceError(
+            f"simulation needs paths*cells^2 = {required}, over budget {SIM_BUDGET}; "
+            "simulate fewer paths or cells",
+            required=required,
+            budget=SIM_BUDGET,
+        )
+    z = _normals_matrix(seed, 0, paths, n)
+    return z @ volterra_weights(k, grid).T
 
 
-def simulate_cholesky(k: Kernel, grid: TimeGrid, paths: int, seed: int,
-                      stream_offset: int = 0) -> PathBundle:
+def simulate_cholesky(k: Kernel, grid: TimeGrid, paths: int, seed: int) -> np.ndarray:
     """Exact-covariance Gaussian oracle: samples the vector (X_{t_1},...,X_{t_n}).
 
-    The Gram matrix [R(t_i, t_j)] is factorized after a 1e-10 * trace jitter
-    if plain Cholesky fails; dW is left empty (no driver decomposition).
+    Returns X of shape [paths x (n_cells+1)] with X[:, 0] = 0. The Gram
+    matrix [R(t_i, t_j)] is factorized after a 1e-10 * trace jitter if plain
+    Cholesky fails.
     """
     if paths < 1:
         raise DomainError("paths must be >= 1")
@@ -240,23 +193,21 @@ def simulate_cholesky(k: Kernel, grid: TimeGrid, paths: int, seed: int,
             ) from None
     salted = int(_mix64(np.array([seed % 2 ** 64], dtype=np.uint64)
                         ^ _CHOLESKY_SALT)[0])
-    z = _normals_matrix(np.uint64(salted), stream_offset, paths, n)
-    x = np.concatenate([np.zeros((paths, 1)), z @ chol.T], axis=1)
-    return PathBundle(grid=grid, dW=np.zeros((paths, 0)), X=x,
-                      kernel_id=k.kernel_id, seed=seed,
-                      stream_offset=stream_offset)
+    z = _normals_matrix(salted, 0, paths, n)
+    return np.concatenate([np.zeros((paths, 1)), z @ chol.T], axis=1)
 
 
-def dump_paths_csv(bundle: PathBundle, path: str, compress: bool = False) -> None:
-    """Write rows (path, t, X) for every path and grid point."""
-    times = bundle.grid.times
+def dump_paths_csv(grid: TimeGrid, x: np.ndarray, path: str,
+                   compress: bool = False) -> None:
+    """Write rows (path, t, X) for every path of ``x`` and grid point."""
+    times = grid.times
 
     def write(fh):
         writer = csv.writer(fh)
         writer.writerow(["path", "t", "X"])
-        for p in range(bundle.n_paths):
+        for p in range(x.shape[0]):
             for i, t in enumerate(times):
-                writer.writerow([p, f"{t:.17g}", f"{bundle.X[p, i]:.17g}"])
+                writer.writerow([p, f"{t:.17g}", f"{x[p, i]:.17g}"])
 
     if compress:
         with gzip.open(path, "wt", newline="") as fh:

@@ -129,9 +129,9 @@ class TestCrossBracket:
     def test_monte_carlo_consistency(self):
         # E[X1_t X2_t] from simulation matches the quadrature cross-bracket
         grid = TimeGrid.uniform(128, 1.0)
-        b1 = simulate_volterra(RL25, grid, 20000, seed=3)
-        b2 = simulate_volterra(BM, grid, 20000, seed=3)
-        prod = b1.X[:, -1] * b2.X[:, -1]
+        x1 = simulate_volterra(RL25, grid, 20000, seed=3)
+        x2 = simulate_volterra(BM, grid, 20000, seed=3)
+        prod = x1[:, -1] * x2[:, -1]
         se = prod.std() / math.sqrt(prod.size)
         want = cross_bracket(RL25, BM, grid).values[-1]
         assert abs(prod.mean() - want) <= 4 * se + 5e-3

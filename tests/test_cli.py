@@ -2,6 +2,7 @@
 
 import argparse
 import gzip
+import hashlib
 import json
 import re
 import shlex
@@ -219,6 +220,31 @@ class TestKernelErrors:
         path.write_text('{"kind": "rl", "hurst": "abc", "T": 1.0}')
         assert main(["bracket", "--kernel-spec", str(path), "--grid-n", "4"]) == 2
         assert capsys.readouterr().err.startswith("error: malformed kernel spec: ")
+
+
+class TestOrderedLists:
+    @pytest.mark.parametrize("argv, field", [
+        (["verify-path", "--kernel", "brownian", "--ladder", "64,16",
+          "--paths", "2000"], "ladder"),
+        (["verify-path", "--kernel", "brownian", "--ladder", "16,16",
+          "--paths", "2000"], "ladder"),
+        (["approx", "--kernel", "rl", "--hurst", "0.25", "--grid-n", "16",
+          "--n-terms", "4,2"], "n_terms"),
+        (["approx", "--kernel", "rl", "--hurst", "0.25", "--grid-n", "16",
+          "--n-terms", "4,4"], "n_terms"),
+    ], ids=["ladder-64-16", "ladder-16-16", "n-terms-4-2", "n-terms-4-4"])
+    def test_unordered_list_is_bad_input(self, argv, field, capsys):
+        # judging the coarsest grid or fewest terms as the last would FAIL correct code
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: field '{field}': ")
+
+    def test_t_min_past_horizon_names_t_min(self, capsys):
+        argv = ["approx", "--kernel", "rl", "--hurst", "0.25", "--grid-n", "16",
+                "--t-min", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: field 't_min': must lie strictly inside (0, T)\n")
 
 
 class TestUsageErrors:
@@ -555,6 +581,31 @@ class TestSimulate:
         assert code == 0
         doc = json.loads(out.read_text())
         assert abs(doc["simulate"]["var_XT"] - 1.0) < 0.15
+
+
+    # sha256 of the payload without ``config`` (JSON) and of the whole file (CSV)
+    @pytest.mark.parametrize("sampler, json_sha, csv_sha", [
+        ("volterra",
+         "0a45157d3748ff2ff9fc3e475a1e3af6536528b18acb18902c6b975e639d9522",
+         "01b9ddad646af75a276515a87c294a8b03df86082c9ef4796619f1ff8c4f37a6"),
+        ("cholesky",
+         "932c0b4492889fc5ef9911be9c7544b32e7d854f3afd45433744d87b5ea0a57c",
+         "50f8002f3d11842b760d23f1a0329b667653268d4164bbd13bd0b27715e4e577"),
+    ], ids=["volterra", "cholesky"])
+    def test_output_bytes_pinned(self, sampler, json_sha, csv_sha, tmp_path):
+        base = ["simulate", "--sampler", sampler, "--kernel", "rl", "--hurst", "0.25",
+                "--seed", "4"]
+        out = tmp_path / "sim.json"
+        assert run_cli(base + ["--grid-n", "16", "--paths", "200", "--no-timestamp",
+                               "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        del doc["config"]
+        body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(body.encode("utf-8")).hexdigest() == json_sha
+        out = tmp_path / "paths.csv"
+        assert run_cli(base + ["--grid-n", "4", "--paths", "3", "--format", "csv",
+                               "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
 
 class TestDeterminism:

@@ -19,8 +19,6 @@ from volterra_ito.itoverify import (
     _mc_mean_se,
     _mc_phi_moment,
     _res2_leading,
-    clark_ocone_ito_sum,
-    conditional_mean_and_var,
     mehler_conditional,
     verify_mean_identity,
     verify_multivariate,
@@ -34,7 +32,12 @@ from volterra_ito.kernels import (
     TimeGrid,
     equal_energy_grid,
 )
-from volterra_ito.paths import _weight_row, simulate_volterra, volterra_weights
+from volterra_ito.paths import (
+    _normals_matrix,
+    _weight_row,
+    simulate_volterra,
+    volterra_weights,
+)
 
 BM = BrownianKernel(horizon=1.0)
 RL25 = RiemannLiouvilleKernel(hurst=0.25, horizon=1.0)
@@ -284,74 +287,36 @@ class TestSmooth:
 
 
 def test_no_public_function_takes_a_quadrature_order():
-    for fn in (TestFunction.smooth, clark_ocone_ito_sum, verify_mean_identity,
+    for fn in (TestFunction.smooth, verify_mean_identity,
                verify_pathwise_formula, verify_uniqueness_perturbation):
         assert "quad_order" not in inspect.signature(fn).parameters, fn.__name__
 
 
-class TestConditionalMeanVar:
-    def test_full_conditioning(self):
-        grid = TimeGrid.uniform(16, 1.0)
-        b = simulate_volterra(RL25, grid, 1, seed=4)
-        m, v = conditional_mean_and_var(RL25, grid, b.dW[0], 16, 16)
-        assert v == 0.0
-        assert m == pytest.approx(b.X[0, -1], rel=1e-12)
-
-    def test_full_conditioning_signed_kernel(self):
-        grid = TimeGrid.uniform(64, 1.0)
-        b = simulate_volterra(SIGNED, grid, 1, seed=4)
-        m, v = conditional_mean_and_var(SIGNED, grid, b.dW[0], 64, 64)
-        assert v == 0.0
-        assert m == pytest.approx(b.X[0, -1], rel=1e-12)
-
-    def test_no_conditioning(self):
-        grid = TimeGrid.uniform(16, 1.0)
-        b = simulate_volterra(RL25, grid, 1, seed=4)
-        m, v = conditional_mean_and_var(RL25, grid, b.dW[0], 0, 16)
-        assert m == 0.0
-        assert v == pytest.approx(1.0, rel=1e-12)
-
-    def test_brownian_residual_variance(self):
-        grid = TimeGrid.uniform(10, 1.0)
-        b = simulate_volterra(BM, grid, 1, seed=4)
-        m, v = conditional_mean_and_var(BM, grid, b.dW[0], 4, 10)
-        assert v == pytest.approx(1.0 - 0.4, rel=1e-12)
-        assert m == pytest.approx(b.X[0, 4], rel=1e-12)
-
-    def test_order_violation(self):
-        grid = TimeGrid.uniform(8, 1.0)
-        b = simulate_volterra(BM, grid, 1, seed=4)
-        with pytest.raises(DomainError):
-            conditional_mean_and_var(BM, grid, b.dW[0], 5, 4)
-
-
 class TestClarkOconeSum:
-    def test_kernel_mismatch(self):
-        grid = TimeGrid.uniform(8, 1.0)
-        b = simulate_volterra(BM, grid, 4, seed=4)
-        with pytest.raises(DomainError):
-            clark_ocone_ito_sum(RL25, b, TestFunction.square(), 8)
-
     def test_zero_mean_divergence(self):
         # E[delta term] = 0 for every kernel/phi pair (adjointness with F = 1)
         grid = TimeGrid.uniform(64, 1.0)
         paths = 20000
+        z = _normals_matrix(8, 0, paths, 64)
         for k in (BM, RL25, ES):
+            w = _weight_row(k, grid.times, 64)
             for phi in (TestFunction.square(), TestFunction.cosine()):
-                b = simulate_volterra(k, grid, paths, seed=8)
-                co = clark_ocone_ito_sum(k, b, phi, 64)
+                co = _co_sum_block(phi, w, z)
                 se = co.std() / math.sqrt(paths)
                 assert abs(co.mean()) <= 4.0 * se, (k.kind, phi.label)
 
     def test_signed_kernel_keeps_weight_signs(self):
+        # phi = x^2: X_t^2 = |w|^2 + CO_t + sum_j w_j^2 (z_j^2 - 1) exactly,
+        # which holds for X_t = Z w only if the sum keeps the signs of w
         grid = TimeGrid.uniform(64, 1.0)
-        b = simulate_volterra(SIGNED, grid, 200, seed=5)
-        phi = TestFunction.square()
-        co = clark_ocone_ito_sum(SIGNED, b, phi, 64)
-        w = volterra_weights(SIGNED, grid)[64]
+        w = _weight_row(SIGNED, grid.times, 64)
         assert np.any(w < 0)
-        want = _co_sum_block(phi, w, b.z())
-        assert np.array_equal(co, want)
+        assert np.array_equal(w, volterra_weights(SIGNED, grid)[64])
+        z = _normals_matrix(5, 0, 200, 64)
+        co = _co_sum_block(TestFunction.square(), w, z)
+        x = z @ w
+        np.testing.assert_allclose(x * x - np.sum(w * w) - co,
+                                   (z * z - 1.0) @ (w * w), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("phi", [
         TestFunction.square(), TestFunction.polynomial([0.5, -1.0, 2.0, 0.3]),
@@ -386,22 +351,22 @@ class TestClarkOconeSum:
     def test_brownian_square_is_ito_sum(self):
         # phi = x^2 on Brownian: the CO sum is exactly 2 sum W_j dW_j
         grid = TimeGrid.uniform(32, 1.0)
-        b = simulate_volterra(BM, grid, 50, seed=9)
-        co = clark_ocone_ito_sum(BM, b, TestFunction.square(), 32)
-        manual = 2.0 * np.sum(b.X[:, :-1] * b.dW, axis=1)
+        x = simulate_volterra(BM, grid, 50, seed=9)
+        z = _normals_matrix(9, 0, 50, 32)
+        co = _co_sum_block(TestFunction.square(), _weight_row(BM, grid.times, 32), z)
+        manual = 2.0 * np.sum(x[:, :-1] * z * np.sqrt(grid.dt), axis=1)
         assert np.allclose(co, manual, rtol=1e-10, atol=1e-12)
 
     def test_tower_property(self):
         # E[mehler(m_r, v_r)] = E[phi'(X_t)] for every r
         grid = TimeGrid.uniform(32, 1.0)
         paths = 20000
-        b = simulate_volterra(RL25, grid, paths, seed=10)
         phi = TestFunction.cosine()
         t_idx = 32
         times = grid.times
         mass = RL25.cell_l2_rows(1.0, times[:t_idx], times[1:t_idx + 1])
         w = np.sqrt(mass)
-        z = b.z()
+        z = _normals_matrix(10, 0, paths, t_idx)
         means = []
         for r in (0, 8, 16, 24, 32):
             m = z[:, :r] @ w[:r]
@@ -477,8 +442,8 @@ class TestMonteCarloReducer:
         t_idx = 29
         phi = TestFunction.cosine(1.3)
         mean, _ = _mc_phi_moment(SIGNED, phi, grid, t_idx, 300, 17, 1)
-        bundle = simulate_volterra(SIGNED, grid, 300, 17)
-        assert mean == pytest.approx(np.mean(phi.phi(bundle.X[:, t_idx])), rel=1e-12)
+        x = simulate_volterra(SIGNED, grid, 300, 17)
+        assert mean == pytest.approx(np.mean(phi.phi(x[:, t_idx])), rel=1e-12)
 
 
 class TestMeanIdentity:

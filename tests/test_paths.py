@@ -20,6 +20,7 @@ from volterra_ito.kernels import (
 from volterra_ito.paths import (
     _CHOLESKY_SALT,
     _CHUNK_WORDS,
+    SIM_BUDGET,
     RngStream,
     _mix64,
     _normals_matrix,
@@ -71,8 +72,7 @@ class TestRngStream:
         with pytest.raises(DomainError):
             RngStream(seed=1, stream_index=2 ** 32).normals(2)
         with pytest.raises(DomainError):
-            simulate_volterra(BrownianKernel(), TimeGrid.uniform(4, 1.0), 2,
-                              seed=1, stream_offset=2 ** 32 - 1)
+            _normals_matrix(1, 2 ** 32 - 1, 2, 4)
 
 
 def _reference_mix64(x):
@@ -125,6 +125,13 @@ class TestGenerator:
                                   counter_start=2 ** 32 - 5)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("seed, same", [
+        (np.uint64(2 ** 64 - 1), -1), (7, 7 + 2 ** 64), (np.uint64(42), 42)],
+        ids=["uint64-max", "past-2-64", "uint64"])
+    def test_seed_is_taken_mod_2_64(self, seed, same):
+        assert np.array_equal(_normals_matrix(seed, 3, 2, 5),
+                              _normals_matrix(same, 3, 2, 5))
+
     @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
     def test_cholesky_salt_matches_reference(self, seed):
         got = _mix64(np.array([seed], dtype=np.uint64) ^ _CHOLESKY_SALT)[0]
@@ -156,26 +163,30 @@ class TestGenerator:
 
 class TestSimulateVolterra:
     def test_starts_at_zero(self):
-        b = simulate_volterra(RL25, TimeGrid.uniform(32, 1.0), 50, seed=1)
-        assert np.all(b.X[:, 0] == 0.0)
+        x = simulate_volterra(RL25, TimeGrid.uniform(32, 1.0), 50, seed=1)
+        assert x.shape == (50, 33)
+        assert np.all(x[:, 0] == 0.0)
 
     def test_bit_exact_reproducibility(self):
         grid = TimeGrid.uniform(64, 1.0)
-        b1 = simulate_volterra(RL25, grid, 200, seed=77)
-        b2 = simulate_volterra(RL25, grid, 200, seed=77)
-        assert np.array_equal(b1.X, b2.X)
-        assert np.array_equal(b1.dW, b2.dW)
+        x1 = simulate_volterra(RL25, grid, 200, seed=77)
+        x2 = simulate_volterra(RL25, grid, 200, seed=77)
+        assert np.array_equal(x1, x2)
 
     def test_block_offset_invariance(self):
+        # path p reads stream p, so a batch from stream 200 is rows 200.. of the whole
         grid = TimeGrid.uniform(32, 1.0)
-        whole = simulate_volterra(RL25, grid, 300, seed=5)
-        tail = simulate_volterra(RL25, grid, 100, seed=5, stream_offset=200)
-        assert np.array_equal(whole.X[200:], tail.X)
+        whole = _normals_matrix(5, 0, 300, 32)
+        tail = _normals_matrix(5, 200, 100, 32)
+        assert np.array_equal(whole[200:], tail)
+        x = simulate_volterra(RL25, grid, 300, seed=5)
+        assert np.array_equal(x[200:], tail @ volterra_weights(RL25, grid).T)
 
     def test_brownian_is_cumsum(self):
         grid = TimeGrid.uniform(64, 1.0)
-        b = simulate_volterra(BM, grid, 100, seed=3)
-        assert np.allclose(b.X[:, 1:], np.cumsum(b.dW, axis=1), atol=1e-12)
+        x = simulate_volterra(BM, grid, 100, seed=3)
+        dw = _normals_matrix(3, 0, 100, 64) * np.sqrt(grid.dt)
+        assert np.allclose(x[:, 1:], np.cumsum(dw, axis=1), atol=1e-12)
 
     @pytest.mark.parametrize("k", KERNELS)
     def test_model_variance_equals_energy_function(self, k):
@@ -188,8 +199,8 @@ class TestSimulateVolterra:
     def test_rl_sample_variance(self):
         # var(X_T) = T^(2H) within 4 sqrt(2/paths) T^(2H)
         paths = 100000
-        b = simulate_volterra(RL25, TimeGrid.uniform(64, 1.0), paths, seed=11)
-        var = b.X[:, -1].var()
+        x = simulate_volterra(RL25, TimeGrid.uniform(64, 1.0), paths, seed=11)
+        var = x[:, -1].var()
         tol = 4.0 * math.sqrt(2.0 / paths)
         assert abs(var - 1.0) <= tol
 
@@ -197,6 +208,7 @@ class TestSimulateVolterra:
         with pytest.raises(ResourceError) as err:
             simulate_volterra(RL25, TimeGrid.uniform(1024, 1.0), 100000, seed=1)
         assert err.value.required == 100000 * 1024 * 1024
+        assert err.value.budget == SIM_BUDGET == 2 ** 33
 
     def test_paths_validation(self):
         with pytest.raises(DomainError):
@@ -205,9 +217,9 @@ class TestSimulateVolterra:
     @pytest.mark.parametrize("k", KERNELS)
     def test_gaussianity_anderson_darling(self, k):
         grid = TimeGrid.uniform(32, 1.0)
-        b = simulate_volterra(k, grid, 10000, seed=13)
+        x = simulate_volterra(k, grid, 10000, seed=13)
         gamma_t = energy_function(k, grid).values[-1]
-        z = b.X[:, -1] / math.sqrt(gamma_t)
+        z = x[:, -1] / math.sqrt(gamma_t)
         res = stats.anderson(z, method="interpolate")
         assert res.pvalue > 0.01
 
@@ -243,8 +255,9 @@ class TestSimulateCholesky:
 
     def test_brownian_increments_independent(self):
         grid = TimeGrid.uniform(16, 1.0)
-        b = simulate_cholesky(BM, grid, 20000, seed=21)
-        incs = np.diff(b.X, axis=1)
+        x = simulate_cholesky(BM, grid, 20000, seed=21)
+        assert x.shape == (20000, 17) and np.all(x[:, 0] == 0.0)
+        incs = np.diff(x, axis=1)
         cov = np.cov(incs[:, :4].T)
         assert np.allclose(np.diag(cov), grid.dt[:4], rtol=0.1)
         off = cov - np.diag(np.diag(cov))
@@ -252,21 +265,15 @@ class TestSimulateCholesky:
 
     def test_marginal_variance_rl(self):
         grid = TimeGrid.uniform(16, 1.0)
-        b = simulate_cholesky(RL25, grid, 20000, seed=23)
-        var = b.X[:, -1].var()
+        x = simulate_cholesky(RL25, grid, 20000, seed=23)
+        var = x[:, -1].var()
         assert abs(var - 1.0) <= 4.0 * math.sqrt(2.0 / 20000)
-
-    def test_no_driver_decomposition(self):
-        b = simulate_cholesky(RL25, TimeGrid.uniform(8, 1.0), 10, seed=1)
-        assert b.dW.shape == (10, 0)
-        with pytest.raises(DomainError):
-            b.z()
 
     def test_two_sample_ks_vs_volterra(self):
         # both samplers produce N(0, Gamma(T)) at the endpoint
         grid = TimeGrid.uniform(16, 1.0)
-        a = simulate_volterra(RL25, grid, 10000, seed=31).X[:, -1]
-        b = simulate_cholesky(RL25, grid, 10000, seed=31).X[:, -1]
+        a = simulate_volterra(RL25, grid, 10000, seed=31)[:, -1]
+        b = simulate_cholesky(RL25, grid, 10000, seed=31)[:, -1]
         ks = stats.ks_2samp(a, b)
         critical = 1.628 * math.sqrt(2.0 / 10000)  # 1% two-sample level
         assert ks.statistic < critical
@@ -274,9 +281,9 @@ class TestSimulateCholesky:
 
 class TestDump:
     def test_csv_round_trip(self, tmp_path):
-        b = simulate_volterra(BM, TimeGrid.uniform(4, 1.0), 3, seed=2)
+        grid = TimeGrid.uniform(4, 1.0)
         out = tmp_path / "paths.csv"
-        dump_paths_csv(b, str(out))
+        dump_paths_csv(grid, simulate_volterra(BM, grid, 3, seed=2), str(out))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "path,t,X"
         assert len(lines) == 1 + 3 * 5
@@ -284,8 +291,9 @@ class TestDump:
         assert row[0] == "0" and float(row[1]) == 0.0 and float(row[2]) == 0.0
 
     def test_gzip(self, tmp_path):
-        b = simulate_volterra(BM, TimeGrid.uniform(4, 1.0), 2, seed=2)
+        grid = TimeGrid.uniform(4, 1.0)
         out = tmp_path / "paths.csv.gz"
-        dump_paths_csv(b, str(out), compress=True)
+        dump_paths_csv(grid, simulate_volterra(BM, grid, 2, seed=2), str(out),
+                       compress=True)
         with gzip.open(out, "rt") as fh:
             assert fh.readline().strip() == "path,t,X"
