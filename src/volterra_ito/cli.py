@@ -47,6 +47,8 @@ EXIT_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
+_GRID_N = 256  # --grid-n's default
+
 # Flags the config echo leaves out: the kernel and phi parameters show in the
 # spec dicts they resolve to, and the destination does not determine the run.
 _NOT_ECHOED = frozenset({
@@ -248,11 +250,14 @@ def _cmd_verify_mean(args):
 
 
 def _cmd_verify_path(args):
+    if args.ladder and args.grid_n is not None:  # it would echo a grid never run
+        raise DomainError("field 'ladder': give --ladder or --grid-n, not both")
     k = _kernel_from_args(args)
     phi = _phi_from_args(args)
     if args.ladder:
         grids = [_grid_for(k, n, args.grid_kind) for n in args.ladder]
     else:
+        args.grid_n = _GRID_N if args.grid_n is None else args.grid_n
         grids = _grid_for(k, args.grid_n, args.grid_kind)
     return _emit_report(args, verify_pathwise_formula(
         k, phi, grids, args.paths, args.seed, _check_time(args, k),
@@ -322,8 +327,11 @@ def _cmd_hurst(args):
             f"field 'window': need 0 < lo < hi <= T, got [{lo}, {hi}]"
         )
     if args.fit_n:
+        args.t_min = 1e-5 if args.t_min is None else args.t_min
         k_used = fit_expsum(k, args.fit_n, args.t_min)
         used_spec = k_used.spec_dict()
+    elif args.t_min is not None:
+        raise DomainError("field 't_min': --t-min only applies with --fit-n")
     else:
         k_used, used_spec = k, None
     grid = TimeGrid(np.concatenate([[0.0], np.geomspace(lo, k.horizon, 256)]))
@@ -366,7 +374,7 @@ def _add_kernel_flags(p, suffix=""):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--grid-n", type=int, default=256)
+    p.add_argument("--grid-n", type=int, default=_GRID_N)
     p.add_argument("--grid-kind", choices=["uniform", "energy"], default="uniform")
 
 
@@ -441,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = check("verify-path", "pathwise operator Ito formula check", paths=10000)
     p.add_argument("--ladder", type=_ints,
                    help="comma-separated grid sizes for the refinement ladder")
+    p.set_defaults(grid_n=None)  # _GRID_N unless a ladder is given
 
     p = command("verify-multi", "multivariate formula check")
     _add_kernel_flags(p)
@@ -448,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_draw_flags(p, paths=10000)
     _add_check_flags(p)
-    p.add_argument("--phi2d", choices=["xy", "x2+y2"], default="xy")
+    p.add_argument("--phi2d", choices=["xy"], default="xy")
 
     p = check("verify-unique", "correction-measure perturbation test", paths=0)
     p.add_argument("--eps", type=float, default=0.01)
@@ -469,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-lo", type=float, default=1e-3)
     p.add_argument("--window-hi", type=float, default=1e-1)
     p.add_argument("--fit-n", type=int, default=0)
-    p.add_argument("--t-min", type=float, default=1e-5)
+    p.add_argument("--t-min", type=float, default=None,
+                   help="shortest time of the --fit-n fit; default 1e-5")
 
     return parser
 

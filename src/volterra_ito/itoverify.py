@@ -215,15 +215,17 @@ class TestFunction:
         return float(out) if out.ndim == 0 else out
 
     def smooth_square_mean(self, order, s, v):
-        """E[smooth(order, M, v)^2] for M ~ N(0, s), elementwise in (s, v).
+        """E[smooth(order, M, v)^2] for M ~ N(0, s), elementwise in (s, v),
+        and a bound on its quadrature error.
 
         Closed forms for polynomials (Gaussian moments of the smoothed
-        coefficients) and the cosine (E cos^2 = (1 + e^(-2 a^2 s)) / 2). The
-        mollified square takes the 64-node Gauss-Legendre rule in m on each
-        piece between its breakpoints +-cut, +-2 cut, within M's reach and
-        the reach 2 cut + _REACH_Z sqrt(v) past which the smoothing is 0:
-        Gauss-Hermite over M misses the band's swings of phi'' (order 32
-        gave 7.39 for 20.39 at cut 1.5, s = 1, v = 0).
+        coefficients) and the cosine (E cos^2 = (1 + e^(-2 a^2 s)) / 2), whose
+        error is 0. The mollified square takes Gauss-Legendre rules in m on
+        each piece between its breakpoints +-cut, +-2 cut, within M's reach
+        and the reach 2 cut + _REACH_Z sqrt(v) past which the smoothing is 0:
+        Gauss-Hermite over M misses the band's swings of phi'' (order 32 gave
+        7.39 for 20.39 at cut 1.5, s = 1, v = 0). Its error is the gap of the
+        64- to the 128-node rule, whose value it returns.
         """
         s = _residual_variance(s)
         v = _residual_variance(v)
@@ -235,12 +237,12 @@ class TestFunction:
                 for j in range(i % 2, len(b), 2):  # E[M^(i+j)] = (i+j-1)!! s^((i+j)/2)
                     dfac = math.prod(range(i + j - 1, 0, -2))
                     out += bi * b[j] * dfac * s ** ((i + j) // 2)
-            return out
+            return out, 0.0
         if self.family == "cosine":
             a = self.freq
             sign = (1.0, -1.0, 1.0)[order]  # cos^2 or sin^2
             return ((1.0, a * a, a ** 4)[order] * np.exp(-a * a * v)
-                    * 0.5 * (1.0 + sign * np.exp(-2.0 * a * a * s)))
+                    * 0.5 * (1.0 + sign * np.exp(-2.0 * a * a * s))), 0.0
         shape = np.broadcast_shapes(s.shape, v.shape)
         s, v = (np.broadcast_to(a, shape).ravel() for a in (s, v))
         c = self.cut
@@ -250,15 +252,18 @@ class TestFunction:
         hi = np.clip(edges[1:], -reach[:, None], reach[:, None])
         el, piece = np.nonzero(hi > lo)
         span = (hi - lo)[el, piece, None]
-        t, wl = _leggauss01(64)
-        m = lo[el, piece, None] + span * t
-        g = self.smooth(order, m, v[el, None])
-        dens = np.exp(-0.5 * m * m / s[el, None]) / np.sqrt(2.0 * math.pi * s[el, None])
-        out = np.bincount(el, weights=(g * g * dens * span) @ wl,
-                          minlength=s.size).astype(float)  # int when el is empty
+        rules = []
+        for t, wl in (_leggauss01(64), _leggauss01(128)):
+            m = lo[el, piece, None] + span * t
+            g = self.smooth(order, m, v[el, None])
+            dens = (np.exp(-0.5 * m * m / s[el, None])
+                    / np.sqrt(2.0 * math.pi * s[el, None]))
+            rules.append(np.bincount(el, weights=(g * g * dens * span) @ wl,
+                                     minlength=s.size).astype(float))  # int if el empty
+        out, err = rules[1], np.abs(rules[1] - rules[0])
         point = s == 0.0  # M = 0
-        out[point] = self.smooth(order, 0.0, v[point]) ** 2
-        return out.reshape(shape)
+        out[point] = self.smooth(order, 0.0, v[point]) ** 2  # no pieces: err 0
+        return out.reshape(shape), err.reshape(shape)
 
     def _smooth_band(self, order, m, v):
         """``smooth`` of the mollified square for 1-d m, v whose Gaussian
@@ -535,15 +540,31 @@ def _stride_keep(t_idx, stride):
 
 
 def _mean_identity_rhs(k, phi, gamma, t_idx, stride=1):
-    """phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s) by midpoint Stieltjes.
-
-    stride > 1 coarsens the grid (every stride-th point) for the Richardson
-    error estimate.
-    """
+    """phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s) by midpoint Stieltjes
+    on the grid's ``_stride_keep`` points."""
     keep = _stride_keep(t_idx, stride)
     sub = EnergyFunction(grid=TimeGrid(gamma.grid.times[keep]),
                          values=gamma.values[keep])
     return float(phi.phi(0.0)) + 0.5 * stieltjes_integrate(_d2phi_mean(k, phi), sub)
+
+
+def _stieltjes_bias(k, phi, gamma, t_idx, rhs):
+    """A bound on |rhs - E[phi(X_t)]|, rhs the Stieltjes value on the grid.
+
+    Where its gaps to the stride-2 and stride-4 values both pass the 1e-12
+    relative floor, their ratio r gives the order p = -log2 r and Roache's
+    three-grid Grid Convergence Index 1.25 gap / (2^p - 1); the bound is the
+    larger of that and the stride-2 gap, plus the floor. r >= 1 raises.
+    """
+    c2, c4 = (_mean_identity_rhs(k, phi, gamma, t_idx, stride) for stride in (2, 4))
+    gap, floor = abs(rhs - c2), 1e-12 * max(1.0, abs(rhs))
+    ratio = gap / abs(c2 - c4) if min(gap, abs(c2 - c4)) > floor else 0.0
+    if ratio >= 1.0:
+        raise NumericalError(
+            f"the Stieltjes rule shows no convergence on this grid (gap ratio "
+            f"{ratio:.3g}); refine it or use --grid-kind energy",
+            estimate=rhs, bound=gap)
+    return max(gap, 1.25 * gap * ratio / (1.0 - ratio)) + floor  # 2^p - 1 = 1/r - 1
 
 
 def _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads):
@@ -565,8 +586,7 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
 
     The left side is computed exactly by the test function's smoothing
     and, when paths > 0, also by Monte Carlo; the right side is the midpoint
-    Stieltjes rule on the grid. The bias bound is a Richardson estimate from
-    recomputing the right side on the half-resolution subgrid.
+    Stieltjes rule on the grid, whose error ``_stieltjes_bias`` bounds.
     """
     _check_z(z)
     if paths < 0:
@@ -579,8 +599,7 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
 
     lhs_quad = float(phi.smooth(0, 0.0, gamma_t))
     rhs = _mean_identity_rhs(k, phi, gamma, t_idx)
-    rhs_half = _mean_identity_rhs(k, phi, gamma, t_idx, stride=2)
-    bias = abs(rhs - rhs_half) + 1e-12 * max(1.0, abs(rhs))
+    bias = _stieltjes_bias(k, phi, gamma, t_idx, rhs)
 
     detail = {
         "lhs_quadrature": lhs_quad,
@@ -614,57 +633,52 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
 # Pathwise operator Ito formula
 # ---------------------------------------------------------------------------
 
-def _res2_leading(phi, w):
-    """P = (1/2) sum_j w_j^4 E[smooth(2, m_j, v_j)^2], m_j ~ N(0, s_j): the
-    leading term of E[res^2] for the weight row w of X_t.
+def _res2_reference(phi, w):
+    """(Var phi(X_t) - E[CO_t^2], its error bound, E[CO_t^2]), X_t = Z w.
 
-    Cell j's martingale increment of E[phi(X_t) | F] minus its Ito term is
-    smooth(2, m_j, v_j) w_j^2 (z_j^2 - 1) / 2 + O(w_j^3), by the heat
-    equation d_v G = d_mm G / 2, and the cells are orthogonal. P is exact
-    for quadratic phi.
+    With (E phi(X_t) - c)^2 this is E[res^2] on the grid: the Clark-Ocone
+    cells are martingale increments with integrand E[phi'(X_t) | F_(s_j)], so
+    by Stein's lemma E[(phi(X_t) - E phi(X_t)) CO_t] = E[CO_t^2]. A
+    polynomial's constant moves neither term and is dropped before it can
+    cancel. The bound is the quadrature gaps plus 8 eps (E phi(X_t)^2 +
+    E[CO_t^2]); gaps past _BAND_RTOL of the result raise NumericalError.
     """
+    if phi.family == "polynomial":
+        phi = TestFunction.polynomial(np.concatenate([[0.0], phi.coeffs[1:]]))
     s, v = _prefix_masses(w)
-    mass = w * w
-    return 0.5 * float(np.sum(mass * mass * phi.smooth_square_mean(2, s, v)))
+    square, square_err = phi.smooth_square_mean(0, v[0], 0.0)
+    cells, cells_err = phi.smooth_square_mean(1, s, v)
+    co2 = float(np.sum(w * w * cells))
+    ref = float(square) - phi.smooth(0, 0.0, v[0]) ** 2 - co2
+    quad = float(square_err + np.sum(w * w * cells_err))
+    rounding = 8.0 * np.finfo(float).eps * (float(square) + co2)
+    if not quad <= _BAND_RTOL * abs(ref) + rounding:
+        raise NumericalError(
+            f"E[res^2] reference of {phi.label} missed {_BAND_RTOL:g} relative "
+            "between its 64- and 128-node rules", estimate=ref, bound=quad)
+    return ref, float(quad + rounding), co2
 
 
 def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, threads):
-    """E[res^2] of res = phi(X_t) - c - CO_t on the grid and on its stride-2
-    coarsening, from the same draws, with each level's leading term P.
-
-    c is the mean identity's right side on the level's grid, X_t = Z w_t and
-    CO_t the Clark-Ocone sum; only the t_idx normals X_t reads are drawn. A
-    coarse cell's normal is sum_j z_j sqrt(dt_j) / sqrt(sum_j dt_j) over its
-    fine cells, so both levels see the same Brownian driver. ``floor``
-    bounds the rounding of res^2: 1e-24 times E[(c + CO_t)^2], the second
-    moment of what is subtracted from phi(X_t).
+    """E[res^2] of res = phi(X_t) - c - CO_t by Monte Carlo, X_t = Z w_t
+    drawn from the t_idx normals it reads, with the terms that judge it:
+    ``_res2_reference``'s, the Stieltjes bias bound of c, and a ``floor`` on
+    the rounding of res^2, 1e-24 E[(c + CO_t)^2].
     """
     gamma = energy_function(k, grid)
-    keep = _stride_keep(t_idx, 2)
     w_t = _weight_row(k, grid.times, t_idx)
-    w_c = _weight_row(k, grid.times[keep], keep.size - 1)
     c_t = _mean_identity_rhs(k, phi, gamma, t_idx)
-    c_c = _mean_identity_rhs(k, phi, gamma, t_idx, stride=2)
-    dt = grid.dt[:t_idx]
-    a = np.sqrt(dt / np.repeat(np.diff(grid.times[keep]), np.diff(keep)))
-    pairs = t_idx // 2
-
-    def residual(z, w, c):
-        return phi.phi(z @ w) - c - _co_sum_block(phi, w, z)
 
     def sample(start, count):
         z = _normals_matrix(seed, start, count, t_idx)
-        zc = z[:, 0::2] * a[0::2]
-        zc[:, :pairs] += z[:, 1::2] * a[1::2]
-        res = np.stack([residual(z, w_t, c_t), residual(zc, w_c, c_c)])
+        res = phi.phi(z @ w_t) - c_t - _co_sum_block(phi, w_t, z)
         return res * res
 
-    (est, est_c), (se, se_c) = _mc_mean_se(sample, paths, threads)
-    s, v = _prefix_masses(w_t)
-    co2 = float(np.sum(w_t * w_t * phi.smooth_square_mean(1, s, v)))
-    return {"grid_n": grid.n_cells, "estimate": float(est), "se": float(se),
-            "p_n": _res2_leading(phi, w_t), "coarse_estimate": float(est_c),
-            "coarse_se": float(se_c), "coarse_p_n": _res2_leading(phi, w_c),
+    est, se = _mc_mean_se(sample, paths, threads)
+    ref, ref_err, co2 = _res2_reference(phi, w_t)
+    return {"grid_n": grid.n_cells, "estimate": est, "se": se,
+            "reference": ref, "reference_error": ref_err,
+            "stieltjes_bias": _stieltjes_bias(k, phi, gamma, t_idx, c_t),
             "floor": 1e-24 * (c_t * c_t + co2)}
 
 
@@ -675,14 +689,13 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     """Check phi(X_t) = phi(0) + delta(Pi D phi(X_t)) + (1/2) int E[phi''(X_s)]
     dGamma(s) pathwise in L2.
 
-    The estimate is E[res^2] by Monte Carlo, with reference 0. Its leading
-    term P_n (``_res2_leading``) is known, so the bias bound is P_n plus a
-    remainder: the Richardson gap |(E_n - P_n) - (E_coarse - P_coarse)| of
-    the coupled stride-2 residual, plus a rounding floor. The check passes
-    when |estimate - P_n| <= z * SE + remainder, which includes estimate <=
-    z * SE + bias bound. A ladder of grids, given coarsest first with strictly
-    increasing cell counts, must also be nonincreasing (1 SE slack per rung);
-    the finest grid is judged.
+    The estimate is E[res^2] by Monte Carlo, with reference 0. On the grid
+    E[res^2] = Var phi(X_t) - E[CO_t^2] + (E phi(X_t) - c)^2, the last term
+    at most b^2 for the Stieltjes bias bound b. The check passes when
+    |estimate - (Var - E[CO_t^2])| <= z * SE + its error + b^2 + floor, and
+    the bias bound is Var - E[CO_t^2] plus those three terms. A ladder of
+    grids (strictly increasing cell counts) must also be nonincreasing, 1 SE
+    of slack per rung; the finest grid is judged.
     """
     _check_z(z)
     grids = list(grid) if isinstance(grid, (list, tuple)) else [grid]
@@ -698,31 +711,25 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
         ladder.append(_pathwise_res2_moments(k, phi, g, paths, seed, t_idx, threads))
 
     final = ladder[-1]
-    est, se, p_n = final["estimate"], final["se"], final["p_n"]
-    remainder = abs((est - p_n) - (final["coarse_estimate"] - final["coarse_p_n"]))
-    remainder += final["floor"]
-    bias = p_n + remainder
-
+    est, se, ref = final["estimate"], final["se"], final["reference"]
+    slack = final["reference_error"] + final["stieltjes_bias"] ** 2 + final["floor"]
     monotone = all(
         ladder[i + 1]["estimate"]
         <= ladder[i]["estimate"] + (ladder[i]["se"] + ladder[i + 1]["se"])
         for i in range(len(ladder) - 1)
     )
-    passed = (monotone and est <= z * se + bias
-              and abs(est - p_n) <= z * se + remainder)
     return VerificationReport(
         identity="pathwise_formula",
         estimate=est,
         reference=0.0,
         se=se,
-        bias_bound=float(bias),
+        bias_bound=ref + slack,
         grid_n=int(final["grid_n"]),
         paths=paths,
         seed=seed,
-        passed=bool(passed),
+        passed=bool(monotone and abs(est - ref) <= z * se + slack),
         z=z,
-        detail={"ladder": ladder, "monotone": monotone, "p_n": p_n,
-                "remainder": remainder, "coarse_estimate": final["coarse_estimate"]},
+        detail={"ladder": ladder, "monotone": monotone},
     )
 
 
@@ -734,59 +741,41 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
                         paths: int, seed: int, t: float,
                         z: float = DEFAULT_Z,
                         threads: int = 1) -> VerificationReport:
-    """Two-process checks sharing one driver.
+    """E[X1_t X2_t] = Gamma12(t) for two processes sharing one driver.
 
-    phi2d = "xy": E[X1_t X2_t] against the quadrature cross-bracket (the
-    divergence terms have zero mean). phi2d = "x2+y2": reduces to the two
-    univariate square mean identities.
+    phi2d = "xy", the only mode: the Monte Carlo mean of X1_t X2_t against
+    the quadrature cross-bracket (the divergence terms have zero mean).
     """
     _check_z(z)
-    if phi2d not in ("xy", "x2+y2"):
-        raise DomainError("phi2d must be 'xy' or 'x2+y2'")
+    if phi2d != "xy":
+        raise DomainError("phi2d must be 'xy'")
     t_idx = grid.index_of(t)
     if t_idx == 0:
         raise DomainError("t must be a positive grid point")
 
-    if phi2d == "xy":
-        w1 = _weight_row(k1, grid.times, t_idx)
-        w2 = _weight_row(k2, grid.times, t_idx)
-        reference = covariance(k1, k2, t, t)
-        model_cov = float(np.dot(w1, w2))
-        bias = abs(model_cov - reference)
+    w1 = _weight_row(k1, grid.times, t_idx)
+    w2 = _weight_row(k2, grid.times, t_idx)
+    ref = covariance(k1, k2, t, t)
+    model_cov = float(np.dot(w1, w2))
+    bias = abs(model_cov - ref)
 
-        def sample(start, count):
-            zmat = _normals_matrix(seed, start, count, t_idx)
-            return (zmat @ w1) * (zmat @ w2)
+    def sample(start, count):
+        zmat = _normals_matrix(seed, start, count, t_idx)
+        return (zmat @ w1) * (zmat @ w2)
 
-        mean, se = _mc_mean_se(sample, paths, threads)
-        passed = abs(mean - reference) <= z * se + bias
-        detail = {"model_cross_bracket": model_cov}
-        est, ref = mean, reference
-    else:
-        square = TestFunction.square()
-        r1 = verify_mean_identity(k1, square, grid, paths, seed, t,
-                                  z=z, threads=threads)
-        r2 = verify_mean_identity(k2, square, grid, paths, seed, t,
-                                  z=z, threads=threads)
-        est = r1.estimate + r2.estimate
-        ref = r1.reference + r2.reference
-        se = math.hypot(r1.se, r2.se)
-        bias = r1.bias_bound + r2.bias_bound
-        passed = r1.passed and r2.passed
-        detail = {"per_term": [r1.to_dict(), r2.to_dict()]}
-
+    est, se = _mc_mean_se(sample, paths, threads)
     return VerificationReport(
-        identity=f"multivariate_{phi2d}",
-        estimate=float(est),
+        identity="multivariate_xy",
+        estimate=est,
         reference=float(ref),
-        se=float(se),
-        bias_bound=float(bias),
+        se=se,
+        bias_bound=bias,
         grid_n=grid.n_cells,
         paths=paths,
         seed=seed,
-        passed=bool(passed),
+        passed=bool(abs(est - ref) <= z * se + bias),
         z=z,
-        detail=detail,
+        detail={"model_cross_bracket": model_cov},
     )
 
 

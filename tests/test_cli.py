@@ -263,10 +263,16 @@ class TestUsageErrors:
         ["approx", "--kernel", "rl", "--hurst", "0.25", "--n-terms", ""],
         ["frobnicate"],
         [],
+        ["verify-path", "--kernel", "brownian", "--ladder", "8,16",
+         "--grid-n", "999", "--paths", "100"],
+        ["hurst", "--kernel", "rl", "--hurst", "0.25", "--t-min", "2"],
+        ["verify-multi", "--kernel", "brownian", "--kernel2", "brownian",
+         "--grid-n", "8", "--phi2d", "x2+y2"],
     ], ids=["unread-flags", "hurst-grid-n", "multi-quad-order",
             "no-abbreviation", "grid-n-abc", "mean-csv", "n-terms-fraction",
             "ladder-fraction", "n-terms-empty", "unknown-subcommand",
-            "empty-argv"])
+            "empty-argv", "ladder-with-grid-n", "hurst-t-min-without-fit-n",
+            "phi2d-x2+y2"])
     def test_parser_failure_exits_2(self, argv, capsys):
         code = main(argv)
         out, err = capsys.readouterr()
@@ -466,6 +472,15 @@ class TestVerifySubcommands:
         assert run_cli(["verify-path", *argv.split(), "--no-timestamp"]) == 0
         assert json.loads(capsys.readouterr().out)["reports"][0]["pass"] is True
 
+    @pytest.mark.parametrize("argv", [
+        "verify-mean --kernel rl --hurst 0.25 --phi cos --paths 0",
+        "verify-mean --kernel rl --hurst 0.1 --phi cos --grid-n 256",
+        "verify-unique --kernel rl --hurst 0.25 --phi cos --eps 0",
+    ], ids=["mean-rl025", "mean-rl010", "unique-eps-0"])
+    def test_uniform_grid_stieltjes_bias_holds(self, argv, capsys):
+        # each exited 1 while the bias bound was the stride-2 gap alone
+        assert run_cli([*argv.split(), "--no-timestamp"]) == 0
+
     def test_unresolvable_covariance_exits_3(self, capsys):
         code = run_cli(["verify-multi", "--kernel", "rl", "--hurst", "0.02",
                         "--kernel2", "rl", "--hurst2", "0.03", "--T", "1e-300",
@@ -477,7 +492,7 @@ class TestVerifySubcommands:
     def test_verify_path_ladder(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run_cli([
-            "verify-path", "--kernel", "brownian", "--grid-n", "64",
+            "verify-path", "--kernel", "brownian",
             "--ladder", "16,64", "--paths", "4000", "--phi", "square",
             "--seed", "42", "--output", str(out), "--no-timestamp",
         ])

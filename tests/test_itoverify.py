@@ -10,6 +10,7 @@ from scipy import integrate, stats
 
 from volterra_ito import itoverify
 from volterra_ito import paths as paths_module
+from volterra_ito.bracket import energy_function
 from volterra_ito.errors import DomainError, NumericalError
 from volterra_ito.itoverify import (
     BLOCK_PATHS,
@@ -18,7 +19,7 @@ from volterra_ito.itoverify import (
     _co_sum_block,
     _mc_mean_se,
     _mc_phi_moment,
-    _res2_leading,
+    _res2_reference,
     mehler_conditional,
     verify_mean_identity,
     verify_multivariate,
@@ -237,7 +238,7 @@ class TestSmooth:
             "mollified100"])
     def test_square_mean_matches_quadrature(self, phi, order):
         s, v = (a.ravel() for a in np.meshgrid([1e-4, 0.3, 1.0, 4.0], self.VS))
-        got = phi.smooth_square_mean(order, s, v)
+        got, err = phi.smooth_square_mean(order, s, v)
         sd = np.sqrt(s)
 
         def f(x):  # x standard normal, M = sd x
@@ -247,9 +248,12 @@ class TestSmooth:
         want = integrate.quad_vec(f, -12.0, 12.0, epsabs=1e-14, epsrel=1e-12,
                                   norm="max", limit=10000)[0]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
-        point = phi.smooth_square_mean(order, 0.0, v)  # s = 0: M = 0
+        # the 64- vs 128-node gap: 0 for closed forms, within the band contract
+        assert np.all(err <= 1e-9 * got)
+        point, point_err = phi.smooth_square_mean(order, 0.0, v)  # s = 0: M = 0
         np.testing.assert_allclose(point, phi.smooth(order, 0.0, v) ** 2,
                                    rtol=1e-14, atol=1e-300)
+        assert np.all(point_err == 0.0)
 
     def test_unresolved_band_rule_raises(self, monkeypatch):
         # a Gaussian 1000x narrower than the band, on the nodes shared by wide
@@ -484,6 +488,34 @@ class TestMeanIdentity:
         with pytest.raises(DomainError):
             verify_mean_identity(RL25, TestFunction.square(), grid, 0, 1, 0.503)
 
+    @pytest.mark.parametrize("hurst", [0.1, 0.25])
+    def test_uniform_grid_bias_bounds_the_error(self, hurst):
+        # next to dGamma's singularity the midpoint rule converges at order <= 1,
+        # where the stride-2 gap alone understates the error
+        k = RiemannLiouvilleKernel(hurst=hurst, horizon=1.0)
+        rep = verify_mean_identity(k, TestFunction.cosine(),
+                                   TimeGrid.uniform(256, 1.0), 0, 1, 1.0)
+        assert abs(rep.reference - math.exp(-0.5)) <= rep.bias_bound
+        assert rep.passed
+
+    def test_energy_grid_bias_is_the_stride_2_gap(self):
+        # observed ratio near 1/4: the three-grid index is below the gap itself
+        grid = equal_energy_grid(RL25, 256)
+        phi = TestFunction.cosine()
+        rep = verify_mean_identity(RL25, phi, grid, 0, 1, 1.0)
+        c2 = itoverify._mean_identity_rhs(RL25, phi, energy_function(RL25, grid),
+                                          256, stride=2)
+        assert rep.bias_bound == abs(rep.reference - c2) + 1e-12
+
+    def test_no_observed_convergence_raises(self, monkeypatch):
+        # stride-2 gap 0.1 against stride-4 gap 0.05: ratio 2
+        values = {1: 1.0, 2: 1.1, 4: 1.15}
+        monkeypatch.setattr(itoverify, "_mean_identity_rhs",
+                            lambda k, phi, gamma, t_idx, stride=1: values[stride])
+        with pytest.raises(NumericalError, match="--grid-kind energy"):
+            verify_mean_identity(RL25, TestFunction.cosine(),
+                                 TimeGrid.uniform(64, 1.0), 0, 1, 1.0)
+
 
 class TestPathwise:
     def test_constant_phi_zero_residual(self):
@@ -519,11 +551,15 @@ class TestPathwise:
     ], ids=["cos", "mollified1.5"])
     @pytest.mark.parametrize("k", [BM, RL25, RL75], ids=["brownian", "rl025", "rl075"])
     def test_leading_term_matches_monte_carlo(self, k, phi):
+        # the exact reference Var phi(X_t) - E[CO_t^2], whose leading Hermite
+        # term 1/2 sum_j w_j^4 E[E[phi''(X_t) | F_(s_j)]^2] alone falls short
         rep = verify_pathwise_formula(k, phi, TimeGrid.uniform(128, 1.0), 4096,
                                       42, 1.0)
-        p_n = rep.detail["p_n"]
-        assert abs(rep.estimate - p_n) <= 4.0 * rep.se
-        assert rep.bias_bound == p_n + rep.detail["remainder"]
+        final = rep.detail["ladder"][-1]
+        ref = final["reference"]
+        assert abs(rep.estimate - ref) <= 4.0 * rep.se
+        slack = final["reference_error"] + final["stieltjes_bias"] ** 2 + final["floor"]
+        assert rep.bias_bound == ref + slack
         assert rep.passed
 
     @pytest.mark.parametrize("k", [BM, RL25, RL75, SIGNED])
@@ -531,23 +567,45 @@ class TestPathwise:
         # phi = x^2: res = sum_j w_j^2 (z_j^2 - 1) up to rounding, E[res^2] = 2 sum w^4
         grid = TimeGrid.uniform(64, 1.0)
         w = _weight_row(k, grid.times, 64)
-        assert _res2_leading(TestFunction.square(), w) == pytest.approx(
-            2.0 * np.sum(w ** 4), rel=1e-14)
+        ref, err, _ = _res2_reference(TestFunction.square(), w)
+        assert abs(ref - 2.0 * np.sum(w ** 4)) <= err
         rep = verify_pathwise_formula(k, TestFunction.square(), grid, 8192, 3, 1.0)
-        assert abs(rep.estimate - rep.detail["p_n"]) <= 4.0 * rep.se
+        assert abs(rep.estimate - rep.detail["ladder"][-1]["reference"]) <= 4.0 * rep.se
+        assert rep.passed
+
+    def test_rough_mollified_square_closes_with_many_paths(self):
+        # rl 0.25, cut 1.5, n = 32: the higher Hermite terms are 24% of E[res^2],
+        # so 65,536 paths resolve any approximate reference
+        rep = verify_pathwise_formula(RL25, TestFunction.mollified_square(1.5),
+                                      TimeGrid.uniform(32, 1.0), 65536, 42, 1.0)
+        ref = rep.detail["ladder"][-1]["reference"]
+        assert abs(rep.estimate - ref) <= 2.0 * rep.se
+        assert rep.passed
+
+    def test_large_constant_drops_out_of_the_reference(self):
+        # Var and CO_t ignore the constant; E phi^2 - (E phi)^2 would cancel 1e24
+        grid = TimeGrid.uniform(256, 1.0)
+        w = _weight_row(RL25, grid.times, 256)
+        ref, err, _ = _res2_reference(TestFunction.polynomial([1e12, 0.0, 1.0]), w)
+        assert ref == pytest.approx(2.0 * np.sum(w ** 4), rel=1e-12)
+        assert err <= 1e-13
+        rep = verify_pathwise_formula(RL25, TestFunction.polynomial([1e12, 0.0, 1.0]),
+                                      grid, 4096, 5, 1.0)
+        assert rep.detail["ladder"][-1]["reference"] == ref
         assert rep.passed
 
     def test_linear_phi_residual_is_rounding(self):
         # phi = 3 + 1000 x: CO_t is 1000 X_t, so only rounding is left
         rep = verify_pathwise_formula(RL25, TestFunction.polynomial([3.0, 1e3]),
                                       TimeGrid.uniform(256, 1.0), 4096, 5, 1.0)
-        assert rep.detail["p_n"] == 0.0
+        final = rep.detail["ladder"][-1]
+        assert abs(final["reference"]) <= final["reference_error"] <= 1e-8
         assert 0.0 < rep.estimate <= 1e-20
         assert rep.passed
 
     def test_wrong_correction_is_detected(self, monkeypatch):
-        # a correction off by 0.05 adds 0.0025 to E[res^2] on both levels, so
-        # the Richardson remainder does not absorb it
+        # a correction off by 0.05 adds 0.0025 to E[res^2]; the Stieltjes bias
+        # bound enters squared and does not absorb it
         rhs = itoverify._mean_identity_rhs
         monkeypatch.setattr(itoverify, "_mean_identity_rhs",
                             lambda *a, **kw: rhs(*a, **kw) + 0.05)
@@ -556,14 +614,35 @@ class TestPathwise:
         assert rep.estimate > rep.z * rep.se + rep.bias_bound
         assert not rep.passed
 
-    def test_estimate_below_leading_term_fails(self, monkeypatch):
-        # a leading term 0.01 too high passes the upper side alone
-        lead = itoverify._res2_leading
-        monkeypatch.setattr(itoverify, "_res2_leading",
-                            lambda phi, w: lead(phi, w) + 0.01)
+    def test_estimate_below_reference_fails(self, monkeypatch):
+        # a reference 0.01 too high passes the upper side alone
+        exact = itoverify._res2_reference
+        monkeypatch.setattr(itoverify, "_res2_reference",
+                            lambda phi, w: (lambda r: (r[0] + 0.01, *r[1:]))(exact(phi, w)))
         rep = verify_pathwise_formula(BM, TestFunction.cosine(),
                                       TimeGrid.uniform(256, 1.0), 4096, 42, 1.0)
         assert rep.estimate <= rep.z * rep.se + rep.bias_bound
+        assert not rep.passed
+
+    @pytest.mark.parametrize("k", [BM, RL25], ids=["brownian", "rl025"])
+    def test_wrong_residual_variance_fails(self, k, monkeypatch):
+        # v_j taken after cell j instead of from it on
+        masses = itoverify._prefix_masses
+        monkeypatch.setattr(itoverify, "_prefix_masses",
+                            lambda w: (lambda s, v: (s, v - w * w))(*masses(w)))
+        rep = verify_pathwise_formula(k, TestFunction.cosine(),
+                                      TimeGrid.uniform(256, 1.0), 4096, 42, 1.0)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("phi", [TestFunction.square(), TestFunction.cosine()],
+                             ids=["square", "cos"])
+    def test_dropped_weight_sign_fails(self, phi, monkeypatch):
+        # a Clark-Ocone sum on |w| for a kernel with a negative exp-sum weight
+        co_sum = itoverify._co_sum_block
+        monkeypatch.setattr(itoverify, "_co_sum_block",
+                            lambda phi, w, z: co_sum(phi, np.abs(w), z))
+        rep = verify_pathwise_formula(SIGNED, phi, TimeGrid.uniform(256, 1.0),
+                                      4096, 42, 1.0)
         assert not rep.passed
 
     def test_never_simulates_whole_paths(self, monkeypatch):
@@ -579,21 +658,17 @@ class TestPathwise:
             assert verify_pathwise_formula(RL25, phi, grids, 300, 1, 1.0).passed
 
     def test_off_terminal_time_and_odd_cell_count(self):
-        # t = 0.5 on 50 cells: 25 cells, so the coarse level ends on a lone cell
+        # t = 0.5 on 50 cells: 25 cells, so the stride-2 and stride-4 Stieltjes
+        # subgrids end on a short last cell
         grid = TimeGrid.uniform(50, 1.0)
         rep = verify_pathwise_formula(RL25, TestFunction.square(), grid, 8192, 4, 0.5)
         w = _weight_row(RL25, grid.times, 25)
-        assert rep.detail["p_n"] == pytest.approx(2.0 * np.sum(w ** 4), rel=1e-14)
+        final = rep.detail["ladder"][-1]
+        assert abs(final["reference"] - 2.0 * np.sum(w ** 4)) <= final["reference_error"]
         assert rep.passed
 
 
 class TestMultivariate:
-    def test_same_kernel_reduces_to_univariate(self):
-        grid = TimeGrid.uniform(64, 1.0)
-        rep = verify_multivariate(RL25, RL25, "x2+y2", grid, 20000, 8, 1.0)
-        assert rep.passed
-        assert rep.reference == pytest.approx(2.0, rel=1e-9)
-
     def test_brownian_pair_xy(self):
         grid = TimeGrid.uniform(64, 1.0)
         rep = verify_multivariate(BM, BM, "xy", grid, 20000, 9, 1.0)
@@ -607,8 +682,10 @@ class TestMultivariate:
         assert rep.passed
 
     def test_unknown_phi2d(self):
-        with pytest.raises(DomainError):
-            verify_multivariate(BM, BM, "x^3y", TimeGrid.uniform(8, 1.0), 10, 1, 1.0)
+        # x2+y2 was two univariate square checks and is refused like any other
+        for phi2d in ("x^3y", "x2+y2"):
+            with pytest.raises(DomainError):
+                verify_multivariate(BM, BM, phi2d, TimeGrid.uniform(8, 1.0), 10, 1, 1.0)
 
 
 class TestUniqueness:
