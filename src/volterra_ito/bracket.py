@@ -68,26 +68,6 @@ def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
     return EnergyFunction(grid=grid, values=vals, monotone=mono)
 
 
-def _sample(f, grid: TimeGrid, points: np.ndarray) -> np.ndarray:
-    """Evaluate the integrand at arbitrary points.
-
-    Callables are evaluated directly; arrays of per-grid-point samples are
-    interpreted piecewise-linearly.
-    """
-    if callable(f):
-        vals = np.asarray(f(points), dtype=float)
-        if vals.shape != points.shape:
-            raise DomainError("integrand callable must evaluate elementwise")
-        return vals
-    arr = np.asarray(f, dtype=float)
-    if arr.shape != grid.times.shape:
-        raise DomainError(
-            f"sampled integrand has {arr.shape} values, grid has "
-            f"{grid.times.shape} points"
-        )
-    return np.interp(points, grid.times, arr)
-
-
 def stieltjes_integrate(f, g: EnergyFunction, i0: int = 0, i1=None) -> float:
     """Midpoint Riemann-Stieltjes integral of f against dGamma over the grid.
 
@@ -97,8 +77,8 @@ def stieltjes_integrate(f, g: EnergyFunction, i0: int = 0, i1=None) -> float:
 
     Parameters
     ----------
-    f : callable or ndarray
-        Integrand; an array is per-grid-point samples, read piecewise-linearly.
+    f : callable
+        Integrand, evaluated elementwise on an array of cell midpoints.
     g : EnergyFunction
     i0, i1 : int
         Grid index range [i0, i1] to integrate over (defaults to the whole grid).
@@ -110,7 +90,10 @@ def stieltjes_integrate(f, g: EnergyFunction, i0: int = 0, i1=None) -> float:
         raise DomainError(f"invalid index range [{i0}, {i1}]")
     incs = np.diff(g.values[i0:i1 + 1])
     mids = 0.5 * (times[i0:i1] + times[i0 + 1:i1 + 1])
-    return float(np.dot(_sample(f, g.grid, mids), incs))
+    vals = np.asarray(f(mids), dtype=float)
+    if vals.shape != mids.shape:
+        raise DomainError("integrand callable must evaluate elementwise")
+    return float(np.dot(vals, incs))
 
 
 def estimate_hurst(g: EnergyFunction, fit_window) -> tuple:

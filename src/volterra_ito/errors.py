@@ -5,6 +5,8 @@ specs); NumericalError marks computations that ran but failed to converge or
 factorize; ResourceError marks refusals due to configured resource caps.
 """
 
+__all__ = ["DomainError", "NumericalError", "ResourceError"]
+
 
 class DomainError(ValueError):
     """Invalid input: preconditions or invariants violated."""

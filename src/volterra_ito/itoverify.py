@@ -1,4 +1,4 @@
-"""Mehler conditionals and the verification suites.
+"""Test functions, their Gaussian smoothings and the verification suites.
 
 All stochastic sums use the left-point (adapted) convention: the conditional
 mean at cell j only sees increments strictly before the cell, matching the
@@ -10,7 +10,6 @@ cancel, and results are bit-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +25,6 @@ from .paths import _normals_matrix, _weight_row
 __all__ = [
     "TestFunction",
     "VerificationReport",
-    "mehler_conditional",
     "verify_mean_identity",
     "verify_pathwise_formula",
     "verify_multivariate",
@@ -34,23 +32,7 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 4096
-DEFAULT_GH_ORDER = 32
-MAX_GH_ORDER = 1024  # bounds the order^2 companion matrix; weights underflow sooner
 DEFAULT_Z = 4.0
-
-
-@functools.cache
-def _hermgauss(order):
-    """Probabilists' Gauss-Hermite nodes and weights (weights sum to 1)."""
-    if not 1 <= order <= MAX_GH_ORDER:
-        raise DomainError(f"Gauss-Hermite order must be in [1, {MAX_GH_ORDER}]")
-    with np.errstate(all="ignore"):
-        x, w = np.polynomial.hermite.hermgauss(order)
-    w = w / math.sqrt(math.pi)
-    # from order 371 the weights underflow (to 0, then to nan)
-    if not (np.all(np.isfinite(x)) and abs(np.sum(w) - 1.0) <= 1e-12):
-        raise DomainError(f"Gauss-Hermite weights of order {order} underflow")
-    return x, w
 
 
 # Where |m| + sqrt(2 v) _REACH <= cut, N(m, v) has mass below 1e-23 past the
@@ -241,7 +223,8 @@ class TestFunction:
         if self.family == "cosine":
             a = self.freq
             sign = (1.0, -1.0, 1.0)[order]  # cos^2 or sin^2
-            return ((1.0, a * a, a ** 4)[order] * np.exp(-a * a * v)
+            power = np.float64(a * a) ** order  # overflows to inf, never raises
+            return (power * np.exp(-a * a * v)
                     * 0.5 * (1.0 + sign * np.exp(-2.0 * a * a * s))), 0.0
         shape = np.broadcast_shapes(s.shape, v.shape)
         s, v = (np.broadcast_to(a, shape).ravel() for a in (s, v))
@@ -342,7 +325,7 @@ class TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian conditional expectations (Mehler formula)
+# Gaussian smoothing of polynomials
 # ---------------------------------------------------------------------------
 
 def _smoothed_coeffs(coeffs, v):
@@ -396,31 +379,6 @@ def _residual_variance(v):
     return np.maximum(v, 0.0)
 
 
-def mehler_conditional(phi_prime, m, v, quad_order: int = DEFAULT_GH_ORDER):
-    """E[g(m + sqrt(v) Z)] for Z ~ N(0,1): the Mehler conditional expectation.
-
-    The generic route for any callable; the built-in test functions own
-    exact smoothings (``TestFunction.smooth``).
-
-    Parameters
-    ----------
-    phi_prime : callable
-        The function to average, integrated by Gauss-Hermite quadrature of
-        the given order (exact for polynomials of degree <= 2*order - 1).
-    m, v : float or ndarray
-        Conditional mean(s) and nonnegative residual variance(s).
-    """
-    nodes, weights = _hermgauss(quad_order)
-    m = np.asarray(m, dtype=float)
-    v = _residual_variance(v)
-    sig = np.sqrt(2.0 * v)
-    out = np.zeros(np.broadcast(m, v).shape)
-    for x, w in zip(nodes, weights):
-        out = out + w * phi_prime(m + sig * x)
-    out = np.where(v == 0.0, phi_prime(m), out)
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Discrete conditional structure of X_t
 # ---------------------------------------------------------------------------
@@ -456,7 +414,9 @@ def _co_sum_block(phi, w, z):
 class VerificationReport:
     """Outcome of one identity check; pass iff |estimate - reference| is
     within z * se + bias_bound (or the detection criterion for perturbation
-    tests)."""
+    tests). A non-finite estimate, reference, se or bias_bound judges
+    nothing and raises NumericalError.
+    """
 
     identity: str
     estimate: float
@@ -469,6 +429,14 @@ class VerificationReport:
     passed: bool
     z: float
     detail: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        keys = ("estimate", "reference", "se", "bias_bound")
+        bad = [key for key in keys if not math.isfinite(getattr(self, key))]
+        if bad:
+            raise NumericalError(
+                f"{self.identity} is not finite in {', '.join(bad)}",
+                estimate=self.estimate, bound=self.bias_bound)
 
     def to_dict(self) -> dict:
         keys = ("identity", "estimate", "reference", "se", "bias_bound",
@@ -492,9 +460,7 @@ def _check_z(z):
 def _mc_mean_se(sample, paths, threads):
     """Monte Carlo mean and SE of ``sample(start, count)`` over ``paths`` draws.
 
-    ``sample`` returns ``count`` values, or a stack of several quantities
-    with the paths along the last axis; each is reduced on its own (floats
-    for one quantity, arrays for a stack). Blocks of BLOCK_PATHS paths each
+    ``sample`` returns ``count`` values. Blocks of BLOCK_PATHS paths each
     give (count, sum, M2), M2 two-pass about the block's own mean; merging
     them in path order (Chan, Golub & LeVeque) makes the result independent
     of ``threads``.
@@ -504,10 +470,9 @@ def _mc_mean_se(sample, paths, threads):
 
     def block(start):
         vals = sample(start, min(BLOCK_PATHS, paths - start))
-        count = vals.shape[-1]
-        total = np.sum(vals, axis=-1)
-        dev = vals - np.expand_dims(total / count, -1)
-        return count, total, np.sum(dev * dev, axis=-1)
+        total = np.sum(vals)
+        dev = vals - total / vals.size
+        return vals.size, total, np.sum(dev * dev)
 
     starts = range(0, paths, BLOCK_PATHS)
     if threads <= 1:
@@ -520,8 +485,7 @@ def _mc_mean_se(sample, paths, threads):
         delta = sb / nb - total / n
         m2 += m2b + delta * delta * (n * nb / (n + nb))
         n, total = n + nb, total + sb
-    mean, se = total / paths, np.sqrt(m2 / paths / paths)
-    return (float(mean), float(se)) if np.ndim(mean) == 0 else (mean, se)
+    return float(total / paths), float(np.sqrt(m2 / paths / paths))
 
 
 # ---------------------------------------------------------------------------
@@ -638,21 +602,19 @@ def _res2_reference(phi, w):
 
     With (E phi(X_t) - c)^2 this is E[res^2] on the grid: the Clark-Ocone
     cells are martingale increments with integrand E[phi'(X_t) | F_(s_j)], so
-    by Stein's lemma E[(phi(X_t) - E phi(X_t)) CO_t] = E[CO_t^2]. A
-    polynomial's constant moves neither term and is dropped before it can
-    cancel. The bound is the quadrature gaps plus 8 eps (E phi(X_t)^2 +
-    E[CO_t^2]); gaps past _BAND_RTOL of the result raise NumericalError.
+    by Stein's lemma E[(phi(X_t) - E phi(X_t)) CO_t] = E[CO_t^2]. The
+    bound is the quadrature gaps plus 8 eps (E phi(X_t)^2 + E[CO_t^2]); gaps
+    past _BAND_RTOL of the result raise NumericalError.
     """
-    if phi.family == "polynomial":
-        phi = TestFunction.polynomial(np.concatenate([[0.0], phi.coeffs[1:]]))
     s, v = _prefix_masses(w)
     square, square_err = phi.smooth_square_mean(0, v[0], 0.0)
     cells, cells_err = phi.smooth_square_mean(1, s, v)
     co2 = float(np.sum(w * w * cells))
-    ref = float(square) - phi.smooth(0, 0.0, v[0]) ** 2 - co2
+    mean = phi.smooth(0, 0.0, v[0])
+    ref = float(square) - mean * mean - co2
     quad = float(square_err + np.sum(w * w * cells_err))
     rounding = 8.0 * np.finfo(float).eps * (float(square) + co2)
-    if not quad <= _BAND_RTOL * abs(ref) + rounding:
+    if quad > _BAND_RTOL * abs(ref) + rounding:  # a NaN is the report's to refuse
         raise NumericalError(
             f"E[res^2] reference of {phi.label} missed {_BAND_RTOL:g} relative "
             "between its 64- and 128-node rules", estimate=ref, bound=quad)
@@ -696,8 +658,14 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     the bias bound is Var - E[CO_t^2] plus those three terms. A ladder of
     grids (strictly increasing cell counts) must also be nonincreasing, 1 SE
     of slack per rung; the finest grid is judged.
+
+    A polynomial's constant cancels in res, so it is dropped before c and
+    res are formed: left in, it would cancel in floating point and inflate
+    the floors that bound c's and res's rounding.
     """
     _check_z(z)
+    if phi.family == "polynomial":
+        phi = TestFunction.polynomial(np.concatenate([[0.0], phi.coeffs[1:]]))
     grids = list(grid) if isinstance(grid, (list, tuple)) else [grid]
     cells = [g.n_cells for g in grids]
     if any(b <= a for a, b in zip(cells, cells[1:])):
@@ -712,7 +680,8 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
 
     final = ladder[-1]
     est, se, ref = final["estimate"], final["se"], final["reference"]
-    slack = final["reference_error"] + final["stieltjes_bias"] ** 2 + final["floor"]
+    b = final["stieltjes_bias"]  # b * b overflows to inf where b ** 2 raises
+    slack = final["reference_error"] + b * b + final["floor"]
     monotone = all(
         ladder[i + 1]["estimate"]
         <= ladder[i]["estimate"] + (ladder[i]["se"] + ladder[i + 1]["se"])

@@ -20,7 +20,6 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "TimeGrid",
-    "QuadSpec",
     "Kernel",
     "BrownianKernel",
     "RiemannLiouvilleKernel",
@@ -28,8 +27,6 @@ __all__ = [
     "TableKernel",
     "kernel_from_spec",
     "kernel_from_json",
-    "kernel_eval",
-    "kernel_cell_l2",
     "covariance",
     "kernel_l2mu_distance",
     "equal_energy_grid",
@@ -75,10 +72,6 @@ class TimeGrid:
     @property
     def n_cells(self) -> int:
         return self.times.size - 1
-
-    @property
-    def dt(self) -> np.ndarray:
-        return np.diff(self.times)
 
     def index_of(self, t: float) -> int:
         """Index i with times[i] == t (to 1e-12 relative), else DomainError."""
@@ -444,32 +437,10 @@ def kernel_from_json(text: str) -> Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluation and cell integrals
-# ---------------------------------------------------------------------------
-
-def kernel_eval(k: Kernel, t: float, s: float) -> float:
-    """K(t, s) for 0 <= s < t <= T (strict inequality: the RL diagonal is singular)."""
-    if s >= t:
-        raise DomainError(f"kernel_eval requires s < t, got s={s}, t={t}")
-    if s < 0 or t > k.horizon * (1 + 1e-12):
-        raise DomainError("kernel_eval outside [0, T]")
-    return float(k.lag_eval(t, np.asarray(t - s), np.asarray(s)))
-
-
-def kernel_cell_l2(k: Kernel, t: float, a: float, b: float) -> float:
-    """Exact integral of K(t, r)^2 over a cell [a, b] with 0 <= a < b <= t."""
-    if a >= b:
-        raise DomainError(f"cell requires a < b, got a={a}, b={b}")
-    if a < 0 or b > t * (1 + 1e-12):
-        raise DomainError("cell must satisfy 0 <= a < b <= t")
-    return float(k.cell_l2_rows(t, a, min(b, t)))
-
-
-# ---------------------------------------------------------------------------
 # Covariance R(t, u) = int_0^(t^u) K1(t,s) K2(u,s) ds
 # ---------------------------------------------------------------------------
 
-def _covariance_quad(k1, k2, t, u, quad):
+def _covariance_quad(k1, k2, t, u):
     """Graded-quadrature fallback for covariance integrals.
 
     Lags below L = tiny * max(m, 1), with tiny the smallest normal float,
@@ -477,7 +448,7 @@ def _covariance_quad(k1, k2, t, u, quad):
     lag^g times a factor that does not decrease, where g sums the diagonal
     exponent of each kernel whose time is m and the negative exponent of
     the other, so those lags hold at most (L/m)^(1 + g) of the integral;
-    past ``quad.rel_tol`` a NumericalError is raised.
+    past the rule's relative tolerance a NumericalError is raised.
     """
     m = min(t, u)
     gamma = 0.0
@@ -492,10 +463,10 @@ def _covariance_quad(k1, k2, t, u, quad):
         elif g is not None:
             lost += min(g, 0.0)
     share = min(1.0, np.finfo(float).tiny * max(m, 1.0) / m) ** (1.0 + lost)
-    if share > quad.rel_tol:
+    if share > DEFAULT_QUAD.rel_tol:
         raise NumericalError(
             f"covariance({t},{u}): lags that underflow may hold {share:.3g} of "
-            f"the integral, above {quad.rel_tol:g}", bound=share)
+            f"the integral, above {DEFAULT_QUAD.rel_tol:g}", bound=share)
     p = _grading_power(gamma, singular)
 
     def h(v):
@@ -509,7 +480,7 @@ def _covariance_quad(k1, k2, t, u, quad):
             f2 = k2.lag_eval(u, (u - m) + w, s)
             return np.where(w == 0.0, 0.0, f1 * f2 * jac)
 
-    val, _ = _refining_gauss01(h, quad, f"covariance({t},{u})")
+    val, _ = _refining_gauss01(h, DEFAULT_QUAD, f"covariance({t},{u})")
     return val
 
 
@@ -574,7 +545,7 @@ def _cov_closed(k1, k2, t, u):
     return np.zeros(m.shape), ~closed
 
 
-def covariance(k1: Kernel, k2: Kernel, t, u, quad: QuadSpec = DEFAULT_QUAD):
+def covariance(k1: Kernel, k2: Kernel, t, u):
     """E[X1_t X2_u] = int_0^(t^u) K1(t,s) K2(u,s) ds, elementwise in (t, u).
 
     Uses exact closed forms, evaluated over whole arrays, where the pair
@@ -586,8 +557,6 @@ def covariance(k1: Kernel, k2: Kernel, t, u, quad: QuadSpec = DEFAULT_QUAD):
     k1, k2 : Kernel
     t, u : float or array_like
         Times in (0, T]; arrays broadcast against each other.
-    quad : QuadSpec
-        Tolerances and budget for the quadrature fallback.
 
     Returns
     -------
@@ -604,7 +573,7 @@ def covariance(k1: Kernel, k2: Kernel, t, u, quad: QuadSpec = DEFAULT_QUAD):
         raise DomainError(f"covariance time {times[np.argmax(bad)]} outside (0, T]")
     vals, closed = _cov_closed(k1, k2, ts, us)
     for i in np.flatnonzero(~closed):
-        vals[i] = _covariance_quad(k1, k2, float(ts[i]), float(us[i]), quad)
+        vals[i] = _covariance_quad(k1, k2, float(ts[i]), float(us[i]))
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
@@ -612,8 +581,7 @@ def covariance(k1: Kernel, k2: Kernel, t, u, quad: QuadSpec = DEFAULT_QUAD):
 # L2(mu) distance over the causal triangle
 # ---------------------------------------------------------------------------
 
-def kernel_l2mu_distance(k1: Kernel, k2: Kernel,
-                         quad: QuadSpec = DEFAULT_QUAD) -> float:
+def kernel_l2mu_distance(k1: Kernel, k2: Kernel) -> float:
     """sqrt( int_0^T int_0^t (K1 - K2)^2 ds dt ) for kernels sharing a horizon."""
     if not math.isclose(k1.horizon, k2.horizon, rel_tol=1e-12):
         raise DomainError("kernels must share the horizon T")
@@ -635,20 +603,14 @@ def kernel_l2mu_distance(k1: Kernel, k2: Kernel,
             dk = k1.lag_eval(T, w, None) - k2.lag_eval(T, w, None)
             return dk * dk * (T - w) * jac
 
-        sq, _ = _refining_gauss01(h, quad, "l2mu(lag)")
+        sq, _ = _refining_gauss01(h, DEFAULT_QUAD, "l2mu(lag)")
         return math.sqrt(max(sq, 0.0))
 
     # Non-stationary pair (tables): nested quadrature, inner graded in s,
     # outer in t. Bilinear tables put integrand kinks at every node, so the
     # tolerance is softened to 1e-6; table interpolation error dominates far
     # above that anyway.
-    inner_quad = QuadSpec(
-        rel_tol=max(quad.rel_tol, 1e-6),
-        abs_tol=max(quad.abs_tol, 1e-10),
-        gauss_order=quad.gauss_order,
-        initial_panels=16,
-        max_panels=quad.max_panels,
-    )
+    inner_quad = QuadSpec(rel_tol=1e-6, abs_tol=1e-10, initial_panels=16)
 
     def inner(tv):
         def h(v):
@@ -662,13 +624,7 @@ def kernel_l2mu_distance(k1: Kernel, k2: Kernel,
         return val
 
     # the outer tolerance must sit above the inner integrals' noise floor
-    outer = QuadSpec(
-        rel_tol=max(quad.rel_tol, 3e-5),
-        abs_tol=max(quad.abs_tol, 1e-9),
-        gauss_order=quad.gauss_order,
-        initial_panels=8,
-        max_panels=128,
-    )
+    outer = QuadSpec(rel_tol=3e-5, abs_tol=1e-9, max_panels=128)
 
     def houter(pts):
         return np.array([inner(T * v) * T for v in pts])

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import csv
 import gzip
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
@@ -24,7 +22,6 @@ from .errors import DomainError, NumericalError, ResourceError
 from .kernels import Kernel, TimeGrid, covariance
 
 __all__ = [
-    "RngStream",
     "simulate_volterra",
     "simulate_cholesky",
     "volterra_weights",
@@ -60,7 +57,7 @@ def _mix64(x, scratch=None):
     return x
 
 
-def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
+def _normals_matrix(seed, stream_start, n_streams, n_draws):
     """[n_streams x n_draws] standard normals, rows keyed by stream index.
 
     Draw (s, c) is ndtri(((w >> 11) + 0.5) * 2^-53) with w the SplitMix64
@@ -77,7 +74,7 @@ def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
     alias another stream's draws, so it is refused.
     """
     for what, start, count in (("stream indices", stream_start, n_streams),
-                               ("draw counters", counter_start, n_draws)):
+                               ("draw counters", 0, n_draws)):
         if not 0 <= start <= start + count <= int(_STREAM_SPAN):
             raise DomainError(
                 f"{what} [{start}, {start + count}) must lie in [0, 2^32)")
@@ -87,8 +84,7 @@ def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
     streams = np.arange(stream_start, stream_start + n_streams, dtype=np.uint64)
     row_key = (np.uint64(int(seed) % 2 ** 64)
                + _GAMMA * (streams * _STREAM_SPAN + np.uint64(1)))
-    col_key = _GAMMA * np.arange(counter_start, counter_start + n_draws,
-                                 dtype=np.uint64)
+    col_key = _GAMMA * np.arange(n_draws, dtype=np.uint64)
     rows = max(1, _CHUNK_WORDS // n_draws)
     words = np.empty((min(rows, n_streams), n_draws), dtype=np.uint64)
     scratch = np.empty_like(words)
@@ -102,21 +98,6 @@ def _normals_matrix(seed, stream_start, n_streams, n_draws, counter_start=0):
         o *= 2.0 ** -53
         special.ndtri(o, out=o)
     return out
-
-
-@dataclass
-class RngStream:
-    """Counter-based N(0,1) stream: output is a pure function of the state."""
-
-    seed: int
-    stream_index: int
-    counter: int = 0
-
-    def normals(self, count: int) -> np.ndarray:
-        out = _normals_matrix(self.seed, self.stream_index, 1, count,
-                              counter_start=self.counter)[0]
-        self.counter += count
-        return out
 
 
 def volterra_weights(k: Kernel, grid: TimeGrid) -> np.ndarray:

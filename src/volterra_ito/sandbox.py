@@ -138,10 +138,6 @@ class GaussPoly:
         return cls(n, {(): float(value)} if value != 0.0 else {})
 
     @classmethod
-    def coordinate(cls, n: int, i: int) -> "GaussPoly":
-        return cls(n, {((i, 1),): 1.0})
-
-    @classmethod
     def zero(cls, n: int) -> "GaussPoly":
         return cls(n, {})
 
@@ -203,12 +199,6 @@ class GaussPoly:
     def max_abs_coef(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(p for (_c, p) in k) for k in self.terms), default=0)
-
 
 @dataclass(frozen=True)
 class PolyField:
@@ -228,10 +218,6 @@ class PolyField:
     @property
     def n(self) -> int:
         return self.components[0].n
-
-    @classmethod
-    def from_polys(cls, polys) -> "PolyField":
-        return cls(tuple(polys))
 
 
 # ---------------------------------------------------------------------------
@@ -317,30 +303,35 @@ def field_inner(u: PolyField, v: PolyField) -> GaussPoly:
 
 
 # ---------------------------------------------------------------------------
-# Identity checks
+# Identity checks: each residual is scaled by max(1, |either side|)
 # ---------------------------------------------------------------------------
 
+def _scaled_gap(lhs: float, rhs: float) -> float:
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
 def check_adjointness(f: GaussPoly, u: PolyField) -> float:
-    """|E[f delta(u)] - E[<Df, u>]|; zero up to rounding by adjointness."""
-    lhs = wick_expectation(f * diverge(u))
-    rhs = wick_expectation(field_inner(derive(f), u))
-    return abs(lhs - rhs)
+    """E[f delta(u)] against E[<Df, u>]; zero up to rounding by adjointness."""
+    return _scaled_gap(wick_expectation(f * diverge(u)),
+                       wick_expectation(field_inner(derive(f), u)))
 
 
 def check_product_rule(f: GaussPoly, u: PolyField) -> float:
-    """Max coefficient of delta(f u) - (f delta(u) - <Df, u>); identically zero."""
-    fu = PolyField(tuple(f * c for c in u.components))
-    residual = diverge(fu) - (f * diverge(u) - field_inner(derive(f), u))
-    return residual.max_abs_coef
+    """Max coefficient of delta(f u) - (f delta(u) - <Df, u>); identically
+    zero. Scaled by the larger side's max coefficient."""
+    lhs = diverge(PolyField(tuple(f * c for c in u.components)))
+    rhs = f * diverge(u) - field_inner(derive(f), u)
+    scale = max(1.0, lhs.max_abs_coef, rhs.max_abs_coef)
+    return (lhs - rhs).max_abs_coef / scale
 
 
 def check_ortho_identity(f: GaussPoly) -> float:
-    """|E<Df, Pi Df> - E|Pi Df|^2|; zero since Pi is an orthogonal projection."""
+    """E<Df, Pi Df> against E|Pi Df|^2; zero since Pi is an orthogonal
+    projection."""
     u = derive(f)
     p = project_predictable(u)
-    lhs = wick_expectation(field_inner(u, p))
-    rhs = wick_expectation(field_inner(p, p))
-    return abs(lhs - rhs)
+    return _scaled_gap(wick_expectation(field_inner(u, p)),
+                       wick_expectation(field_inner(p, p)))
 
 
 def check_isometry(u: PolyField) -> tuple:
@@ -441,27 +432,10 @@ def sandbox_suite(cases: int = 200, seed: int = 20240801) -> dict:
         u = _random_field(rng, n)
         v = _random_field(rng, n)
 
-        lhs = wick_expectation(f * diverge(u))
-        rhs = wick_expectation(field_inner(derive(f), u))
-        scale = max(1.0, abs(lhs), abs(rhs))
-        res["adjointness_max"] = max(res["adjointness_max"], abs(lhs - rhs) / scale)
-
-        fu = PolyField(tuple(f * c for c in u.components))
-        lhs_poly = diverge(fu)
-        rhs_poly = f * diverge(u) - field_inner(derive(f), u)
-        pscale = max(1.0, lhs_poly.max_abs_coef, rhs_poly.max_abs_coef)
-        res["product_rule_max"] = max(
-            res["product_rule_max"], (lhs_poly - rhs_poly).max_abs_coef / pscale
-        )
-
-        df = derive(f)
-        p = project_predictable(df)
-        o_lhs = wick_expectation(field_inner(df, p))
-        o_rhs = wick_expectation(field_inner(p, p))
-        oscale = max(1.0, abs(o_lhs), abs(o_rhs))
-        res["ortho_identity_max"] = max(
-            res["ortho_identity_max"], abs(o_lhs - o_rhs) / oscale
-        )
+        res["adjointness_max"] = max(res["adjointness_max"], check_adjointness(f, u))
+        res["product_rule_max"] = max(res["product_rule_max"], check_product_rule(f, u))
+        res["ortho_identity_max"] = max(res["ortho_identity_max"],
+                                        check_ortho_identity(f))
 
         pu = project_predictable(u)
         ppu = project_predictable(pu)
@@ -474,17 +448,16 @@ def sandbox_suite(cases: int = 200, seed: int = 20240801) -> dict:
             idem / max(1.0, max(c.max_abs_coef for c in pu.components)),
         )
 
-        sa_lhs = wick_expectation(field_inner(pu, v))
-        sa_rhs = wick_expectation(field_inner(u, project_predictable(v)))
-        sscale = max(1.0, abs(sa_lhs), abs(sa_rhs))
         res["projection_self_adjoint_max"] = max(
-            res["projection_self_adjoint_max"], abs(sa_lhs - sa_rhs) / sscale
+            res["projection_self_adjoint_max"],
+            _scaled_gap(wick_expectation(field_inner(pu, v)),
+                        wick_expectation(field_inner(u, project_predictable(v)))),
         )
 
         iso_lhs, iso_hs, iso_exact = check_isometry(u)
         iscale = max(1.0, abs(iso_lhs), abs(iso_exact))
         res["isometry_exact_max"] = max(
-            res["isometry_exact_max"], abs(iso_lhs - iso_exact) / iscale
+            res["isometry_exact_max"], _scaled_gap(iso_lhs, iso_exact)
         )
         res["isometry_hs_gap_max"] = max(
             res["isometry_hs_gap_max"], abs(iso_hs - iso_exact) / iscale

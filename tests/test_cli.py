@@ -194,6 +194,26 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        "verify-mean --kernel brownian --grid-n 16 --phi cos --phi-freq 1e300",
+        "verify-mean --kernel expsum --weights 1e200 --rates 1 --grid-n 16 "
+        "--phi square",
+        "verify-multi --kernel expsum --weights 1e200 --rates 1 --kernel2 brownian "
+        "--grid-n 16 --paths 100",
+        "verify-path --kernel brownian --grid-n 16 --paths 100 --phi cos "
+        "--phi-freq 1e200",
+    ], ids=["mean-cos-freq", "mean-expsum-weight", "multi-expsum-weight",
+            "path-cos-freq"])
+    def test_non_finite_report_exits_3(self, argv, capsys):
+        # each exited 1, with NaN in its report or an OverflowError traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run_cli(argv.split())
+        err = capsys.readouterr().err
+        assert code == 3
+        assert [line for line in err.splitlines()
+                if line.startswith("numerical error:")] == [err.rstrip("\n")]
+
     def test_numerical_failure_exit_code(self, capsys):
         # hopeless fit: condition estimate reported, exit 3
         code = run_cli([

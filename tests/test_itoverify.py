@@ -1,4 +1,4 @@
-"""Mehler conditionals, Clark-Ocone sums, and the verification machinery."""
+"""Gaussian smoothings, Clark-Ocone sums, and the verification machinery."""
 
 import inspect
 import math
@@ -14,13 +14,12 @@ from volterra_ito.bracket import energy_function
 from volterra_ito.errors import DomainError, NumericalError
 from volterra_ito.itoverify import (
     BLOCK_PATHS,
-    DEFAULT_GH_ORDER,
     TestFunction,
+    VerificationReport,
     _co_sum_block,
     _mc_mean_se,
     _mc_phi_moment,
     _res2_reference,
-    mehler_conditional,
     verify_mean_identity,
     verify_multivariate,
     verify_pathwise_formula,
@@ -92,29 +91,60 @@ class TestTestFunction:
             assert abs(left - right) < 1e-5
 
 
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
+
+
+def _gauss_hermite(g, m, v):
+    """E[g(m + sqrt(v) Z)] for Z ~ N(0,1), elementwise, by the 32-node
+    Gauss-Hermite rule (exact for polynomials of degree <= 63): the oracle
+    ``TestFunction.smooth`` is compared against. v = 0 gives g(m)."""
+    m = np.asarray(m, dtype=float)
+    v = np.asarray(v, dtype=float)
+    sig = np.sqrt(2.0 * v)
+    out = np.zeros(np.broadcast(m, v).shape)
+    for x, w in zip(_GH_NODES, _GH_WEIGHTS / math.sqrt(math.pi)):
+        out = out + w * g(m + sig * x)
+    out = np.where(v == 0.0, g(m), out)
+    return float(out) if out.ndim == 0 else out
+
+
+def test_reach_is_the_top_gauss_hermite_node():
+    # the mollified square's exact-moment split was set by this rule
+    assert itoverify._REACH == np.max(_GH_NODES)
+
+
 class TestMehler:
+    """The Mehler conditional expectation E[g(m + sqrt(v) Z)], which
+    ``TestFunction.smooth`` computes, against closed forms and the
+    Gauss-Hermite oracle."""
+
     def test_linear_mean(self):
         exact = TestFunction.polynomial([0.0, 2.0]).smooth(0, 1.5, 9.0)
         assert exact == 3.0
-        assert mehler_conditional(lambda x: 2.0 * x, 1.5, 9.0) == pytest.approx(
+        assert _gauss_hermite(lambda x: 2.0 * x, 1.5, 9.0) == pytest.approx(
             exact, rel=1e-14)
 
     def test_pure_square(self):
         exact = TestFunction.square().smooth(0, 0.0, 1.0)
         assert exact == 1.0
-        assert mehler_conditional(np.square, 0.0, 1.0) == pytest.approx(exact, rel=1e-14)
+        assert _gauss_hermite(np.square, 0.0, 1.0) == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("s2", [0.25, 1.0, 2.0, 4.0])
     def test_cosine_characteristic_function(self, s2):
-        got = mehler_conditional(np.cos, 0.0, s2, 32)
-        assert got == pytest.approx(math.exp(-s2 / 2.0), abs=1e-10)
+        want = math.exp(-s2 / 2.0)
+        got = TestFunction.cosine().smooth(0, 0.0, s2)
+        assert got == pytest.approx(want, rel=1e-15)
+        assert _gauss_hermite(np.cos, 0.0, s2) == pytest.approx(want, abs=1e-10)
 
     def test_v_zero_exact(self):
-        assert mehler_conditional(np.cos, 0.7, 0.0) == math.cos(0.7)
+        assert TestFunction.cosine().smooth(0, 0.7, 0.0) == np.cos(0.7)
+        assert _gauss_hermite(np.cos, 0.7, 0.0) == np.cos(0.7)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(DomainError):
-            mehler_conditional(np.cos, 0.0, -0.5)
+            TestFunction.cosine().smooth(0, 0.0, -0.5)
+        with pytest.raises(DomainError):
+            TestFunction.cosine().smooth_square_mean(1, 1.0, -0.5)
 
     def test_gh_matches_moment_expansion_for_polynomials(self):
         # GH of order q integrates polynomials of degree <= 2q-1 exactly
@@ -126,7 +156,7 @@ class TestMehler:
             exact = TestFunction.polynomial(coeffs).smooth(0, m, v)
             def p(x, c=coeffs):
                 return np.polynomial.polynomial.polyval(x, c)
-            gh = mehler_conditional(p, m, v, 32)
+            gh = _gauss_hermite(p, m, v)
             scale = max(1.0, abs(exact))
             assert abs(gh - exact) <= 1e-12 * scale
 
@@ -135,16 +165,9 @@ class TestMehler:
         v = np.array([0.0, 1.0, 4.0])
         exact = TestFunction.polynomial([0.0, 2.0]).smooth(0, m, v)
         assert np.array_equal(exact, 2 * m)
-        got = mehler_conditional(lambda x: 2.0 * x, m, v)
+        got = _gauss_hermite(lambda x: 2.0 * x, m, v)
         assert got.shape == m.shape
         assert np.allclose(got, exact, rtol=1e-14, atol=1e-14)
-
-    def test_order_370_is_the_largest_rule(self):
-        # from order 371 every weight underflows while the nodes stay finite
-        got = mehler_conditional(np.cos, 0.0, 1.0, 370)
-        assert got == pytest.approx(math.exp(-0.5), abs=1e-13)
-        with pytest.raises(DomainError):
-            mehler_conditional(np.cos, 0.0, 1.0, 371)
 
 
 def _derivative(phi, order):
@@ -179,7 +202,7 @@ class TestSmooth:
     def test_matches_gauss_hermite(self, phi, order):
         m, v = np.meshgrid(self.MS, self.VS)
         got = phi.smooth(order, m, v)
-        gh = mehler_conditional(_derivative(phi, order), m, v, DEFAULT_GH_ORDER)
+        gh = _gauss_hermite(_derivative(phi, order), m, v)
         assert got.shape == m.shape
         np.testing.assert_allclose(got, gh, rtol=1e-13, atol=1e-13)
         scalar = phi.smooth(order, m[2, 4], v[2, 4])
@@ -188,7 +211,7 @@ class TestSmooth:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_mollified_band_matches_quadrature_oracle(self, order):
-        top = float(np.max(np.polynomial.hermite.hermgauss(DEFAULT_GH_ORDER)[0]))
+        top = itoverify._REACH
         for cut in (1.0, 2.0, 5.0):
             phi = TestFunction.mollified_square(cut)
             g = _derivative(phi, order)
@@ -267,13 +290,14 @@ class TestSmooth:
         with pytest.raises(DomainError):
             TestFunction.cosine().smooth(1, 0.0, -0.5)
 
-    @pytest.mark.parametrize("quad_order", [0, -1, 400, 10 ** 8])
-    @pytest.mark.parametrize("phi", [
-        TestFunction.square(), TestFunction.cosine(), TestFunction.mollified_square(),
-    ], ids=["square", "cos", "mollified"])
-    def test_order_checked_on_every_route(self, phi, quad_order):
-        with pytest.raises(DomainError):
-            mehler_conditional(phi.dphi, 0.0, 1.0, quad_order)
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_huge_cosine_frequency_does_not_raise(self, order):
+        # a ** 4 raised OverflowError past |a| = 1e77 on every order; a
+        # non-finite result is left to the report to refuse
+        with np.errstate(all="ignore"):
+            got, err = TestFunction.cosine(1e200).smooth_square_mean(order, 0.5, 0.1)
+        assert err == 0.0
+        assert (got == 0.0) if order == 0 else (not np.isfinite(got))
 
     @pytest.mark.parametrize("make", [
         lambda: TestFunction.cosine(float("nan")),
@@ -358,11 +382,11 @@ class TestClarkOconeSum:
         x = simulate_volterra(BM, grid, 50, seed=9)
         z = _normals_matrix(9, 0, 50, 32)
         co = _co_sum_block(TestFunction.square(), _weight_row(BM, grid.times, 32), z)
-        manual = 2.0 * np.sum(x[:, :-1] * z * np.sqrt(grid.dt), axis=1)
+        manual = 2.0 * np.sum(x[:, :-1] * z * np.sqrt(np.diff(grid.times)), axis=1)
         assert np.allclose(co, manual, rtol=1e-10, atol=1e-12)
 
     def test_tower_property(self):
-        # E[mehler(m_r, v_r)] = E[phi'(X_t)] for every r
+        # E[E[phi'(X_t) | F_r]] = E[phi'(X_t)] for every r
         grid = TimeGrid.uniform(32, 1.0)
         paths = 20000
         phi = TestFunction.cosine()
@@ -375,7 +399,7 @@ class TestClarkOconeSum:
         for r in (0, 8, 16, 24, 32):
             m = z[:, :r] @ w[:r]
             v = float(np.sum(mass[r:]))
-            vals = mehler_conditional(phi.dphi, m, np.full(paths, v))
+            vals = phi.smooth(1, m, np.full(paths, v))
             means.append((vals.mean(), vals.std() / math.sqrt(paths)))
         ref = means[0][0]
         for mean, se in means[1:]:
@@ -385,7 +409,7 @@ class TestClarkOconeSum:
         # at r=0 the integrand is E[phi'(X_t)] K(t, .): check the constant
         phi = TestFunction.cosine()
         gamma_t = 1.0
-        got = mehler_conditional(phi.dphi, 0.0, gamma_t)
+        got = phi.smooth(1, 0.0, gamma_t)
         want = integrate.quad(
             lambda x: phi.dphi(x) * stats.norm.pdf(x, scale=1.0), -12, 12
         )[0]
@@ -415,17 +439,6 @@ class TestMonteCarloReducer:
         # term passes on to the SE in proportion to |offset| / spread
         rel = 1e-14 * max(1.0, offset)
         assert se == pytest.approx(np.std(allv) / math.sqrt(paths), rel=rel)
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_columns_reduce_like_single_samples(self, threads):
-        # each row of a stacked sample gives what it gives on its own, bit for bit
-        paths = 2 * BLOCK_PATHS + 17
-        a, b = self.sample(0.0), self.sample(1e8)
-        means, ses = _mc_mean_se(lambda s, n: np.stack([a(s, n), b(s, n)]),
-                                 paths, threads)
-        assert means.shape == ses.shape == (2,)
-        assert (means[0], ses[0]) == _mc_mean_se(a, paths, 1)
-        assert (means[1], ses[1]) == _mc_mean_se(b, paths, 1)
 
     def test_se_survives_large_offset(self):
         # phi = c + x^2: adding c must not move the SE (E[x^2] - mean^2 cancelled)
@@ -558,7 +571,8 @@ class TestPathwise:
         final = rep.detail["ladder"][-1]
         ref = final["reference"]
         assert abs(rep.estimate - ref) <= 4.0 * rep.se
-        slack = final["reference_error"] + final["stieltjes_bias"] ** 2 + final["floor"]
+        b = final["stieltjes_bias"]
+        slack = final["reference_error"] + b * b + final["floor"]
         assert rep.bias_bound == ref + slack
         assert rep.passed
 
@@ -582,17 +596,33 @@ class TestPathwise:
         assert abs(rep.estimate - ref) <= 2.0 * rep.se
         assert rep.passed
 
-    def test_large_constant_drops_out_of_the_reference(self):
-        # Var and CO_t ignore the constant; E phi^2 - (E phi)^2 would cancel 1e24
+    @staticmethod
+    def constant_shifted_reports():
+        # the constant cancels in res and is dropped before c and res are formed
         grid = TimeGrid.uniform(256, 1.0)
-        w = _weight_row(RL25, grid.times, 256)
-        ref, err, _ = _res2_reference(TestFunction.polynomial([1e12, 0.0, 1.0]), w)
+        return [verify_pathwise_formula(RL25, TestFunction.polynomial(coeffs),
+                                        grid, 4096, 5, 1.0)
+                for coeffs in ([0.0, 0.0, 1.0], [1e12, 0.0, 1.0], [1e300, 0.0, 1.0])]
+
+    def test_large_constant_drops_out_of_the_reference(self):
+        w = _weight_row(RL25, TimeGrid.uniform(256, 1.0).times, 256)
+        ref, err, _ = _res2_reference(TestFunction.square(), w)
         assert ref == pytest.approx(2.0 * np.sum(w ** 4), rel=1e-12)
         assert err <= 1e-13
-        rep = verify_pathwise_formula(RL25, TestFunction.polynomial([1e12, 0.0, 1.0]),
-                                      grid, 4096, 5, 1.0)
-        assert rep.detail["ladder"][-1]["reference"] == ref
-        assert rep.passed
+        square, *shifted = self.constant_shifted_reports()
+        assert square.detail["ladder"][-1]["reference"] == ref
+        assert square.passed
+        for rep in shifted:  # was a vacuous bias_bound at 1e12, an OverflowError at 1e300
+            assert rep.to_dict() == square.to_dict()
+            assert rep.detail == square.detail
+
+    def test_large_constant_keeps_a_wrong_correction_detectable(self, monkeypatch):
+        # c off by 0.05 adds 0.0025 to E[res^2], against 0.0186
+        rhs = itoverify._mean_identity_rhs
+        monkeypatch.setattr(itoverify, "_mean_identity_rhs",
+                            lambda *a, **kw: rhs(*a, **kw) + 0.05)
+        for rep in self.constant_shifted_reports():
+            assert not rep.passed
 
     def test_linear_phi_residual_is_rounding(self):
         # phi = 3 + 1000 x: CO_t is 1000 X_t, so only rounding is left
@@ -726,6 +756,15 @@ class TestUniqueness:
 
 
 class TestReportSchema:
+    @pytest.mark.parametrize("key", ["estimate", "reference", "se", "bias_bound"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_raises(self, key, value):
+        fields = dict(identity="mean_identity", estimate=1.0, reference=1.0, se=0.0,
+                      bias_bound=0.0, grid_n=8, paths=0, seed=1, passed=True, z=4.0)
+        VerificationReport(**fields)
+        with pytest.raises(NumericalError, match=f"not finite in {key}"):
+            VerificationReport(**{**fields, key: value})
+
     def test_json_keys(self):
         grid = TimeGrid.uniform(32, 1.0)
         rep = verify_mean_identity(BM, TestFunction.square(), grid, 0, 1, 1.0)

@@ -21,7 +21,6 @@ from volterra_ito.paths import (
     _CHOLESKY_SALT,
     _CHUNK_WORDS,
     SIM_BUDGET,
-    RngStream,
     _mix64,
     _normals_matrix,
     dump_paths_csv,
@@ -37,40 +36,34 @@ KERNELS = [BM, RL25, RiemannLiouvilleKernel(hurst=0.75, horizon=1.0), ES]
 
 
 class TestRngStream:
+    """One stream of ``_normals_matrix``: row s of seed's draws."""
+
     def test_pure_function_of_state(self):
-        a = RngStream(seed=42, stream_index=3).normals(16)
-        b = RngStream(seed=42, stream_index=3).normals(16)
+        a = _normals_matrix(42, 3, 1, 16)
+        b = _normals_matrix(42, 3, 1, 16)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = RngStream(seed=42, stream_index=0).normals(16)
-        b = RngStream(seed=42, stream_index=1).normals(16)
+        a = _normals_matrix(42, 0, 1, 16)
+        b = _normals_matrix(42, 1, 1, 16)
         assert not np.array_equal(a, b)
 
-    def test_counter_continuation(self):
-        s = RngStream(seed=9, stream_index=5)
-        first = s.normals(8)
-        second = s.normals(8)
-        whole = RngStream(seed=9, stream_index=5).normals(16)
-        assert np.array_equal(np.concatenate([first, second]), whole)
-
     def test_moments(self):
-        z = RngStream(seed=1, stream_index=0).normals(200000)
+        z = _normals_matrix(1, 0, 1, 200000)[0]
         assert abs(z.mean()) < 0.01
         assert abs(z.var() - 1.0) < 0.02
         assert abs(stats.skew(z)) < 0.03
 
     def test_counter_range_past_2_32_refused(self):
-        RngStream(seed=1, stream_index=0, counter=2 ** 32 - 2).normals(2)
+        # refused before anything is allocated; no rows need no memory
+        assert _normals_matrix(1, 0, 0, 2 ** 32).shape == (0, 2 ** 32)
         with pytest.raises(DomainError):
-            RngStream(seed=1, stream_index=0, counter=2 ** 32).normals(2)
-        with pytest.raises(DomainError):
-            RngStream(seed=1, stream_index=0, counter=2 ** 32 - 1).normals(2)
+            _normals_matrix(1, 0, 1, 2 ** 32 + 1)
 
     def test_stream_index_past_2_32_refused(self):
-        RngStream(seed=1, stream_index=2 ** 32 - 1).normals(2)
+        _normals_matrix(1, 2 ** 32 - 1, 1, 2)
         with pytest.raises(DomainError):
-            RngStream(seed=1, stream_index=2 ** 32).normals(2)
+            _normals_matrix(1, 2 ** 32, 1, 2)
         with pytest.raises(DomainError):
             _normals_matrix(1, 2 ** 32 - 1, 2, 4)
 
@@ -86,10 +79,10 @@ def _reference_mix64(x):
     return x
 
 
-def _reference_normals(seed, stream_start, n_streams, n_draws, counter_start=0):
+def _reference_normals(seed, stream_start, n_streams, n_draws):
     """The generator as a whole-matrix formula: ndtri of SplitMix64 uniforms."""
     streams = np.arange(stream_start, stream_start + n_streams, dtype=np.uint64)
-    counters = np.arange(counter_start, counter_start + n_draws, dtype=np.uint64)
+    counters = np.arange(n_draws, dtype=np.uint64)
     idx = streams[:, None] * np.uint64(2 ** 32) + counters[None, :]
     words = _reference_mix64(
         np.uint64(seed) + np.uint64(0x9E3779B97F4A7C15) * (idx + np.uint64(1)))
@@ -119,11 +112,8 @@ class TestGenerator:
         assert np.array_equal(got, _reference_normals(42, 4096, 4096, 1024))
 
     def test_matches_reference_at_range_ends(self):
-        got = _normals_matrix(np.uint64(42), 2 ** 32 - 3, 3, 5,
-                              counter_start=2 ** 32 - 5)
-        want = _reference_normals(42, 2 ** 32 - 3, 3, 5,
-                                  counter_start=2 ** 32 - 5)
-        assert np.array_equal(got, want)
+        got = _normals_matrix(np.uint64(42), 2 ** 32 - 3, 3, 5)
+        assert np.array_equal(got, _reference_normals(42, 2 ** 32 - 3, 3, 5))
 
     @pytest.mark.parametrize("seed, same", [
         (np.uint64(2 ** 64 - 1), -1), (7, 7 + 2 ** 64), (np.uint64(42), 42)],
@@ -148,7 +138,7 @@ class TestGenerator:
                        "0x1.255aa381a77b0p-2", "0x1.355457dbca282p-2"]),
     ], ids=["stream-0", "stream-last"])
     def test_pinned_draws(self, stream, hexes):
-        got = RngStream(seed=42, stream_index=stream).normals(8)
+        got = _normals_matrix(42, stream, 1, 8)[0]
         assert [float(x).hex() for x in got] == hexes
 
     def test_no_full_size_temporaries(self):
@@ -185,7 +175,7 @@ class TestSimulateVolterra:
     def test_brownian_is_cumsum(self):
         grid = TimeGrid.uniform(64, 1.0)
         x = simulate_volterra(BM, grid, 100, seed=3)
-        dw = _normals_matrix(3, 0, 100, 64) * np.sqrt(grid.dt)
+        dw = _normals_matrix(3, 0, 100, 64) * np.sqrt(np.diff(grid.times))
         assert np.allclose(x[:, 1:], np.cumsum(dw, axis=1), atol=1e-12)
 
     @pytest.mark.parametrize("k", KERNELS)
@@ -259,9 +249,10 @@ class TestSimulateCholesky:
         assert x.shape == (20000, 17) and np.all(x[:, 0] == 0.0)
         incs = np.diff(x, axis=1)
         cov = np.cov(incs[:, :4].T)
-        assert np.allclose(np.diag(cov), grid.dt[:4], rtol=0.1)
+        dt = np.diff(grid.times)
+        assert np.allclose(np.diag(cov), dt[:4], rtol=0.1)
         off = cov - np.diag(np.diag(cov))
-        assert np.max(np.abs(off)) < 0.01 * grid.dt[0] + 0.002
+        assert np.max(np.abs(off)) < 0.01 * dt[0] + 0.002
 
     def test_marginal_variance_rl(self):
         grid = TimeGrid.uniform(16, 1.0)
