@@ -131,13 +131,13 @@ def _pointwise_cs_ok(target, fitted, grid, slack=1e-9):
 
 
 def convergence_suite(target: Kernel, n_list, grid: TimeGrid, paths: int,
-                      seed: int, t_min: float = 1e-3,
-                      hurst_window=None) -> ApproxReport:
+                      seed: int, t_min: float = 1e-3) -> ApproxReport:
     """Fit exp-sums for each n and quantify kernel, bracket and formula errors.
 
     Per n: the L2(mu) kernel distance, the sup over the grid of the bracket
-    error (with the pointwise Cauchy-Schwarz bound asserted), and the
-    mean-identity residual for phi = cos on the fitted kernel. The term
+    error (with the pointwise Cauchy-Schwarz bound asserted), the
+    mean-identity residual for phi = cos on the fitted kernel, and the Hurst
+    exponent of the fitted bracket over (t_min, 10 t_min). The term
     counts must be strictly increasing: the suite judges its errors as
     decreasing in n.
     """
@@ -149,12 +149,8 @@ def convergence_suite(target: Kernel, n_list, grid: TimeGrid, paths: int,
             f"field 'n_terms': term counts must be strictly increasing, got {n_list}")
     T = target.horizon
     _check_t_min(t_min, T)
-    if hurst_window is None:
-        hurst_window = (t_min, 10.0 * t_min)
     # log-spaced grid so the scaling window holds enough points for the fit
-    hurst_grid = TimeGrid(np.concatenate(
-        [[0.0], np.geomspace(hurst_window[0], T, 128)]
-    ))
+    hurst_grid = TimeGrid(np.concatenate([[0.0], np.geomspace(t_min, T, 128)]))
     gamma_target = energy_function(target, grid).values
     phi = TestFunction.cosine()
 
@@ -183,7 +179,7 @@ def convergence_suite(target: Kernel, n_list, grid: TimeGrid, paths: int,
         report.mean_residuals.append(abs(rep.estimate - rep.reference))
 
         h_hat, _r2 = estimate_hurst(
-            energy_function(fitted, hurst_grid), hurst_window
+            energy_function(fitted, hurst_grid), (t_min, 10.0 * t_min)
         )
         report.hurst_estimates.append(h_hat)
 

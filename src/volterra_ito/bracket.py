@@ -8,7 +8,6 @@ and the statistical machinery lives elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +58,6 @@ def energy_function(k: Kernel, grid: TimeGrid) -> EnergyFunction:
 
 def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
     """<X1, X2>(t_i) = int_0^{t_i} K1(t_i,r) K2(t_i,r) dr, a signed measure."""
-    if not math.isclose(k1.horizon, k2.horizon, rel_tol=1e-12):
-        raise DomainError("kernels must share the horizon T")
     times = grid.times
     vals = np.zeros(times.size)
     vals[1:] = covariance(k1, k2, times[1:], times[1:])

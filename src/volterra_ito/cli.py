@@ -151,15 +151,24 @@ def _check_time(args, kernel):
     return kernel.horizon if args.t is None else args.t
 
 
+def _refuse_non_finite(args, values):
+    """NumericalError where the array ``values`` holds a NaN or an infinity."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{args.subcommand} output is not finite")
+
+
 def _emit(args, payload: dict, text_lines) -> None:
+    """Write the payload in any format; a NaN or infinity raises NumericalError."""
     config = {key: value for key, value in vars(args).items()
               if key not in _NOT_ECHOED}
     envelope = {"version": __version__, "config": config, **payload}
     if not args.no_timestamp:
         envelope["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    if args.format == "json":
-        out = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    else:
+    try:
+        out = json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # JSON refuses NaN and the infinities, nothing else here
+        raise NumericalError(f"{args.subcommand} output is not finite") from None
+    if args.format != "json":
         header = [f"volterra-ito {__version__}: {args.subcommand}"]
         out = "\n".join(header + list(text_lines)) + "\n"
     if args.output:
@@ -170,10 +179,15 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _write_csv(args, header, rows) -> None:
+    """Write rows of numbers, floats to 17 digits; a non-finite one raises."""
+    rows = list(rows)
+    _refuse_non_finite(args, np.array(rows, dtype=float))
+
     def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row]
+                         for row in rows)
 
     if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
@@ -201,8 +215,7 @@ def _cmd_bracket(args):
         ef = energy_function(k, grid)
         col = "gamma"
     if args.format == "csv":
-        _write_csv(args, ["t", col],
-                   [(f"{t:.17g}", f"{v:.17g}") for t, v in ef.to_rows()])
+        _write_csv(args, ["t", col], ef.to_rows())
     else:
         payload = {
             "bracket": {
@@ -223,6 +236,7 @@ def _cmd_simulate(args):
     grid = _grid_for(k, args.grid_n, args.grid_kind)
     sampler = simulate_cholesky if args.sampler == "cholesky" else simulate_volterra
     x = sampler(k, grid, args.paths, args.seed)
+    _refuse_non_finite(args, x)
     if args.format == "csv":
         dump_paths_csv(grid, x, args.output, compress=args.compress)
         return EXIT_OK
@@ -303,8 +317,7 @@ def _cmd_approx(args):
           and report.bracket_nonincreasing)
     if args.format == "csv":
         _write_csv(args, ["n", "l2_err", "bracket_sup_err", "mean_residual"],
-                   [(n, f"{a:.17g}", f"{b:.17g}", f"{c:.17g}")
-                    for n, a, b, c in report.rows()])
+                   report.rows())
         return EXIT_OK if ok else EXIT_FAIL
     lines = [
         f"n={n}: l2={a:.5e} bracket_sup={b:.5e} mean_res={c:.3e}"
@@ -502,7 +515,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output = args.output
-        return _COMMANDS[args.subcommand](args)
+        # a non-finite output raises NumericalError; warnings would add lines
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.subcommand](args)
     except OSError as exc:
         if output is None or exc.filename != output:
             raise

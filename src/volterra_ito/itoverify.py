@@ -457,19 +457,23 @@ def _check_z(z):
         raise DomainError("z must be finite and positive")
 
 
-def _mc_mean_se(sample, paths, threads):
-    """Monte Carlo mean and SE of ``sample(start, count)`` over ``paths`` draws.
+def _mc_mean_se(sample, paths, seed, t_idx, threads):
+    """Monte Carlo mean and SE of ``sample(z)`` over ``paths`` draws of X_t.
 
-    ``sample`` returns ``count`` values. Blocks of BLOCK_PATHS paths each
-    give (count, sum, M2), M2 two-pass about the block's own mean; merging
-    them in path order (Chan, Golub & LeVeque) makes the result independent
-    of ``threads``.
+    Each block's z holds, per path, the t_idx normals X_t reads
+    (``_normals_matrix``, keyed by absolute path index), and ``sample``
+    returns one value per row. Blocks of BLOCK_PATHS paths each give (count,
+    sum, M2), M2 two-pass about the block's own mean; merging them in path
+    order (Chan, Golub & LeVeque) makes the result independent of ``threads``.
     """
     if paths < 1:
         raise DomainError("Monte Carlo checks need paths >= 1")
+    errstate = np.geterr()  # a new thread starts from numpy's default
 
     def block(start):
-        vals = sample(start, min(BLOCK_PATHS, paths - start))
+        with np.errstate(**errstate):
+            vals = sample(_normals_matrix(seed, start, min(BLOCK_PATHS, paths - start),
+                                          t_idx))
         total = np.sum(vals)
         dev = vals - total / vals.size
         return vals.size, total, np.sum(dev * dev)
@@ -512,34 +516,36 @@ def _mean_identity_rhs(k, phi, gamma, t_idx, stride=1):
     return float(phi.phi(0.0)) + 0.5 * stieltjes_integrate(_d2phi_mean(k, phi), sub)
 
 
-def _stieltjes_bias(k, phi, gamma, t_idx, rhs):
-    """A bound on |rhs - E[phi(X_t)]|, rhs the Stieltjes value on the grid.
+def _correction(k, phi, gamma, t_idx):
+    """(c, b): c the ``_mean_identity_rhs`` value up to t_idx, b a bound
+    on |c - E[phi(X_t)]|.
 
-    Where its gaps to the stride-2 and stride-4 values both pass the 1e-12
-    relative floor, their ratio r gives the order p = -log2 r and Roache's
-    three-grid Grid Convergence Index 1.25 gap / (2^p - 1); the bound is the
-    larger of that and the stride-2 gap, plus the floor. r >= 1 raises.
+    Where the gaps of c to the stride-2 value and of that to the stride-4
+    value both pass the 1e-12 relative floor, their ratio r gives the order
+    p = -log2 r and Roache's three-grid Grid Convergence Index 1.25 gap /
+    (2^p - 1); b is the larger of that and the stride-2 gap, plus the floor.
+    r >= 1 raises NumericalError. Where all three agree within the floor,
+    an integrand varying inside the first cell goes unseen by every midpoint:
+    there a midpoint value off its endpoints' mean by b / Gamma(t_1) raises.
     """
-    c2, c4 = (_mean_identity_rhs(k, phi, gamma, t_idx, stride) for stride in (2, 4))
-    gap, floor = abs(rhs - c2), 1e-12 * max(1.0, abs(rhs))
+    c, c2, c4 = (_mean_identity_rhs(k, phi, gamma, t_idx, stride)
+                 for stride in (1, 2, 4))
+    gap, floor = abs(c - c2), 1e-12 * max(1.0, abs(c))
     ratio = gap / abs(c2 - c4) if min(gap, abs(c2 - c4)) > floor else 0.0
     if ratio >= 1.0:
         raise NumericalError(
             f"the Stieltjes rule shows no convergence on this grid (gap ratio "
             f"{ratio:.3g}); refine it or use --grid-kind energy",
-            estimate=rhs, bound=gap)
-    return max(gap, 1.25 * gap * ratio / (1.0 - ratio)) + floor  # 2^p - 1 = 1/r - 1
-
-
-def _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads):
-    """Monte Carlo mean and SE of phi(X_t), with X_t = Z w_t."""
-    w_t = _weight_row(k, grid.times, t_idx)
-
-    def sample(start, count):
-        z = _normals_matrix(seed, start, count, t_idx)
-        return phi.phi(z @ w_t)
-
-    return _mc_mean_se(sample, paths, threads)
+            estimate=c, bound=gap)
+    bias = max(gap, 1.25 * gap * ratio / (1.0 - ratio)) + floor  # 2^p - 1 = 1/r - 1
+    if max(gap, abs(c2 - c4)) <= floor:
+        t_1 = gamma.grid.times[1]
+        f_0, f_mid, f_1 = _d2phi_mean(k, phi)(np.array([0.0, 0.5 * t_1, t_1]))
+        if abs(0.5 * (f_0 + f_1) - f_mid) * gamma.values[1] > bias:
+            raise NumericalError(
+                "the Stieltjes integrand varies inside the first cell, where no "
+                "midpoint sees it; refine the grid", estimate=c, bound=bias)
+    return c, bias
 
 
 def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
@@ -550,20 +556,17 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
 
     The left side is computed exactly by the test function's smoothing
     and, when paths > 0, also by Monte Carlo; the right side is the midpoint
-    Stieltjes rule on the grid, whose error ``_stieltjes_bias`` bounds.
+    Stieltjes rule on the grid, whose error ``_correction`` bounds.
     """
     _check_z(z)
     if paths < 0:
         raise DomainError("paths must be >= 0 (0 selects quadrature only)")
     t_idx = grid.index_of(t)
-    if t_idx == 0:
-        raise DomainError("t must be a positive grid point")
     gamma = energy_function(k, grid)
     gamma_t = gamma.values[t_idx]
 
     lhs_quad = float(phi.smooth(0, 0.0, gamma_t))
-    rhs = _mean_identity_rhs(k, phi, gamma, t_idx)
-    bias = _stieltjes_bias(k, phi, gamma, t_idx, rhs)
+    rhs, bias = _correction(k, phi, gamma, t_idx)
 
     detail = {
         "lhs_quadrature": lhs_quad,
@@ -572,7 +575,9 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
         "gamma_t": float(gamma_t),
     }
     if paths > 0:
-        estimate, se = _mc_phi_moment(k, phi, grid, t_idx, paths, seed, threads)
+        w_t = _weight_row(k, grid.times, t_idx)
+        estimate, se = _mc_mean_se(lambda z: phi.phi(z @ w_t), paths, seed,
+                                   t_idx, threads)
         detail["lhs_monte_carlo"] = estimate
     else:
         estimate, se = lhs_quad, 0.0
@@ -627,21 +632,18 @@ def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, threads):
     ``_res2_reference``'s, the Stieltjes bias bound of c, and a ``floor`` on
     the rounding of res^2, 1e-24 E[(c + CO_t)^2].
     """
-    gamma = energy_function(k, grid)
     w_t = _weight_row(k, grid.times, t_idx)
-    c_t = _mean_identity_rhs(k, phi, gamma, t_idx)
+    c_t, bias = _correction(k, phi, energy_function(k, grid), t_idx)
 
-    def sample(start, count):
-        z = _normals_matrix(seed, start, count, t_idx)
+    def sample(z):
         res = phi.phi(z @ w_t) - c_t - _co_sum_block(phi, w_t, z)
         return res * res
 
-    est, se = _mc_mean_se(sample, paths, threads)
+    est, se = _mc_mean_se(sample, paths, seed, t_idx, threads)
     ref, ref_err, co2 = _res2_reference(phi, w_t)
     return {"grid_n": grid.n_cells, "estimate": est, "se": se,
             "reference": ref, "reference_error": ref_err,
-            "stieltjes_bias": _stieltjes_bias(k, phi, gamma, t_idx, c_t),
-            "floor": 1e-24 * (c_t * c_t + co2)}
+            "stieltjes_bias": bias, "floor": 1e-24 * (c_t * c_t + co2)}
 
 
 def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
@@ -673,10 +675,8 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
             f"field 'ladder': cell counts must be strictly increasing, got {cells}")
     ladder = []
     for g in grids:
-        t_idx = g.index_of(t)
-        if t_idx == 0:
-            raise DomainError("t must be a positive grid point")
-        ladder.append(_pathwise_res2_moments(k, phi, g, paths, seed, t_idx, threads))
+        ladder.append(_pathwise_res2_moments(k, phi, g, paths, seed, g.index_of(t),
+                                             threads))
 
     final = ladder[-1]
     est, se, ref = final["estimate"], final["se"], final["reference"]
@@ -719,20 +719,12 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
     if phi2d != "xy":
         raise DomainError("phi2d must be 'xy'")
     t_idx = grid.index_of(t)
-    if t_idx == 0:
-        raise DomainError("t must be a positive grid point")
-
+    ref = covariance(k1, k2, t, t)
     w1 = _weight_row(k1, grid.times, t_idx)
     w2 = _weight_row(k2, grid.times, t_idx)
-    ref = covariance(k1, k2, t, t)
     model_cov = float(np.dot(w1, w2))
     bias = abs(model_cov - ref)
-
-    def sample(start, count):
-        zmat = _normals_matrix(seed, start, count, t_idx)
-        return (zmat @ w1) * (zmat @ w2)
-
-    est, se = _mc_mean_se(sample, paths, threads)
+    est, se = _mc_mean_se(lambda z: (z @ w1) * (z @ w2), paths, seed, t_idx, threads)
     return VerificationReport(
         identity="multivariate_xy",
         estimate=est,

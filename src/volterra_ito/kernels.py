@@ -74,10 +74,12 @@ class TimeGrid:
         return self.times.size - 1
 
     def index_of(self, t: float) -> int:
-        """Index i with times[i] == t (to 1e-12 relative), else DomainError."""
+        """Index i > 0 with times[i] == t (to 1e-12 relative), else DomainError."""
         i = int(np.argmin(np.abs(self.times - t)))
         if not math.isclose(self.times[i], t, rel_tol=1e-12, abs_tol=1e-15):
             raise DomainError(f"t={t} is not a grid point")
+        if i == 0:
+            raise DomainError("t must be a positive grid point")
         return i
 
 
@@ -85,18 +87,12 @@ class TimeGrid:
 # Quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Budget and tolerances for the graded Gauss-Legendre engine."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
-    gauss_order: int = 16
-    initial_panels: int = 8
-    max_panels: int = 4096
-
-
-DEFAULT_QUAD = QuadSpec()
+# budget and tolerances of the graded Gauss-Legendre engine
+_QUAD_RTOL = 1e-9
+_QUAD_ATOL = 1e-14
+_GAUSS_ORDER = 16
+_INITIAL_PANELS = 8
+_MAX_PANELS = 4096
 
 _LEGENDRE_CACHE: dict = {}
 
@@ -109,18 +105,18 @@ def _leggauss01(order):
     return _LEGENDRE_CACHE[order]
 
 
-def _refining_gauss01(h, quad: QuadSpec, what: str):
+def _refining_gauss01(h, what: str) -> float:
     """Integrate h over [0,1] with panel doubling until two passes agree.
 
-    h must accept a vector of points and return integrand values. Returns
-    (value, error_bound); raises NumericalError past the panel budget.
+    h must accept a vector of points and return integrand values. Raises
+    NumericalError past the panel budget.
     """
-    nodes, weights = _leggauss01(quad.gauss_order)
-    n_panels = quad.initial_panels
+    nodes, weights = _leggauss01(_GAUSS_ORDER)
+    n_panels = _INITIAL_PANELS
     prev = None
     val = 0.0
     diff = math.inf
-    while n_panels <= quad.max_panels:
+    while n_panels <= _MAX_PANELS:
         width = 1.0 / n_panels
         offsets = np.arange(n_panels) * width
         pts = (offsets[:, None] + width * nodes[None, :]).ravel()
@@ -128,15 +124,12 @@ def _refining_gauss01(h, quad: QuadSpec, what: str):
         val = float(np.sum(vals @ weights) * width)
         if prev is not None:
             diff = abs(val - prev)
-            if diff <= max(quad.rel_tol * abs(val), quad.abs_tol):
-                return val, diff
+            if diff <= max(_QUAD_RTOL * abs(val), _QUAD_ATOL):
+                return val
         prev = val
         n_panels *= 2
-    raise NumericalError(
-        f"quadrature for {what} did not converge within {quad.max_panels} panels",
-        estimate=val,
-        bound=diff,
-    )
+    raise NumericalError(f"quadrature for {what} did not converge within "
+                         f"{_MAX_PANELS} panels", estimate=val, bound=diff)
 
 
 def _grading_power(gamma_total, singular: bool) -> int:
@@ -185,11 +178,6 @@ class Kernel:
         """Algebraic exponent of K(t,s) ~ (t-s)^gamma at the diagonal, or None."""
         return None
 
-    @property
-    def stationary(self) -> bool:
-        """True when K(t, s) depends on t - s only."""
-        return False
-
     # -- serialization ------------------------------------------------------
 
     def spec_dict(self) -> dict:
@@ -198,15 +186,6 @@ class Kernel:
     @property
     def kernel_id(self) -> str:
         return json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.kernel_id})"
-
-    def __eq__(self, other):
-        return isinstance(other, Kernel) and self.kernel_id == other.kernel_id
-
-    def __hash__(self):
-        return hash(self.kernel_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +203,6 @@ class BrownianKernel(Kernel):
 
     def cell_l2_rows(self, t, a, b):
         return np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-
-    @property
-    def stationary(self):
-        return True
 
     def spec_dict(self):
         return {"kind": "brownian", "T": self.horizon}
@@ -260,10 +235,6 @@ class RiemannLiouvilleKernel(Kernel):
     @property
     def diag_exponent(self):
         return self.hurst - 0.5
-
-    @property
-    def stationary(self):
-        return True
 
     def spec_dict(self):
         return {"kind": "rl", "hurst": self.hurst, "T": self.horizon}
@@ -308,10 +279,6 @@ class ExpSumKernel(Kernel):
         ea = np.exp(-np.multiply.outer(t - a, mu))
         eb = np.exp(-np.multiply.outer(t - b, mu))
         return (eb - ea) @ (cc / mu)
-
-    @property
-    def stationary(self):
-        return True
 
     def spec_dict(self):
         return {
@@ -440,6 +407,11 @@ def kernel_from_json(text: str) -> Kernel:
 # Covariance R(t, u) = int_0^(t^u) K1(t,s) K2(u,s) ds
 # ---------------------------------------------------------------------------
 
+def _check_same_horizon(k1, k2):
+    if not math.isclose(k1.horizon, k2.horizon, rel_tol=1e-12):
+        raise DomainError("kernels must share the horizon T")
+
+
 def _covariance_quad(k1, k2, t, u):
     """Graded-quadrature fallback for covariance integrals.
 
@@ -463,10 +435,10 @@ def _covariance_quad(k1, k2, t, u):
         elif g is not None:
             lost += min(g, 0.0)
     share = min(1.0, np.finfo(float).tiny * max(m, 1.0) / m) ** (1.0 + lost)
-    if share > DEFAULT_QUAD.rel_tol:
+    if share > _QUAD_RTOL:
         raise NumericalError(
             f"covariance({t},{u}): lags that underflow may hold {share:.3g} of "
-            f"the integral, above {DEFAULT_QUAD.rel_tol:g}", bound=share)
+            f"the integral, above {_QUAD_RTOL:g}", bound=share)
     p = _grading_power(gamma, singular)
 
     def h(v):
@@ -480,8 +452,7 @@ def _covariance_quad(k1, k2, t, u):
             f2 = k2.lag_eval(u, (u - m) + w, s)
             return np.where(w == 0.0, 0.0, f1 * f2 * jac)
 
-    val, _ = _refining_gauss01(h, DEFAULT_QUAD, f"covariance({t},{u})")
-    return val
+    return _refining_gauss01(h, f"covariance({t},{u})")
 
 
 def _cov_closed(k1, k2, t, u):
@@ -555,6 +526,7 @@ def covariance(k1: Kernel, k2: Kernel, t, u):
     Parameters
     ----------
     k1, k2 : Kernel
+        Kernels sharing the horizon T.
     t, u : float or array_like
         Times in (0, T]; arrays broadcast against each other.
 
@@ -562,12 +534,13 @@ def covariance(k1: Kernel, k2: Kernel, t, u):
     -------
     float for a scalar pair, else an array of the broadcast shape.
     """
+    _check_same_horizon(k1, k2)
     ts, us = np.broadcast_arrays(np.asarray(t, dtype=float),
                                  np.asarray(u, dtype=float))
     shape = ts.shape
     ts, us = ts.ravel(), us.ravel()
     times = np.concatenate((ts, us))
-    limit = max(k1.horizon, k2.horizon) * (1 + 1e-12)
+    limit = k1.horizon * (1 + 1e-12)
     bad = ~((times > 0.0) & (times <= limit))
     if bad.any():
         raise DomainError(f"covariance time {times[np.argmax(bad)]} outside (0, T]")
@@ -582,9 +555,12 @@ def covariance(k1: Kernel, k2: Kernel, t, u):
 # ---------------------------------------------------------------------------
 
 def kernel_l2mu_distance(k1: Kernel, k2: Kernel) -> float:
-    """sqrt( int_0^T int_0^t (K1 - K2)^2 ds dt ) for kernels sharing a horizon."""
-    if not math.isclose(k1.horizon, k2.horizon, rel_tol=1e-12):
-        raise DomainError("kernels must share the horizon T")
+    """sqrt( int_0^T int_0^t (K1 - K2)^2 ds dt ) for stationary kernels
+    (K(t, s) a function of t - s) sharing a horizon; a table kernel is
+    refused."""
+    _check_same_horizon(k1, k2)
+    if isinstance(k1, TableKernel) or isinstance(k2, TableKernel):
+        raise DomainError("the L2(mu) distance takes stationary kernels, not tables")
     T = k1.horizon
     gamma = 0.0
     singular = False
@@ -595,42 +571,13 @@ def kernel_l2mu_distance(k1: Kernel, k2: Kernel) -> float:
             singular = True
     p = _grading_power(gamma, singular)
 
-    if k1.stationary and k2.stationary:
-        # lag w = t - s has triangle measure (T - w) dw
-        def h(v):
-            w = T * v ** p
-            jac = T * p * v ** (p - 1)
-            dk = k1.lag_eval(T, w, None) - k2.lag_eval(T, w, None)
-            return dk * dk * (T - w) * jac
+    def h(v):  # lag w = t - s has triangle measure (T - w) dw
+        w = T * v ** p
+        jac = T * p * v ** (p - 1)
+        dk = k1.lag_eval(T, w, None) - k2.lag_eval(T, w, None)
+        return dk * dk * (T - w) * jac
 
-        sq, _ = _refining_gauss01(h, DEFAULT_QUAD, "l2mu(lag)")
-        return math.sqrt(max(sq, 0.0))
-
-    # Non-stationary pair (tables): nested quadrature, inner graded in s,
-    # outer in t. Bilinear tables put integrand kinks at every node, so the
-    # tolerance is softened to 1e-6; table interpolation error dominates far
-    # above that anyway.
-    inner_quad = QuadSpec(rel_tol=1e-6, abs_tol=1e-10, initial_panels=16)
-
-    def inner(tv):
-        def h(v):
-            w = tv * v ** p
-            jac = tv * p * v ** (p - 1)
-            s = np.maximum(tv - w, 0.0)
-            dk = k1.lag_eval(tv, w, s) - k2.lag_eval(tv, w, s)
-            return dk * dk * jac
-
-        val, _ = _refining_gauss01(h, inner_quad, f"l2mu inner({tv})")
-        return val
-
-    # the outer tolerance must sit above the inner integrals' noise floor
-    outer = QuadSpec(rel_tol=3e-5, abs_tol=1e-9, max_panels=128)
-
-    def houter(pts):
-        return np.array([inner(T * v) * T for v in pts])
-
-    sq, _ = _refining_gauss01(houter, outer, "l2mu(outer)")
-    return math.sqrt(max(sq, 0.0))
+    return math.sqrt(max(_refining_gauss01(h, "l2mu(lag)"), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,57 @@ import argparse
 import gzip
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import volterra_ito
 from volterra_ito.cli import build_parser, main
 from volterra_ito.sandbox import sandbox_suite
 
 
 def run_cli(args):
     return main(args)
+
+
+# command lines whose output would be a NaN or an infinity: each exits 3
+NON_FINITE_REPORTS = {
+    "mean-cos-freq":
+        "verify-mean --kernel brownian --grid-n 16 --phi cos --phi-freq 1e300",
+    "mean-expsum-weight":
+        "verify-mean --kernel expsum --weights 1e200 --rates 1 --grid-n 16 "
+        "--phi square",
+    "multi-expsum-weight":
+        "verify-multi --kernel expsum --weights 1e200 --rates 1 --kernel2 brownian "
+        "--grid-n 16 --paths 100",
+    "path-cos-freq":
+        "verify-path --kernel brownian --grid-n 16 --paths 100 --phi cos "
+        "--phi-freq 1e200",
+}
+HUGE_EXPSUM = "--kernel expsum --weights 1e200 --rates 1"
+NON_FINITE_OUTPUTS = {
+    "bracket-json": f"bracket {HUGE_EXPSUM} --grid-n 2",
+    "bracket-csv": f"bracket {HUGE_EXPSUM} --grid-n 2 --format csv",
+    "bracket-text": f"bracket {HUGE_EXPSUM} --grid-n 2 --format text",
+    "simulate-json": f"simulate {HUGE_EXPSUM} --grid-n 4 --paths 10",
+    "hurst": f"hurst {HUGE_EXPSUM}",
+}
+# E[phi''(X_s)] lives inside the first cell, where no midpoint sees it
+UNRESOLVED_STIELTJES = {
+    "mean": "verify-mean --kernel brownian --grid-n 16 --phi cos --phi-freq 1e100",
+    "path": "verify-path --kernel brownian --grid-n 16 --phi cos --phi-freq 1e100 "
+            "--paths 100",
+}
+
+
+def _assert_one_numerical_error_line(err):
+    assert err.startswith("numerical error:") and err.count("\n") == 1
 
 
 class TestBracket:
@@ -194,25 +232,73 @@ class TestErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        "verify-mean --kernel brownian --grid-n 16 --phi cos --phi-freq 1e300",
-        "verify-mean --kernel expsum --weights 1e200 --rates 1 --grid-n 16 "
-        "--phi square",
-        "verify-multi --kernel expsum --weights 1e200 --rates 1 --kernel2 brownian "
-        "--grid-n 16 --paths 100",
-        "verify-path --kernel brownian --grid-n 16 --paths 100 --phi cos "
-        "--phi-freq 1e200",
-    ], ids=["mean-cos-freq", "mean-expsum-weight", "multi-expsum-weight",
-            "path-cos-freq"])
+    @pytest.mark.parametrize("argv", list(NON_FINITE_REPORTS.values()),
+                             ids=list(NON_FINITE_REPORTS))
     def test_non_finite_report_exits_3(self, argv, capsys):
         # each exited 1, with NaN in its report or an OverflowError traceback
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = run_cli(argv.split())
+        code = run_cli(argv.split())
         err = capsys.readouterr().err
         assert code == 3
         assert [line for line in err.splitlines()
                 if line.startswith("numerical error:")] == [err.rstrip("\n")]
+
+    @pytest.mark.parametrize("argv", list(NON_FINITE_OUTPUTS.values()),
+                             ids=list(NON_FINITE_OUTPUTS))
+    def test_non_finite_output_exits_3(self, argv, capsys):
+        # each printed Infinity, inf or NaN and exited 0
+        code = run_cli(argv.split())
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        _assert_one_numerical_error_line(err)
+
+    def test_non_finite_paths_write_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "paths.csv"
+        code = run_cli(f"simulate {HUGE_EXPSUM} --grid-n 4 --paths 10 "
+                       f"--format csv --output {out}".split())
+        assert code == 3
+        assert not out.exists()
+        _assert_one_numerical_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", list(UNRESOLVED_STIELTJES.values()),
+                             ids=list(UNRESOLVED_STIELTJES))
+    def test_unresolved_stieltjes_integrand_exits_3(self, argv, capsys):
+        # c = 1 against E cos(a X_1) = 0 was a FAIL (exit 1)
+        code = run_cli(argv.split())
+        err = capsys.readouterr().err
+        assert code == 3
+        _assert_one_numerical_error_line(err)
+        assert "first cell" in err
+
+    @pytest.mark.parametrize("sub", [
+        "verify-multi --paths 1000", "bracket"])
+    def test_kernels_with_different_horizons_exit_2(self, sub, tmp_path, capsys):
+        # verify-multi passed at t = 1, past the second kernel's horizon 0.5
+        spec = tmp_path / "k2.json"
+        spec.write_text('{"kind":"rl","hurst":0.25,"T":0.5}')
+        code = run_cli(f"{sub} --kernel rl --hurst 0.25 --kernel2-spec {spec} "
+                       "--grid-n 4".split())
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: kernels must share the horizon T\n"
+
+    @pytest.mark.parametrize("argv", [
+        *NON_FINITE_REPORTS.values(), *NON_FINITE_OUTPUTS.values(),
+        *UNRESOLVED_STIELTJES.values(),
+        NON_FINITE_REPORTS["multi-expsum-weight"] + " --threads 2"],
+        ids=[*NON_FINITE_REPORTS, *NON_FINITE_OUTPUTS,
+             *(f"stieltjes-{key}" for key in UNRESOLVED_STIELTJES),
+             "multi-expsum-weight-threads-2"])
+    def test_program_stderr_is_one_line(self, argv):
+        # run as a program, numpy's RuntimeWarnings went to stderr first
+        src = str(Path(volterra_ito.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "volterra_ito.cli", *argv.split()],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        _assert_one_numerical_error_line(proc.stderr)
 
     def test_numerical_failure_exit_code(self, capsys):
         # hopeless fit: condition estimate reported, exit 3

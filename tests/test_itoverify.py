@@ -18,7 +18,6 @@ from volterra_ito.itoverify import (
     VerificationReport,
     _co_sum_block,
     _mc_mean_se,
-    _mc_phi_moment,
     _res2_reference,
     verify_mean_identity,
     verify_multivariate,
@@ -419,11 +418,10 @@ class TestClarkOconeSum:
 class TestMonteCarloReducer:
     @staticmethod
     def sample(offset):
-        def draw(start, count):
-            # blocks differ in mean and spread, so the merge term matters
-            b = start / BLOCK_PATHS
-            rng = np.random.default_rng(start)
-            return offset + b + rng.standard_normal(count) * (1.0 + b)
+        def draw(z):
+            # skewed and heavy-tailed, so block means and spreads differ and
+            # the merge term matters
+            return offset + np.exp(z[:, 0]) * (1.0 + z[:, 1] ** 2)
         return draw
 
     @pytest.mark.parametrize("offset", [0.0, 3.0, 1e8])
@@ -431,9 +429,9 @@ class TestMonteCarloReducer:
     def test_matches_numpy_on_uneven_blocks(self, offset, threads):
         paths = 2 * BLOCK_PATHS + 17
         draw = self.sample(offset)
-        allv = np.concatenate([draw(s, min(BLOCK_PATHS, paths - s))
-                               for s in range(0, paths, BLOCK_PATHS)])
-        mean, se = _mc_mean_se(draw, paths, threads)
+        # rows are keyed by absolute path index: one matrix holds every block's
+        allv = draw(_normals_matrix(11, 0, paths, 3))
+        mean, se = _mc_mean_se(draw, paths, 11, 3, threads)
         assert mean == pytest.approx(np.mean(allv), rel=1e-14, abs=1e-14)
         # block means carry rounding of order eps * |offset|, which the merge
         # term passes on to the SE in proportion to |offset| / spread
@@ -458,7 +456,8 @@ class TestMonteCarloReducer:
         grid = TimeGrid.uniform(48, 1.0)
         t_idx = 29
         phi = TestFunction.cosine(1.3)
-        mean, _ = _mc_phi_moment(SIGNED, phi, grid, t_idx, 300, 17, 1)
+        w = _weight_row(SIGNED, grid.times, t_idx)
+        mean, _ = _mc_mean_se(lambda z: phi.phi(z @ w), 300, 17, t_idx, 1)
         x = simulate_volterra(SIGNED, grid, 300, 17)
         assert mean == pytest.approx(np.mean(phi.phi(x[:, t_idx])), rel=1e-12)
 
@@ -528,6 +527,25 @@ class TestMeanIdentity:
         with pytest.raises(NumericalError, match="--grid-kind energy"):
             verify_mean_identity(RL25, TestFunction.cosine(),
                                  TimeGrid.uniform(64, 1.0), 0, 1, 1.0)
+
+    @pytest.mark.parametrize("check", [
+        lambda phi, grid: verify_mean_identity(BM, phi, grid, 0, 1, 1.0),
+        lambda phi, grid: verify_pathwise_formula(BM, phi, grid, 100, 1, 1.0),
+    ], ids=["mean", "path"])
+    def test_integrand_inside_the_first_cell_raises(self, check):
+        # E[phi''(X_s)] = -a^2 exp(-a^2 s / 2) is 0 at every midpoint, so all
+        # three strides give c = 1 against E cos(a X_1) = 0: was a FAIL
+        with pytest.raises(NumericalError, match="first cell"):
+            check(TestFunction.cosine(1e100), TimeGrid.uniform(16, 1.0))
+
+    def test_integrand_linear_in_the_first_cell_is_resolved(self):
+        # phi = x^4 on Brownian: E[phi''(X_s)] = 12 s, which every stride
+        # integrates exactly, though it moves by 6 t_1 across the first cell
+        rep = verify_mean_identity(BM, TestFunction.polynomial([0, 0, 0, 0, 1]),
+                                   TimeGrid.uniform(16, 1.0), 0, 1, 1.0)
+        assert rep.reference == pytest.approx(3.0, rel=1e-14)
+        assert rep.bias_bound == pytest.approx(3e-12)
+        assert rep.passed
 
 
 class TestPathwise:

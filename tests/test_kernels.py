@@ -191,6 +191,13 @@ class TestCovariance:
         with pytest.raises(DomainError):
             covariance(BM, BM, 0.5, 1.5)
 
+    def test_horizon_mismatch(self):
+        # a time inside the longer horizon lies past the shorter one
+        short = RiemannLiouvilleKernel(hurst=0.25, horizon=0.5)
+        for pair in ((RL25, short), (short, RL25)):
+            with pytest.raises(DomainError, match="share the horizon T"):
+                covariance(*pair, 0.25, 0.25)
+
     def test_table_covariance(self):
         k = RiemannLiouvilleKernel(hurst=0.7, horizon=1.0)
         table = make_table_from(k, n=64)
@@ -351,22 +358,18 @@ class TestL2MuDistance:
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 1e-5
 
-    def test_nonstationary_path_matches(self):
-        # table ingest of the same kernel: distance bounded by interpolation
-        # error, and the triangle inequality ties the two routes together
-        k = RiemannLiouvilleKernel(hurst=0.7, horizon=1.0)
-        table = make_table_from(k, n=64)
-        self_dist = kernel_l2mu_distance(table, k)
-        assert self_dist < 0.05
-        want = kernel_l2mu_distance(k, BM)
-        got = kernel_l2mu_distance(table, BM)
-        assert abs(got - want) <= self_dist + 1e-4
+    def test_table_kernel_refused(self):
+        # the distance integrates over the lag alone, which a table does not take
+        table = make_table_from(RL25, n=8)
+        for pair in ((table, RL25), (BM, table)):
+            with pytest.raises(DomainError, match="stationary"):
+                kernel_l2mu_distance(*pair)
 
 
 class TestSpecs:
     def test_round_trip(self):
         for k in (BM, RL25, ES):
-            assert kernel_from_spec(k.spec_dict()) == k
+            assert kernel_from_spec(k.spec_dict()).spec_dict() == k.spec_dict()
 
     def test_json_parsing(self):
         k = kernel_from_json('{"kind":"rl","hurst":0.25,"T":1.0}')
@@ -423,6 +426,11 @@ class TestTimeGrid:
         assert g.index_of(0.5) == 2
         with pytest.raises(DomainError):
             g.index_of(0.33)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300])
+    def test_index_of_refuses_time_zero(self, t):
+        with pytest.raises(DomainError, match="t must be a positive grid point"):
+            TimeGrid.uniform(4, 1.0).index_of(t)
 
     def test_equal_energy_rl(self):
         g = equal_energy_grid(RL25, 16)
