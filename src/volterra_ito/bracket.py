@@ -8,7 +8,7 @@ and the statistical machinery lives elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +26,12 @@ __all__ = [
 
 @dataclass
 class EnergyFunction:
-    """Sampled bracket t_i -> Gamma(t_i)."""
+    """Sampled bracket t_i -> Gamma(t_i); ``monotone`` holds where no step
+    falls by more than 1e-12 of the largest |Gamma(t_i)| (or of 1)."""
 
     grid: TimeGrid
     values: np.ndarray
-    monotone: bool = True
+    monotone: bool = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -38,7 +39,9 @@ class EnergyFunction:
             raise DomainError("values must align with the grid points")
         if vals[0] != 0.0:
             raise DomainError("energy function must start at 0")
-        object.__setattr__(self, "values", vals)
+        self.values = vals
+        drop = -1e-12 * max(1.0, np.max(np.abs(vals)))
+        self.monotone = bool(np.all(np.diff(vals) >= drop))
 
     def to_rows(self):
         return zip(self.grid.times, self.values)
@@ -52,8 +55,7 @@ def energy_function(k: Kernel, grid: TimeGrid) -> EnergyFunction:
     """
     vals = np.zeros(grid.times.size)
     vals[1:] = k.total_l2(grid.times[1:])
-    mono = bool(np.all(np.diff(vals) >= -1e-12 * max(1.0, np.max(np.abs(vals)))))
-    return EnergyFunction(grid=grid, values=vals, monotone=mono)
+    return EnergyFunction(grid=grid, values=vals)
 
 
 def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
@@ -61,8 +63,7 @@ def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
     times = grid.times
     vals = np.zeros(times.size)
     vals[1:] = covariance(k1, k2, times[1:], times[1:])
-    mono = bool(np.all(np.diff(vals) >= -1e-12 * max(1.0, np.max(np.abs(vals)))))
-    return EnergyFunction(grid=grid, values=vals, monotone=mono)
+    return EnergyFunction(grid=grid, values=vals)
 
 
 def stieltjes_integrate(f, g: EnergyFunction, i0: int = 0, i1=None) -> float:

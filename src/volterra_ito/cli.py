@@ -230,6 +230,8 @@ def _cmd_bracket(args):
 
 
 def _cmd_simulate(args):
+    if args.compress and args.format != "csv":
+        raise DomainError("field 'compress': --compress only applies with --format csv")
     if args.format == "csv" and not args.output:
         raise DomainError("field 'output': simulate csv needs --output")
     k = _kernel_from_args(args)

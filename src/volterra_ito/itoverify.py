@@ -412,10 +412,12 @@ def _co_sum_block(phi, w, z):
 
 @dataclass
 class VerificationReport:
-    """Outcome of one identity check; pass iff |estimate - reference| is
-    within z * se + bias_bound (or the detection criterion for perturbation
-    tests). A non-finite estimate, reference, se or bias_bound judges
-    nothing and raises NumericalError.
+    """Outcome of one check. The mean, pathwise and multivariate identities
+    are built by ``_identity_report`` and pass iff |estimate - reference| <=
+    z * se + bias_bound (and, for a pathwise ladder, the ladder is monotone);
+    the perturbation test keeps its detection criterion. A non-finite
+    estimate, reference, se or bias_bound judges nothing and raises
+    NumericalError.
     """
 
     identity: str
@@ -452,6 +454,19 @@ class VerificationReport:
         )
 
 
+def _identity_report(identity, grid, paths, seed, z, estimate, reference, se,
+                     bias_bound, detail, holds=True) -> VerificationReport:
+    """The report of an identity check on ``grid``: the one place its rule,
+    ``holds`` and |estimate - reference| <= z * se + bias_bound, is written."""
+    estimate, reference, se, bias_bound = (
+        float(x) for x in (estimate, reference, se, bias_bound))
+    return VerificationReport(
+        identity=identity, estimate=estimate, reference=reference, se=se,
+        bias_bound=bias_bound, grid_n=grid.n_cells, paths=paths, seed=seed,
+        passed=bool(holds and abs(estimate - reference) <= z * se + bias_bound),
+        z=z, detail=detail)
+
+
 def _check_z(z):
     if not (math.isfinite(z) and z > 0):
         raise DomainError("z must be finite and positive")
@@ -466,8 +481,10 @@ def _mc_mean_se(sample, paths, seed, t_idx, threads):
     sum, M2), M2 two-pass about the block's own mean; merging them in path
     order (Chan, Golub & LeVeque) makes the result independent of ``threads``.
     """
-    if paths < 1:
-        raise DomainError("Monte Carlo checks need paths >= 1")
+    if paths < 2:
+        raise DomainError(
+            f"Monte Carlo needs at least 2 paths, got {paths}: one path has no "
+            "standard error")
     errstate = np.geterr()  # a new thread starts from numpy's default
 
     def block(start):
@@ -570,7 +587,6 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
 
     detail = {
         "lhs_quadrature": lhs_quad,
-        "rhs_stieltjes": rhs,
         "residual_quadrature": abs(lhs_quad - rhs),
         "gamma_t": float(gamma_t),
     }
@@ -578,24 +594,10 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
         w_t = _weight_row(k, grid.times, t_idx)
         estimate, se = _mc_mean_se(lambda z: phi.phi(z @ w_t), paths, seed,
                                    t_idx, threads)
-        detail["lhs_monte_carlo"] = estimate
     else:
         estimate, se = lhs_quad, 0.0
-
-    passed = abs(estimate - rhs) <= z * se + bias
-    return VerificationReport(
-        identity="mean_identity",
-        estimate=float(estimate),
-        reference=float(rhs),
-        se=float(se),
-        bias_bound=float(bias),
-        grid_n=grid.n_cells,
-        paths=paths,
-        seed=seed,
-        passed=bool(passed),
-        z=z,
-        detail=detail,
-    )
+    return _identity_report("mean_identity", grid, paths, seed, z, estimate, rhs,
+                            se, bias, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +655,12 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     """Check phi(X_t) = phi(0) + delta(Pi D phi(X_t)) + (1/2) int E[phi''(X_s)]
     dGamma(s) pathwise in L2.
 
-    The estimate is E[res^2] by Monte Carlo, with reference 0. On the grid
-    E[res^2] = Var phi(X_t) - E[CO_t^2] + (E phi(X_t) - c)^2, the last term
-    at most b^2 for the Stieltjes bias bound b. The check passes when
-    |estimate - (Var - E[CO_t^2])| <= z * SE + its error + b^2 + floor, and
-    the bias bound is Var - E[CO_t^2] plus those three terms. A ladder of
-    grids (strictly increasing cell counts) must also be nonincreasing, 1 SE
-    of slack per rung; the finest grid is judged.
+    The estimate is E[res^2] by Monte Carlo. On the grid E[res^2] =
+    Var phi(X_t) - E[CO_t^2] + (E phi(X_t) - c)^2, the last term at most b^2
+    for the Stieltjes bias bound b. So the reference is the exact
+    Var phi(X_t) - E[CO_t^2], and the bias bound is its error + b^2 + floor.
+    A ladder of grids (strictly increasing cell counts) must also be
+    nonincreasing, 1 SE of slack per rung; the finest grid is judged.
 
     A polynomial's constant cancels in res, so it is dropped before c and
     res are formed: left in, it would cancel in floating point and inflate
@@ -678,28 +679,17 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
         ladder.append(_pathwise_res2_moments(k, phi, g, paths, seed, g.index_of(t),
                                              threads))
 
-    final = ladder[-1]
-    est, se, ref = final["estimate"], final["se"], final["reference"]
-    b = final["stieltjes_bias"]  # b * b overflows to inf where b ** 2 raises
-    slack = final["reference_error"] + b * b + final["floor"]
     monotone = all(
         ladder[i + 1]["estimate"]
         <= ladder[i]["estimate"] + (ladder[i]["se"] + ladder[i + 1]["se"])
         for i in range(len(ladder) - 1)
     )
-    return VerificationReport(
-        identity="pathwise_formula",
-        estimate=est,
-        reference=0.0,
-        se=se,
-        bias_bound=ref + slack,
-        grid_n=int(final["grid_n"]),
-        paths=paths,
-        seed=seed,
-        passed=bool(monotone and abs(est - ref) <= z * se + slack),
-        z=z,
-        detail={"ladder": ladder, "monotone": monotone},
-    )
+    final = ladder[-1]
+    b = final["stieltjes_bias"]  # b * b overflows to inf where b ** 2 raises
+    bias = final["reference_error"] + b * b + final["floor"]
+    return _identity_report("pathwise_formula", grids[-1], paths, seed, z,
+                            final["estimate"], final["reference"], final["se"], bias,
+                            {"ladder": ladder, "monotone": monotone}, holds=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -723,21 +713,9 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
     w1 = _weight_row(k1, grid.times, t_idx)
     w2 = _weight_row(k2, grid.times, t_idx)
     model_cov = float(np.dot(w1, w2))
-    bias = abs(model_cov - ref)
     est, se = _mc_mean_se(lambda z: (z @ w1) * (z @ w2), paths, seed, t_idx, threads)
-    return VerificationReport(
-        identity="multivariate_xy",
-        estimate=est,
-        reference=float(ref),
-        se=se,
-        bias_bound=bias,
-        grid_n=grid.n_cells,
-        paths=paths,
-        seed=seed,
-        passed=bool(abs(est - ref) <= z * se + bias),
-        z=z,
-        detail={"model_cross_bracket": model_cov},
-    )
+    return _identity_report("multivariate_xy", grid, paths, seed, z, est, ref, se,
+                            abs(model_cov - ref), {"model_cross_bracket": model_cov})
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,7 @@ class TestEstimateHurst:
         grid = TimeGrid.uniform(8, 1.0)
         vals = grid.times.copy()
         vals[3] = 0.0
-        ef = EnergyFunction(grid=grid, values=vals, monotone=False)
+        ef = EnergyFunction(grid=grid, values=vals)
+        assert not ef.monotone  # computed from the values, not passed in
         with pytest.raises(DomainError):
             estimate_hurst(ef, (0.1, 1.0))

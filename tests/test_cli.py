@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -55,6 +56,16 @@ UNRESOLVED_STIELTJES = {
 
 def _assert_one_numerical_error_line(err):
     assert err.startswith("numerical error:") and err.count("\n") == 1
+
+
+def _run_program(argv, **kwargs):
+    """Run ``python -m volterra_ito.cli`` on the argv string in a child."""
+    src = str(Path(volterra_ito.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "volterra_ito.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          **kwargs)
 
 
 class TestBracket:
@@ -158,13 +169,21 @@ class TestErrors:
         ["verify-mean", "--kernel", "brownian", "--grid-n", "8", "--phi", "cos",
          "--quad-order", "-1"],
         ["sandbox", "--cases", "0"],
+        # one path has no standard error: se = 0 made a certain FAIL
+        ["verify-mean", "--kernel", "brownian", "--grid-n", "16", "--phi", "cos",
+         "--paths", "1"],
+        ["verify-path", "--kernel", "brownian", "--grid-n", "16", "--paths", "1"],
+        ["verify-multi", "--kernel", "brownian", "--kernel2", "brownian",
+         "--grid-n", "16", "--paths", "1"],
+        ["verify-unique", "--kernel", "brownian", "--grid-n", "16", "--paths", "1"],
     ], ids=["path-paths-0", "multi-xy-paths-0", "mean-paths-negative",
-            "quad-order-0", "quad-order-negative", "sandbox-cases-0"])
+            "quad-order-0", "quad-order-negative", "sandbox-cases-0",
+            "mean-paths-1", "path-paths-1", "multi-paths-1", "unique-paths-1"])
     def test_out_of_range_count_is_bad_input(self, argv, capsys):
         code = run_cli(argv)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra", [
@@ -292,13 +311,28 @@ class TestErrors:
              "multi-expsum-weight-threads-2"])
     def test_program_stderr_is_one_line(self, argv):
         # run as a program, numpy's RuntimeWarnings went to stderr first
-        src = str(Path(volterra_ito.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-m", "volterra_ito.cli", *argv.split()],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_program(argv)
         assert proc.returncode == 3
         _assert_one_numerical_error_line(proc.stderr)
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --kernel brownian --grid-n 30000 --paths 2",
+        "simulate --sampler cholesky --kernel rl --hurst 0.25 --grid-n 20000 "
+        "--paths 2",
+    ], ids=["volterra", "cholesky"])
+    def test_simulation_past_the_memory_cap_exits_2(self, argv):
+        # both asked for a 30001 x 30000 weight or 20000 x 20000 Gram matrix
+        # and died of a MemoryError; the child alone gets a 3 GB address space
+        # so that such a run fails fast instead of paging
+        limit = 3_000_000 * 1024
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = _run_program(argv, preexec_fn=cap)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "budget" in proc.stderr
 
     def test_numerical_failure_exit_code(self, capsys):
         # hopeless fit: condition estimate reported, exit 3
@@ -374,11 +408,13 @@ class TestUsageErrors:
         ["hurst", "--kernel", "rl", "--hurst", "0.25", "--t-min", "2"],
         ["verify-multi", "--kernel", "brownian", "--kernel2", "brownian",
          "--grid-n", "8", "--phi2d", "x2+y2"],
+        ["simulate", "--kernel", "brownian", "--grid-n", "4", "--paths", "2",
+         "--compress", "--format", "text"],
     ], ids=["unread-flags", "hurst-grid-n", "multi-quad-order",
             "no-abbreviation", "grid-n-abc", "mean-csv", "n-terms-fraction",
             "ladder-fraction", "n-terms-empty", "unknown-subcommand",
             "empty-argv", "ladder-with-grid-n", "hurst-t-min-without-fit-n",
-            "phi2d-x2+y2"])
+            "phi2d-x2+y2", "compress-without-csv"])
     def test_parser_failure_exits_2(self, argv, capsys):
         code = main(argv)
         out, err = capsys.readouterr()
@@ -550,6 +586,40 @@ def test_mollified_mean_identity_closes_at_small_cuts(kernel, grid_kind, cut, ca
     assert main(["verify-mean", "--kernel", *kernel, "--grid-n", "256",
                  "--grid-kind", grid_kind, "--phi", "mollified", "--phi-cut", cut,
                  "--no-timestamp"]) == 0
+
+
+# passing and failing runs of the three identity checks; the failures are a
+# z = 1 band missed by seed 3, the verify-path z = 1 run whose report read PASS
+# by its own rule while it exited 1, and a coarse quadrature-only grid
+IDENTITY_RUNS = {
+    "mean-quadrature-pass": "verify-mean --kernel rl --hurst 0.75 --phi mollified "
+                            "--phi-cut 0.5 --grid-n 64",
+    "mean-quadrature-fail": "verify-mean --kernel rl --hurst 0.75 --phi mollified "
+                            "--phi-cut 0.5 --grid-n 16",
+    "mean-mc-pass": "verify-mean --kernel rl --hurst 0.25 --phi cos --grid-n 64 "
+                    "--paths 2000 --z 1 --seed 1",
+    "mean-mc-fail": "verify-mean --kernel rl --hurst 0.25 --phi cos --grid-n 64 "
+                    "--paths 2000 --z 1 --seed 3",
+    "path-pass": "verify-path --kernel rl --hurst 0.25 --grid-n 64 --phi square "
+                 "--paths 4096 --z 4 --seed 1",
+    "path-fail": "verify-path --kernel rl --hurst 0.25 --grid-n 64 --phi square "
+                 "--paths 4096 --z 1 --seed 1",
+    "multi-pass": "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian "
+                  "--grid-n 64 --paths 2000 --z 1 --seed 1",
+    "multi-fail": "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian "
+                  "--grid-n 64 --paths 2000 --z 1 --seed 3",
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_RUNS)
+def test_identity_verdict_follows_the_printed_numbers(name, capsys):
+    code = run_cli([*IDENTITY_RUNS[name].split(), "--no-timestamp"])
+    rep = json.loads(capsys.readouterr().out)["reports"][0]
+    closeness = (abs(rep["estimate"] - rep["reference"])
+                 <= rep["z"] * rep["se"] + rep["bias_bound"])
+    assert rep["pass"] is closeness
+    assert code == (0 if closeness else 1)
+    assert code == (1 if name.endswith("fail") else 0)
 
 
 class TestVerifySubcommands:

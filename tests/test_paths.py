@@ -197,8 +197,8 @@ class TestSimulateVolterra:
     def test_budget_refusal(self):
         with pytest.raises(ResourceError) as err:
             simulate_volterra(RL25, TimeGrid.uniform(1024, 1.0), 100000, seed=1)
-        assert err.value.required == 100000 * 1024 * 1024
-        assert err.value.budget == SIM_BUDGET == 2 ** 33
+        assert err.value.required == 1024 * 1024 + 2 * 100000 * 1024
+        assert err.value.budget == SIM_BUDGET == 2 ** 26
 
     def test_paths_validation(self):
         with pytest.raises(DomainError):
