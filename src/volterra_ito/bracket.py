@@ -66,32 +66,20 @@ def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
     return EnergyFunction(grid=grid, values=vals)
 
 
-def stieltjes_integrate(f, g: EnergyFunction, i0: int = 0, i1=None) -> float:
-    """Midpoint Riemann-Stieltjes integral of f against dGamma over the grid.
+def stieltjes_integrate(f, times, values) -> float:
+    """Midpoint Riemann-Stieltjes integral of f against an integrator sampled
+    as ``values`` at the increasing ``times``.
 
     Each cell samples f at its midpoint. For smooth f and integrator the
     error is O(mesh^2 |f''| TV(Gamma)); rough integrators need grids graded
     so the per-cell increments stay balanced (see ``equal_energy_grid``).
-
-    Parameters
-    ----------
-    f : callable
-        Integrand, evaluated elementwise on an array of cell midpoints.
-    g : EnergyFunction
-    i0, i1 : int
-        Grid index range [i0, i1] to integrate over (defaults to the whole grid).
+    ``f`` is evaluated elementwise on the array of cell midpoints.
     """
-    times = g.grid.times
-    if i1 is None:
-        i1 = times.size - 1
-    if not 0 <= i0 < i1 <= times.size - 1:
-        raise DomainError(f"invalid index range [{i0}, {i1}]")
-    incs = np.diff(g.values[i0:i1 + 1])
-    mids = 0.5 * (times[i0:i1] + times[i0 + 1:i1 + 1])
+    mids = 0.5 * (times[:-1] + times[1:])
     vals = np.asarray(f(mids), dtype=float)
     if vals.shape != mids.shape:
         raise DomainError("integrand callable must evaluate elementwise")
-    return float(np.dot(vals, incs))
+    return float(np.dot(vals, np.diff(values)))
 
 
 def estimate_hurst(g: EnergyFunction, fit_window) -> tuple:

@@ -519,6 +519,33 @@ class TestMeanIdentity:
                                           256, stride=2)
         assert rep.bias_bound == abs(rep.reference - c2) + 1e-12
 
+    def test_pre_asymptotic_grid_bias_covers_the_stride_4_gap(self):
+        # gap ratio 0.0074 at n = 16, an observed order of 7 past the midpoint
+        # rule's 2: the three-grid index alone gave 1.03e-4 against an error
+        # of 2.59e-4, a false FAIL
+        k = RiemannLiouvilleKernel(hurst=0.75, horizon=1.0)
+        phi = TestFunction.mollified_square(0.5)
+        grid = TimeGrid.uniform(16, 1.0)
+        rep = verify_mean_identity(k, phi, grid, 0, 1, 1.0)
+        gamma = energy_function(k, grid)
+        c2, c4 = (itoverify._mean_identity_rhs(k, phi, gamma, 16, stride=s)
+                  for s in (2, 4))
+        assert rep.bias_bound >= abs(c2 - c4)
+        assert abs(rep.estimate - rep.reference) > 2e-4
+        assert rep.passed
+
+    def test_order_near_two_keeps_the_stride_2_gap(self):
+        # gap ratio 0.2485, an observed order of 2.01: asymptotic, so the
+        # stride-4 gap (four times the stride-2 gap) does not enter the bound
+        k = RiemannLiouvilleKernel(hurst=0.75, horizon=1.0)
+        phi = TestFunction.cosine(2.0)
+        grid = TimeGrid.uniform(64, 1.0)
+        rep = verify_mean_identity(k, phi, grid, 0, 1, 1.0)
+        c2 = itoverify._mean_identity_rhs(k, phi, energy_function(k, grid), 64,
+                                          stride=2)
+        assert rep.bias_bound == abs(rep.reference - c2) + 1e-12
+        assert rep.passed
+
     def test_no_observed_convergence_raises(self, monkeypatch):
         # stride-2 gap 0.1 against stride-4 gap 0.05: ratio 2
         values = {1: 1.0, 2: 1.1, 4: 1.15}

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from volterra_ito import sandbox
 from volterra_ito.errors import DomainError
 from volterra_ito.sandbox import (
     GaussPoly,
@@ -201,6 +202,46 @@ class TestRandomSuite:
         rep = sandbox_suite(cases=50, seed=7)
         assert "isometry_hs_gap_max" in rep
         assert rep["isometry_hs_gap_max"] >= 0.0
+
+
+def off_by_2e_12(name, real):
+    """A stand-in for the suite's check ``name`` with residual 2e-12."""
+    return {
+        "check_adjointness": lambda f, u: 2e-12,
+        "check_product_rule": lambda f, u: 2e-12,
+        "check_ortho_identity": lambda f: 2e-12,
+        "check_isometry": lambda u: (0.0, 0.0, 2e-12),
+        # the real defect plus a constant leaves the W_1^2 family unmoved
+        "factorization_defect": lambda f: real(f) + 2e-12,
+    }[name]
+
+
+class TestPassCoversEveryIdentity:
+    @pytest.mark.parametrize("name, key", [
+        ("check_adjointness", "adjointness_max"),
+        ("check_product_rule", "product_rule_max"),
+        ("check_ortho_identity", "ortho_identity_max"),
+        ("check_isometry", "isometry_exact_max"),
+        ("factorization_defect", "defect_multilinear_max"),
+    ])
+    def test_one_broken_identity_fails_the_suite(self, name, key, monkeypatch):
+        monkeypatch.setattr(sandbox, name, off_by_2e_12(name, getattr(sandbox, name)))
+        rep = sandbox_suite(cases=5, seed=1)
+        assert rep[key] == pytest.approx(2e-12, rel=1e-6)
+        assert all(d["rel_error"] <= 1e-12 for d in rep["defect_bm_square"].values())
+        assert rep["pass"] is False
+
+    def test_hilbert_schmidt_gap_is_not_asserted(self, monkeypatch):
+        real = sandbox.check_isometry
+
+        def wide_gap(u):
+            lhs, hs, exact = real(u)
+            return lhs, hs + 1e6, exact
+
+        monkeypatch.setattr(sandbox, "check_isometry", wide_gap)
+        rep = sandbox_suite(cases=5, seed=1)
+        assert rep["isometry_hs_gap_max"] > 1.0
+        assert rep["pass"] is True
 
 
 class TestValidation:
