@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, special
 
-from .bracket import energy_function, stieltjes_integrate
+from .bracket import stieltjes_integrate
 from .errors import DomainError, NumericalError
 from .kernels import Kernel, TimeGrid, _leggauss01, covariance
 from .paths import _normals_matrix, _weight_row
@@ -513,59 +513,50 @@ def _mc_mean_se(sample, paths, seed, t_idx, threads):
 # Mean identity
 # ---------------------------------------------------------------------------
 
-def _d2phi_mean(k, phi):
-    """The Stieltjes integrand s -> E[phi''(X_s)], X_s ~ N(0, Gamma(s))."""
-    return lambda pts: np.asarray(phi.smooth(2, 0.0, k.total_l2(pts)))
+def _clenshaw_curtis01(n):
+    """Weights on [0, 1] of the Clenshaw-Curtis rule of n + 1 nodes, n even
+    dividing 64: the rule exact for T_k(1 - 2x), k <= n, whose integral is
+    1 / (1 - k^2) for even k and 0 for odd k. Its nodes are
+    ``_CC_NODES[::64 // n]``."""
+    k = np.arange(n + 1.0)
+    exact = np.where(k % 2, 0.0, 1.0) / (1.0 - k * k + k % 2)
+    return np.linalg.solve(np.cos(np.pi / n * np.outer(k, k)), exact)
 
 
-def _stride_keep(t_idx, stride):
-    """Every stride-th grid index up to t_idx, and t_idx itself."""
-    keep = np.arange(0, t_idx + 1, stride)
-    return keep if keep[-1] == t_idx else np.append(keep, t_idx)
+_CC_NODES = 0.5 * (1.0 - np.cos(np.pi / 64 * np.arange(65)))
+# columns: the 65-node rule, and it minus the 33-node rule on its even nodes
+_CC_WEIGHTS = np.column_stack([_clenshaw_curtis01(64)] * 2)
+_CC_WEIGHTS[::2, 1] -= _clenshaw_curtis01(32)
+# the panels' edges on [0, 1]: 0, 2^-64, 2^-63, ..., 1/2, 1
+_PANELS = np.concatenate([[0.0], np.exp2(np.arange(-64.0, 1.0))])
+_SPLITS = 2 ** np.arange(9)  # ways each panel is split: 1, 2, ..., 256
 
 
-def _mean_identity_rhs(k, phi, gamma, t_idx, stride=1):
-    """phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s) by midpoint Stieltjes
-    on the grid's ``_stride_keep`` points."""
-    keep = _stride_keep(t_idx, stride)
-    return float(phi.phi(0.0)) + 0.5 * stieltjes_integrate(
-        _d2phi_mean(k, phi), gamma.grid.times[keep], gamma.values[keep])
+def _correction(phi, gamma_t):
+    """(c, b): c = phi(0) + (1/2) int_0^Gamma(t) E[phi''(sqrt(g) Z)] dg, the
+    correction (1/2) int_0^t E[phi''(X_s)] dGamma(s) in g = Gamma(s), and b
+    a bound on |c - E[phi(X_t)]|.
 
-
-def _correction(k, phi, gamma, t_idx):
-    """(c, b): c the ``_mean_identity_rhs`` value up to t_idx, b a bound
-    on |c - E[phi(X_t)]|.
-
-    Where the gaps of c to the stride-2 value and of that to the stride-4
-    value both pass the 1e-12 relative floor, their ratio r gives the order
-    p = -log2 r and Roache's three-grid Grid Convergence Index 1.25 gap /
-    (2^p - 1); b is the larger of that and the stride-2 gap, plus the floor.
-    r < 1/8 is an observed order above 3, a full order past the midpoint
-    rule's 2: the grid is not yet in the asymptotic range the index assumes,
-    and b is at least the stride-4 gap |c2 - c4| plus the floor. r >= 1
-    raises NumericalError. Where all three agree within the floor, an
-    integrand varying inside the first cell goes unseen by every midpoint:
-    there a midpoint value off its endpoints' mean by b / Gamma(t_1) raises.
+    The panels [0, Gamma 2^-64] and [Gamma 2^-(k+1), Gamma 2^-k], k < 64, are
+    graded toward 0, where rough kernels and high frequencies put the
+    integrand's variation. Each takes the nested Clenshaw-Curtis rules of 65
+    and 33 nodes, which include its ends. The panels are split m = 1, 2, 4,
+    ... ways until half the rules' gap, summed over them, is at most 1e-13
+    max(1, |c|); b is that plus the floor 1e-12 max(1, |c|). Past 256 ways
+    NumericalError is raised.
     """
-    c, c2, c4 = (_mean_identity_rhs(k, phi, gamma, t_idx, stride)
-                 for stride in (1, 2, 4))
-    gap, gap4, floor = abs(c - c2), abs(c2 - c4), 1e-12 * max(1.0, abs(c))
-    ratio = gap / gap4 if min(gap, gap4) > floor else 0.0
-    if ratio >= 1.0:
-        raise NumericalError(
-            f"the Stieltjes rule shows no convergence on this grid (gap ratio "
-            f"{ratio:.3g}); refine it or use --grid-kind energy",
-            estimate=c, bound=gap)
-    coarse = gap4 if 0.0 < ratio < 0.125 else 0.0
-    bias = max(gap, 1.25 * gap * ratio / (1.0 - ratio), coarse) + floor  # 2^p-1 = 1/r-1
-    if max(gap, gap4) <= floor:
-        t_1 = gamma.grid.times[1]
-        f_0, f_mid, f_1 = _d2phi_mean(k, phi)(np.array([0.0, 0.5 * t_1, t_1]))
-        if abs(0.5 * (f_0 + f_1) - f_mid) * gamma.values[1] > bias:
-            raise NumericalError(
-                "the Stieltjes integrand varies inside the first cell, where no "
-                "midpoint sees it; refine the grid", estimate=c, bound=bias)
-    return c, bias
+    for split in _SPLITS:
+        lo = _PANELS[:-1, None] + np.diff(_PANELS)[:, None] * np.arange(split) / split
+        h = gamma_t * np.repeat(np.diff(_PANELS) / split, split)
+        g = phi.smooth(2, 0.0, gamma_t * lo.reshape(-1, 1) + h[:, None] * _CC_NODES)
+        quad, diff = (g @ _CC_WEIGHTS).T * h
+        c = float(phi.phi(0.0)) + 0.5 * float(np.sum(quad))
+        gap = 0.5 * float(np.sum(np.abs(diff)))
+        if gap <= 1e-13 * max(1.0, abs(c)):
+            return c, gap + 1e-12 * max(1.0, abs(c))
+    raise NumericalError(
+        f"the Ito correction of {phi.label} is unresolved in {h.size} "
+        "Clenshaw-Curtis panels over [0, Gamma(t)]", estimate=c, bound=gap)
 
 
 def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
@@ -575,18 +566,18 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
     """Check E[phi(X_t)] = phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s).
 
     The left side is computed exactly by the test function's smoothing
-    and, when paths > 0, also by Monte Carlo; the right side is the midpoint
-    Stieltjes rule on the grid, whose error ``_correction`` bounds.
+    and, when paths > 0, also by Monte Carlo on the grid; the right side is
+    ``_correction``'s quadrature in g = Gamma(s) up to Gamma(t), with the
+    error bound it returns. Only the Monte Carlo side uses the grid.
     """
     _check_z(z)
     if paths < 0:
         raise DomainError("paths must be >= 0 (0 selects quadrature only)")
     t_idx = grid.index_of(t)
-    gamma = energy_function(k, grid)
-    gamma_t = gamma.values[t_idx]
+    gamma_t = k.total_l2(grid.times[t_idx])
 
     lhs_quad = float(phi.smooth(0, 0.0, gamma_t))
-    rhs, bias = _correction(k, phi, gamma, t_idx)
+    rhs, bias = _correction(phi, gamma_t)
 
     detail = {
         "lhs_quadrature": lhs_quad,
@@ -634,11 +625,12 @@ def _res2_reference(phi, w):
 def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, threads):
     """E[res^2] of res = phi(X_t) - c - CO_t by Monte Carlo, X_t = Z w_t
     drawn from the t_idx normals it reads, with the terms that judge it:
-    ``_res2_reference``'s, the Stieltjes bias bound of c, and a ``floor`` on
-    the rounding of res^2, 1e-24 E[(c + CO_t)^2].
+    ``_res2_reference``'s, ``_correction``'s bound on c at Gamma(t) (the
+    ``stieltjes_bias``), and a ``floor`` on the rounding of res^2,
+    1e-24 E[(c + CO_t)^2].
     """
     w_t = _weight_row(k, grid.times, t_idx)
-    c_t, bias = _correction(k, phi, energy_function(k, grid), t_idx)
+    c_t, bias = _correction(phi, k.total_l2(grid.times[t_idx]))
 
     def sample(z):
         res = phi.phi(z @ w_t) - c_t - _co_sum_block(phi, w_t, z)
@@ -733,6 +725,11 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
     """Rerun the mean identity with integrator Gamma + eps*t and require the
     residual to be detectably nonzero, pinning the correction measure.
 
+    The added Lebesgue term L = int_0^t E[phi''(X_s)] ds stays on the s axis,
+    by the midpoint rule on the grid. Its quadrature error cancels: the
+    perturbed right side enters only through rhs_nu - reference =
+    (eps / 2) L, and the threshold is |eps / 2| |L| for the same L, so
+    residual - threshold is within |estimate - reference| of 0 whatever L is.
     eps = 0 degenerates to the plain mean identity check.
     """
     if not math.isfinite(eps):
@@ -744,7 +741,8 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
 
     # Lebesgue part added by the corrupted integrator nu = Gamma + eps * s
     head = grid.times[:t_idx + 1]
-    lebesgue = stieltjes_integrate(_d2phi_mean(k, phi), head, head)
+    lebesgue = stieltjes_integrate(
+        lambda s: phi.smooth(2, 0.0, k.total_l2(s)), head, head)
     rhs_nu = base.reference + 0.5 * eps * lebesgue
     estimate = base.estimate  # LHS (quadrature or MC, as in the base check)
     residual = abs(estimate - rhs_nu)

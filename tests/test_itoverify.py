@@ -10,7 +10,6 @@ from scipy import integrate, stats
 
 from volterra_ito import itoverify
 from volterra_ito import paths as paths_module
-from volterra_ito.bracket import energy_function
 from volterra_ito.errors import DomainError, NumericalError
 from volterra_ito.itoverify import (
     BLOCK_PATHS,
@@ -502,72 +501,45 @@ class TestMeanIdentity:
 
     @pytest.mark.parametrize("hurst", [0.1, 0.25])
     def test_uniform_grid_bias_bounds_the_error(self, hurst):
-        # next to dGamma's singularity the midpoint rule converges at order <= 1,
-        # where the stride-2 gap alone understates the error
+        # dGamma is singular at s = 0 for H < 1/2; the grid does not enter c
         k = RiemannLiouvilleKernel(hurst=hurst, horizon=1.0)
         rep = verify_mean_identity(k, TestFunction.cosine(),
                                    TimeGrid.uniform(256, 1.0), 0, 1, 1.0)
         assert abs(rep.reference - math.exp(-0.5)) <= rep.bias_bound
         assert rep.passed
 
-    def test_energy_grid_bias_is_the_stride_2_gap(self):
-        # observed ratio near 1/4: the three-grid index is below the gap itself
-        grid = equal_energy_grid(RL25, 256)
-        phi = TestFunction.cosine()
-        rep = verify_mean_identity(RL25, phi, grid, 0, 1, 1.0)
-        c2 = itoverify._mean_identity_rhs(RL25, phi, energy_function(RL25, grid),
-                                          256, stride=2)
-        assert rep.bias_bound == abs(rep.reference - c2) + 1e-12
-
-    def test_pre_asymptotic_grid_bias_covers_the_stride_4_gap(self):
-        # gap ratio 0.0074 at n = 16, an observed order of 7 past the midpoint
-        # rule's 2: the three-grid index alone gave 1.03e-4 against an error
-        # of 2.59e-4, a false FAIL
-        k = RiemannLiouvilleKernel(hurst=0.75, horizon=1.0)
-        phi = TestFunction.mollified_square(0.5)
-        grid = TimeGrid.uniform(16, 1.0)
-        rep = verify_mean_identity(k, phi, grid, 0, 1, 1.0)
-        gamma = energy_function(k, grid)
-        c2, c4 = (itoverify._mean_identity_rhs(k, phi, gamma, 16, stride=s)
-                  for s in (2, 4))
-        assert rep.bias_bound >= abs(c2 - c4)
-        assert abs(rep.estimate - rep.reference) > 2e-4
-        assert rep.passed
-
-    def test_order_near_two_keeps_the_stride_2_gap(self):
-        # gap ratio 0.2485, an observed order of 2.01: asymptotic, so the
-        # stride-4 gap (four times the stride-2 gap) does not enter the bound
-        k = RiemannLiouvilleKernel(hurst=0.75, horizon=1.0)
-        phi = TestFunction.cosine(2.0)
-        grid = TimeGrid.uniform(64, 1.0)
-        rep = verify_mean_identity(k, phi, grid, 0, 1, 1.0)
-        c2 = itoverify._mean_identity_rhs(k, phi, energy_function(k, grid), 64,
-                                          stride=2)
-        assert rep.bias_bound == abs(rep.reference - c2) + 1e-12
-        assert rep.passed
-
-    def test_no_observed_convergence_raises(self, monkeypatch):
-        # stride-2 gap 0.1 against stride-4 gap 0.05: ratio 2
-        values = {1: 1.0, 2: 1.1, 4: 1.15}
-        monkeypatch.setattr(itoverify, "_mean_identity_rhs",
-                            lambda k, phi, gamma, t_idx, stride=1: values[stride])
-        with pytest.raises(NumericalError, match="--grid-kind energy"):
-            verify_mean_identity(RL25, TestFunction.cosine(),
-                                 TimeGrid.uniform(64, 1.0), 0, 1, 1.0)
+    @pytest.mark.parametrize("gamma_t", [1e-8, 1e-4, 0.01, 0.18, 1.0, 10.0])
+    @pytest.mark.parametrize("phi", [
+        *(TestFunction.cosine(a) for a in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)),
+        *(TestFunction.mollified_square(c) for c in (0.01, 0.1, 0.25, 1.0, 2.0,
+                                                    10.0, 100.0)),
+        TestFunction.polynomial([0, 0, 0, 0, 1]), TestFunction.square(),
+    ], ids=lambda phi: phi.label)
+    def test_correction_bound_covers_the_exact_mean(self, phi, gamma_t):
+        # E[phi(sqrt(Gamma) Z)]: exp(-a^2 Gamma / 2) for cos(a x), Gaussian
+        # moments for polynomials and the mollified square's own smoothing
+        c, b = itoverify._correction(phi, gamma_t)
+        if phi.family == "cosine":
+            exact = math.exp(-0.5 * phi.freq ** 2 * gamma_t)
+        else:
+            exact = phi.smooth(0, 0.0, gamma_t)
+        assert abs(c - exact) <= b
+        assert 0.0 < b <= 2e-12 * max(1.0, abs(c))
 
     @pytest.mark.parametrize("check", [
         lambda phi, grid: verify_mean_identity(BM, phi, grid, 0, 1, 1.0),
         lambda phi, grid: verify_pathwise_formula(BM, phi, grid, 100, 1, 1.0),
     ], ids=["mean", "path"])
     def test_integrand_inside_the_first_cell_raises(self, check):
-        # E[phi''(X_s)] = -a^2 exp(-a^2 s / 2) is 0 at every midpoint, so all
-        # three strides give c = 1 against E cos(a X_1) = 0: was a FAIL
-        with pytest.raises(NumericalError, match="first cell"):
+        # E[phi''(X_s)] = -a^2 exp(-a^2 s / 2) is 0 at every midpoint of the
+        # grid, whose rule gave c = 1 against E cos(a X_1) = 0: was a FAIL.
+        # Its mass lies below Gamma 2^-64, where no split within budget sees it
+        with pytest.raises(NumericalError, match="unresolved"):
             check(TestFunction.cosine(1e100), TimeGrid.uniform(16, 1.0))
 
     def test_integrand_linear_in_the_first_cell_is_resolved(self):
-        # phi = x^4 on Brownian: E[phi''(X_s)] = 12 s, which every stride
-        # integrates exactly, though it moves by 6 t_1 across the first cell
+        # phi = x^4 on Brownian: E[phi''(X_s)] = 12 s, which both panel rules
+        # integrate exactly, so the bound is the floor 1e-12 max(1, |c|)
         rep = verify_mean_identity(BM, TestFunction.polynomial([0, 0, 0, 0, 1]),
                                    TimeGrid.uniform(16, 1.0), 0, 1, 1.0)
         assert rep.reference == pytest.approx(3.0, rel=1e-14)
@@ -664,9 +636,9 @@ class TestPathwise:
 
     def test_large_constant_keeps_a_wrong_correction_detectable(self, monkeypatch):
         # c off by 0.05 adds 0.0025 to E[res^2], against 0.0186
-        rhs = itoverify._mean_identity_rhs
-        monkeypatch.setattr(itoverify, "_mean_identity_rhs",
-                            lambda *a, **kw: rhs(*a, **kw) + 0.05)
+        correction = itoverify._correction
+        monkeypatch.setattr(itoverify, "_correction",
+                            lambda *a: (lambda c, b: (c + 0.05, b))(*correction(*a)))
         for rep in self.constant_shifted_reports():
             assert not rep.passed
 
@@ -682,9 +654,9 @@ class TestPathwise:
     def test_wrong_correction_is_detected(self, monkeypatch):
         # a correction off by 0.05 adds 0.0025 to E[res^2]; the Stieltjes bias
         # bound enters squared and does not absorb it
-        rhs = itoverify._mean_identity_rhs
-        monkeypatch.setattr(itoverify, "_mean_identity_rhs",
-                            lambda *a, **kw: rhs(*a, **kw) + 0.05)
+        correction = itoverify._correction
+        monkeypatch.setattr(itoverify, "_correction",
+                            lambda *a: (lambda c, b: (c + 0.05, b))(*correction(*a)))
         rep = verify_pathwise_formula(BM, TestFunction.cosine(),
                                       TimeGrid.uniform(256, 1.0), 4096, 42, 1.0)
         assert rep.estimate > rep.z * rep.se + rep.bias_bound
@@ -734,8 +706,8 @@ class TestPathwise:
             assert verify_pathwise_formula(RL25, phi, grids, 300, 1, 1.0).passed
 
     def test_off_terminal_time_and_odd_cell_count(self):
-        # t = 0.5 on 50 cells: 25 cells, so the stride-2 and stride-4 Stieltjes
-        # subgrids end on a short last cell
+        # t = 0.5 on 50 cells: the weights and the normals stop at an odd
+        # interior index
         grid = TimeGrid.uniform(50, 1.0)
         rep = verify_pathwise_formula(RL25, TestFunction.square(), grid, 8192, 4, 0.5)
         w = _weight_row(RL25, grid.times, 25)
@@ -791,6 +763,30 @@ class TestUniqueness:
         want = 0.5 * 0.01 * (8.0 - 12.0 * math.exp(-0.5))
         assert rep.estimate == pytest.approx(want, rel=1e-3)
         assert rep.passed
+
+    @pytest.mark.parametrize("paths", [0, 4096], ids=["quadrature", "monte-carlo"])
+    @pytest.mark.parametrize("phi", [
+        TestFunction.cosine(), TestFunction.mollified_square(1.5),
+    ], ids=["cos", "mollified1.5"])
+    @pytest.mark.parametrize("k", [BM, RL25], ids=["brownian", "rl025"])
+    def test_lebesgue_quadrature_error_cancels(self, k, phi, paths, monkeypatch):
+        # rhs_nu - reference and the threshold share L: an error of 1e-3 in L
+        # moves rhs_perturbed but neither the verdict nor residual - threshold
+        grid = TimeGrid.uniform(64, 1.0)
+
+        def run():
+            rep = verify_uniqueness_perturbation(k, phi, 0.01, grid, paths, 5, 1.0)
+            close = abs(rep.estimate - rep.reference) <= rep.detail["combined_tolerance"]
+            return rep.passed, close, rep.detail["rhs_perturbed"]
+
+        passed, close, rhs = run()
+        lebesgue = itoverify.stieltjes_integrate
+        monkeypatch.setattr(itoverify, "stieltjes_integrate",
+                            lambda *a: (1.0 + 1e-3) * lebesgue(*a))
+        scaled = run()
+        assert scaled[:2] == (passed, close)
+        assert close and scaled[2] != rhs
+        assert passed or paths  # 4096 paths do not resolve eps = 0.01
 
     def test_detection_strength(self):
         for k in (BM, RL25, ES):

@@ -22,6 +22,8 @@ ARGVS = (
     "verify-mean --kernel rl --hurst 0.25 --grid-kind energy --grid-n 16 --phi cos",
     "simulate --kernel rl --hurst 0.25 --grid-n 8 --paths 4",
     "simulate --sampler cholesky --kernel rl --hurst 0.25 --grid-n 8 --paths 4",
+    "bracket --kernel rl --hurst 0.25 --grid-n 8",
+    "verify-unique --kernel rl --hurst 0.25 --grid-n 8 --phi cos --eps 0.01",
 )
 
 
