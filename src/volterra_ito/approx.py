@@ -17,7 +17,6 @@ from scipy import optimize
 
 from .bracket import energy_function, estimate_hurst
 from .errors import DomainError, NumericalError
-from .itoverify import TestFunction, verify_mean_identity
 from .kernels import (
     ExpSumKernel,
     Kernel,
@@ -41,7 +40,6 @@ class ApproxReport:
     n_terms: list
     l2_errors: list
     bracket_sup_errors: list
-    mean_residuals: list
     hurst_estimates: list
     fitted: list = field(default_factory=list)  # per-n {"weights","rates"}
     cauchy_schwarz_ok: bool = True
@@ -54,7 +52,6 @@ class ApproxReport:
             "n_terms": list(self.n_terms),
             "l2_errors": [float(x) for x in self.l2_errors],
             "bracket_sup_errors": [float(x) for x in self.bracket_sup_errors],
-            "mean_residuals": [float(x) for x in self.mean_residuals],
             "hurst_estimates": [float(x) for x in self.hurst_estimates],
             "fitted": self.fitted,
             "cauchy_schwarz_ok": self.cauchy_schwarz_ok,
@@ -63,10 +60,7 @@ class ApproxReport:
         }
 
     def rows(self):
-        return zip(
-            self.n_terms, self.l2_errors, self.bracket_sup_errors,
-            self.mean_residuals,
-        )
+        return zip(self.n_terms, self.l2_errors, self.bracket_sup_errors)
 
 
 def _check_t_min(t_min, T):
@@ -130,13 +124,12 @@ def _pointwise_cs_ok(target, fitted, grid, slack=1e-9):
     return not np.any(np.abs(g_f - g_t) > bound + slack)
 
 
-def convergence_suite(target: Kernel, n_list, grid: TimeGrid, paths: int,
-                      seed: int, t_min: float = 1e-3) -> ApproxReport:
-    """Fit exp-sums for each n and quantify kernel, bracket and formula errors.
+def convergence_suite(target: Kernel, n_list, grid: TimeGrid,
+                      t_min: float = 1e-3) -> ApproxReport:
+    """Fit exp-sums for each n and quantify kernel and bracket errors.
 
     Per n: the L2(mu) kernel distance, the sup over the grid of the bracket
-    error (with the pointwise Cauchy-Schwarz bound asserted), the
-    mean-identity residual for phi = cos on the fitted kernel, and the Hurst
+    error (with the pointwise Cauchy-Schwarz bound asserted), and the Hurst
     exponent of the fitted bracket over (t_min, 10 t_min). The term
     counts must be strictly increasing: the suite judges its errors as
     decreasing in n.
@@ -152,14 +145,12 @@ def convergence_suite(target: Kernel, n_list, grid: TimeGrid, paths: int,
     # log-spaced grid so the scaling window holds enough points for the fit
     hurst_grid = TimeGrid(np.concatenate([[0.0], np.geomspace(t_min, T, 128)]))
     gamma_target = energy_function(target, grid).values
-    phi = TestFunction.cosine()
 
     report = ApproxReport(
         target_id=target.kernel_id,
         n_terms=n_list,
         l2_errors=[],
         bracket_sup_errors=[],
-        mean_residuals=[],
         hurst_estimates=[],
     )
     cs_all = True
@@ -174,9 +165,6 @@ def convergence_suite(target: Kernel, n_list, grid: TimeGrid, paths: int,
         sup_err = float(np.max(np.abs(gamma_fit.values - gamma_target)))
         report.bracket_sup_errors.append(sup_err)
         cs_all = cs_all and _pointwise_cs_ok(target, fitted, grid)
-
-        rep = verify_mean_identity(fitted, phi, grid, paths, seed, T)
-        report.mean_residuals.append(abs(rep.estimate - rep.reference))
 
         h_hat, _r2 = estimate_hurst(
             energy_function(fitted, hurst_grid), (t_min, 10.0 * t_min)

@@ -313,17 +313,15 @@ def _cmd_sandbox(args):
 def _cmd_approx(args):
     k = _kernel_from_args(args)
     grid = _grid_for(k, args.grid_n, args.grid_kind)
-    report = convergence_suite(k, args.n_terms, grid, args.paths, args.seed,
-                               t_min=args.t_min)
+    report = convergence_suite(k, args.n_terms, grid, t_min=args.t_min)
     ok = (report.cauchy_schwarz_ok and report.l2_strictly_decreasing
           and report.bracket_nonincreasing)
     if args.format == "csv":
-        _write_csv(args, ["n", "l2_err", "bracket_sup_err", "mean_residual"],
-                   report.rows())
+        _write_csv(args, ["n", "l2_err", "bracket_sup_err"], report.rows())
         return EXIT_OK if ok else EXIT_FAIL
     lines = [
-        f"n={n}: l2={a:.5e} bracket_sup={b:.5e} mean_res={c:.3e}"
-        for n, a, b, c in report.rows()
+        f"n={n}: l2={a:.5e} bracket_sup={b:.5e}"
+        for n, a, b in report.rows()
     ]
     lines.append(
         f"l2 strictly decreasing = {report.l2_strictly_decreasing}, "
@@ -484,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("approx", "exponential-sum convergence suite", tables)
     _add_kernel_flags(p)
     _add_grid_flags(p)
-    _add_draw_flags(p, paths=0)
     p.add_argument("--n-terms", type=_ints, default=[2, 4, 8, 16])
     p.add_argument("--t-min", type=float, default=1e-4)
 

@@ -542,8 +542,8 @@ def _correction(phi, gamma_t):
     integrand's variation. Each takes the nested Clenshaw-Curtis rules of 65
     and 33 nodes, which include its ends. The panels are split m = 1, 2, 4,
     ... ways until half the rules' gap, summed over them, is at most 1e-13
-    max(1, |c|); b is that plus the floor 1e-12 max(1, |c|). Past 256 ways
-    NumericalError is raised.
+    max(1, |c|); b is that plus the floor 1e-12 max(1, |c|). NumericalError
+    is raised past 256 ways, and at once when c or the gap is not finite.
     """
     for split in _SPLITS:
         lo = _PANELS[:-1, None] + np.diff(_PANELS)[:, None] * np.arange(split) / split
@@ -552,6 +552,11 @@ def _correction(phi, gamma_t):
         quad, diff = (g @ _CC_WEIGHTS).T * h
         c = float(phi.phi(0.0)) + 0.5 * float(np.sum(quad))
         gap = 0.5 * float(np.sum(np.abs(diff)))
+        if not (math.isfinite(c) and math.isfinite(gap)):
+            # no split makes a NaN or an overflowing integrand finite
+            raise NumericalError(
+                f"the Ito correction of {phi.label} is not finite over "
+                "[0, Gamma(t)]", estimate=c, bound=gap)
         if gap <= 1e-13 * max(1.0, abs(c)):
             return c, gap + 1e-12 * max(1.0, abs(c))
     raise NumericalError(

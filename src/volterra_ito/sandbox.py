@@ -5,7 +5,12 @@ which the derivation D (coordinatewise partial derivative), the divergence
 delta (its adjoint) and the predictable projection Pi (coordinate i
 conditions on coordinates < i) act in closed form. Expectations reduce to
 Wick/Isserlis moments, so every operator identity can be checked to machine
-precision with no simulation.
+precision with no simulation. The checks take E[ab] without building the
+product a b: a pair of monomials has a nonzero moment only when no coordinate
+carries an odd total power, that is when the coordinates each holds to an
+odd power (its odd signature) are the same, so ``_wick_inner`` groups both
+operands' terms by odd signature and sums, over the matching pairs only, the
+coefficients times the Isserlis moment of the merged key.
 
 Monomials are stored sparsely: a term key is a canonical tuple of
 (coordinate, power) pairs, with int coordinates strictly increasing in
@@ -42,14 +47,21 @@ __all__ = [
 ]
 
 
-def _moment(k: int) -> float:
-    """E[xi^k] for xi ~ N(0,1): (k-1)!! for even k, 0 for odd."""
-    if k % 2 == 1:
-        return 0.0
-    out = 1.0
-    for j in range(k - 1, 0, -2):
-        out *= j
-    return out
+class _MomentTable(dict):
+    """E[xi^k] for xi ~ N(0,1), looked up as ``_MOMENTS[k]``: (k-1)!! for
+    even k, 0 for odd; each k is computed on its first lookup."""
+
+    def __missing__(self, k):
+        out = 0.0
+        if k % 2 == 0:
+            out = 1.0
+            for j in range(k - 1, 0, -2):
+                out *= j
+        self[k] = out
+        return out
+
+
+_MOMENTS = _MomentTable()
 
 
 def _merge_keys(key1, key2):
@@ -212,11 +224,49 @@ def wick_expectation(f: GaussPoly) -> float:
     for key, coef in f.terms.items():
         m = coef
         for (_c, p) in key:
-            m *= _moment(p)
+            m *= _MOMENTS[p]
             if m == 0.0:
                 break
         total += m
     return total
+
+
+def _odd_groups(f: GaussPoly) -> dict:
+    """f's (key, coef) terms grouped by odd signature."""
+    groups: dict = {}
+    for key, coef in f.terms.items():
+        sig = tuple([c for c, p in key if p & 1])
+        groups.setdefault(sig, []).append((key, coef))
+    return groups
+
+
+def _grouped_inner(ga: dict, gb: dict) -> float:
+    """E[ab] from the odd groups of a and b: only pairs of monomials with
+    equal odd signatures have a nonzero moment, so only those are merged."""
+    total = 0.0
+    for sig, terms_a in ga.items():
+        terms_b = gb.get(sig)
+        if terms_b is None:
+            continue
+        for k1, c1 in terms_a:
+            for k2, c2 in terms_b:
+                m = c1 * c2
+                for (_c, p) in _merge_keys(k1, k2):
+                    m *= _MOMENTS[p]
+                total += m
+    return total
+
+
+def _wick_inner(a: GaussPoly, b: GaussPoly) -> float:
+    """E[ab], equal to ``wick_expectation(a * b)`` without building a * b;
+    the sum runs pair by pair, so general float inputs agree to rounding."""
+    ga = _odd_groups(a)
+    return _grouped_inner(ga, ga if b is a else _odd_groups(b))
+
+
+def _field_wick_inner(u: PolyField, v: PolyField) -> float:
+    """E[<u, v>], equal to ``wick_expectation(field_inner(u, v))``."""
+    return sum(_wick_inner(a, b) for a, b in zip(u.components, v.components))
 
 
 def _partial_key(key, pos):
@@ -247,9 +297,13 @@ def diverge(u: PolyField) -> GaussPoly:
     for i, comp in enumerate(u.components):
         xi = ((i, 1),)
         for key, coef in comp.terms.items():
-            key = _merge_keys(xi, key)
+            # a monomial in coordinates below i, as in a predictable field,
+            # is extended by xi_i and has no partial in coordinate i
+            key = key + xi if not key or key[-1][0] < i else _merge_keys(xi, key)
             acc[key] = acc.get(key, 0.0) + coef
         for key, coef in comp.terms.items():
+            if not key or key[-1][0] < i:
+                continue
             for pos, (c, p) in enumerate(key):
                 if c == i:
                     new = _partial_key(key, pos)
@@ -258,28 +312,24 @@ def diverge(u: PolyField) -> GaussPoly:
     return GaussPoly._trusted(n, acc)
 
 
-def _condition_term(key, coef, i):
-    """Condition one monomial on coordinates < i: later factors become moments."""
-    kept = []
-    for (c, p) in key:
-        if c < i:
-            kept.append((c, p))
-        else:
-            coef *= _moment(p)
-            if coef == 0.0:
-                return None, 0.0
-    return tuple(kept), coef
-
-
 def project_predictable(u: PolyField) -> PolyField:
-    """Componentwise conditional expectation E[u_i | xi_0, ..., xi_{i-1}]."""
+    """Componentwise conditional expectation E[u_i | xi_0, ..., xi_{i-1}]:
+    in each monomial the factors in coordinates >= i become their moments."""
     comps = []
     for i, comp in enumerate(u.components):
         out: dict = {}
         for key, coef in comp.terms.items():
-            new, c = _condition_term(key, coef, i)
-            if c != 0.0:
-                out[new] = out.get(new, 0.0) + c
+            # keys are sorted: the factors from pos on are the ones to condition
+            pos = len(key)
+            while pos and key[pos - 1][0] >= i:
+                pos -= 1
+            for (_c, p) in key[pos:]:
+                coef *= _MOMENTS[p]
+                if coef == 0.0:
+                    break
+            else:  # key[:pos] is key itself when no factor is conditioned
+                new = key[:pos]
+                out[new] = out.get(new, 0.0) + coef
         comps.append(GaussPoly._trusted(comp.n, out))
     return PolyField(tuple(comps))
 
@@ -303,8 +353,8 @@ def _scaled_gap(lhs: float, rhs: float) -> float:
 
 def check_adjointness(f: GaussPoly, u: PolyField) -> float:
     """E[f delta(u)] against E[<Df, u>]; zero up to rounding by adjointness."""
-    return _scaled_gap(wick_expectation(f * diverge(u)),
-                       wick_expectation(field_inner(derive(f), u)))
+    return _scaled_gap(_wick_inner(f, diverge(u)),
+                       _field_wick_inner(derive(f), u))
 
 
 def check_product_rule(f: GaussPoly, u: PolyField) -> float:
@@ -321,8 +371,7 @@ def check_ortho_identity(f: GaussPoly) -> float:
     projection."""
     u = derive(f)
     p = project_predictable(u)
-    return _scaled_gap(wick_expectation(field_inner(u, p)),
-                       wick_expectation(field_inner(p, p)))
+    return _scaled_gap(_field_wick_inner(u, p), _field_wick_inner(p, p))
 
 
 def check_isometry(u: PolyField) -> tuple:
@@ -334,17 +383,18 @@ def check_isometry(u: PolyField) -> tuple:
     comparison only (the two readings differ off the exact identity).
     """
     d = diverge(u)
-    lhs = wick_expectation(d * d)
-    norm2 = wick_expectation(field_inner(u, u))
+    lhs = _wick_inner(d, d)
+    norm2 = _field_wick_inner(u, u)
     trace_exact = 0.0
     trace_hs = 0.0
-    # partials[j][i] = d_i u_j
-    partials = [derive(c).components for c in u.components]
+    # groups[j][i]: the odd groups of d_i u_j
+    groups = [[_odd_groups(p) for p in derive(c).components]
+              for c in u.components]
     for i in range(u.n):
         for j in range(u.n):
-            d_ij = partials[j][i]
-            trace_exact += wick_expectation(d_ij * partials[i][j])
-            trace_hs += wick_expectation(d_ij * d_ij)
+            g_ij = groups[j][i]
+            trace_exact += _grouped_inner(g_ij, groups[i][j])
+            trace_hs += _grouped_inner(g_ij, g_ij)
     return lhs, norm2 + trace_hs, norm2 + trace_exact
 
 
@@ -363,8 +413,15 @@ def discretized_bm_square(n: int) -> GaussPoly:
     if n < 1:
         raise DomainError("need n >= 1 cells")
     a = 1.0 / math.sqrt(n)
-    s = GaussPoly(n, {((i, 1),): a for i in range(n)})
-    return s * s
+    aa = a * a
+    # s * s for s = sum_i a xi_i, written out in its insertion order and
+    # with its coefficients: a*a on the diagonal, a*a + a*a off it
+    terms: dict = {}
+    for i in range(n):
+        terms[((i, 2),)] = aa
+        for j in range(i + 1, n):
+            terms[((i, 1), (j, 1))] = aa + aa
+    return GaussPoly._trusted(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +433,7 @@ def _random_poly(rng, n, max_degree=8, max_terms=5, coef_lo=-3, coef_hi=3):
     for _ in range(rng.integers(1, max_terms + 1)):
         degree = int(rng.integers(0, max_degree + 1))
         exps: dict = {}
-        for _ in range(degree):
-            c = int(rng.integers(0, n))
+        for c in rng.integers(0, n, size=degree).tolist():
             exps[c] = exps.get(c, 0) + 1
         key = tuple(sorted(exps.items()))
         coef = 0
@@ -443,8 +499,8 @@ def sandbox_suite(cases: int = 200, seed: int = 20240801) -> dict:
             check_product_rule(f, u),
             check_ortho_identity(f),
             idem / max(1.0, max(c.max_abs_coef for c in pu.components)),
-            _scaled_gap(wick_expectation(field_inner(pu, v)),
-                        wick_expectation(field_inner(u, project_predictable(v)))),
+            _scaled_gap(_field_wick_inner(pu, v),
+                        _field_wick_inner(u, project_predictable(v))),
             _scaled_gap(iso_lhs, iso_exact),
             abs(iso_hs - iso_exact) / max(1.0, abs(iso_lhs), abs(iso_exact)),
             factorization_defect(ml).max_abs_coef,
@@ -455,7 +511,7 @@ def sandbox_suite(cases: int = 200, seed: int = 20240801) -> dict:
     defect = {}
     for n in (4, 16, 64, 256):
         d = factorization_defect(discretized_bm_square(n))
-        l2 = math.sqrt(wick_expectation(d * d))
+        l2 = math.sqrt(_wick_inner(d, d))
         expected = math.sqrt(2.0 / n)
         defect[str(n)] = {
             "l2_norm": l2,

@@ -193,7 +193,7 @@ def test_criterion_9_approximation_stability():
     t0 = time.time()
     rep = convergence_suite(
         RiemannLiouvilleKernel(hurst=0.25, horizon=1.0),
-        [2, 4, 8, 16], TimeGrid.uniform(256, 1.0), 0, SEED, t_min=1e-4,
+        [2, 4, 8, 16], TimeGrid.uniform(256, 1.0), t_min=1e-4,
     )
     elapsed = time.time() - t0
     assert rep.l2_strictly_decreasing, rep.l2_errors

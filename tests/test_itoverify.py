@@ -537,6 +537,28 @@ class TestMeanIdentity:
         with pytest.raises(NumericalError, match="unresolved"):
             check(TestFunction.cosine(1e100), TimeGrid.uniform(16, 1.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda: TestFunction.cosine(1e300),
+        lambda: TestFunction.polynomial([0.0, 0.0, 1e308]),
+    ], ids=["cos-a2-overflows", "poly-phi2-overflows"])
+    def test_non_finite_correction_raises_at_once(self, make):
+        # a^2 = inf makes cos's smoothing NaN at every node, and phi'' = 2e308
+        # = inf makes c infinite; all 9 splits used to be tried first
+        with np.errstate(all="ignore"):
+            phi = make()
+        real = phi.smooth
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        phi.smooth = counted
+        with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                      match="is not finite"):
+            itoverify._correction(phi, 1.0)
+        assert calls == [2]
+
     def test_integrand_linear_in_the_first_cell_is_resolved(self):
         # phi = x^4 on Brownian: E[phi''(X_s)] = 12 s, which both panel rules
         # integrate exactly, so the bound is the floor 1e-12 max(1, |c|)

@@ -14,6 +14,7 @@ from volterra_ito.sandbox import (
     _merge_keys,
     _random_poly,
     _scaled_gap,
+    _wick_inner,
     check_adjointness,
     check_isometry,
     check_ortho_identity,
@@ -53,6 +54,54 @@ class TestWick:
 
     def test_constant(self):
         assert wick_expectation(GaussPoly.constant(3, 2.5)) == 2.5
+
+
+def int_poly(rng, n):
+    """A random polynomial with integer coefficients in [-3, 3]: every
+    moment sum is exact, so the inner product equals its oracle bit for bit."""
+    terms = {}
+    for _ in range(int(rng.integers(0, 6))):
+        terms[random_key(rng, n)] = float(rng.integers(-3, 4))
+    return GaussPoly(n, terms)
+
+
+class TestWickInner:
+    """``_wick_inner(a, b)`` against its oracle ``wick_expectation(a * b)``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_oracle_on_random_integer_polys(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(300):
+            a, b = int_poly(rng, n), int_poly(rng, n)
+            assert _wick_inner(a, b) == wick_expectation(a * b)
+            assert _wick_inner(a, a) == wick_expectation(a * a)
+
+    def test_zero_and_constants(self):
+        n = 3
+        zero, two = GaussPoly.zero(n), GaussPoly.constant(n, 2.0)
+        f = GaussPoly(n, {((0, 2), (2, 1)): 3.0, (): -1.0, ((1, 4),): 2.0})
+        assert _wick_inner(zero, f) == _wick_inner(f, zero) == 0.0
+        assert _wick_inner(zero, zero) == 0.0
+        assert _wick_inner(two, f) == wick_expectation(two * f) == 10.0
+        assert _wick_inner(two, two) == 4.0
+
+    def test_same_operand(self):
+        n = 2
+        f = GaussPoly(n, {((0, 1),): 1.0, ((0, 1), (1, 2)): -2.0, (): 0.5})
+        g = GaussPoly(n, dict(f.terms))
+        assert _wick_inner(f, f) == _wick_inner(f, g) == wick_expectation(f * f)
+
+    def test_disjoint_odd_signatures_vanish(self):
+        # odd signatures (0,), (0, 1) and (1,) against () and (2,): no pair matches
+        n = 3
+        a = GaussPoly(n, {((0, 1),): 2.0, ((0, 3), (1, 1)): 1.0, ((1, 1), (2, 2)): 5.0})
+        b = GaussPoly(n, {(): 1.0, ((0, 2),): 4.0, ((2, 1),): 3.0})
+        assert _wick_inner(a, b) == _wick_inner(b, a) == 0.0
+        assert wick_expectation(a * b) == 0.0
+
+    def test_bm_square_defect_at_n_64(self):
+        d = factorization_defect(discretized_bm_square(64))
+        assert _wick_inner(d, d) == wick_expectation(d * d) == 2.0 / 64
 
 
 class TestDerive:
@@ -176,6 +225,16 @@ class TestFactorizationDefect:
         l2 = math.sqrt(wick_expectation(d * d))
         want = math.sqrt(2.0 / n)
         assert abs(l2 - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 64])
+    def test_bm_square_is_the_product_item_for_item(self, n):
+        # coefficients and insertion order, which fixes later float sums
+        a = 1.0 / math.sqrt(n)
+        s = GaussPoly(n, {((i, 1),): a for i in range(n)})
+        got = list(discretized_bm_square(n).terms.items())
+        want = list((s * s).terms.items())
+        assert got == want
+        assert [c.hex() for _, c in got] == [c.hex() for _, c in want]
 
     def test_defect_polynomial_shape(self):
         # defect of the n-cell W_1^2 is 1 - (1/n) sum xi_i^2
@@ -361,3 +420,17 @@ class TestSuitePinned:
                              "isometry_hs_gap_max", "defect_multilinear_max",
                              "defect_bm_square", "pass"]
         assert rep["isometry_hs_gap_max"].hex() == "0x1.bdc3d34c81fa2p+2"
+
+    @pytest.mark.parametrize("seed, hs_gap", [
+        (1, "0x1.5ff51ef005708p+2"),
+        (7, "0x1.59d382d3e358ap+2"),
+    ])
+    def test_other_seeds_bit_for_bit(self, seed, hs_gap):
+        # the Hilbert-Schmidt gap is the one residual that depends on the
+        # drawn polynomials, so it pins the draws of other seeds
+        rep = sandbox_suite(seed=seed)
+        assert rep["pass"] is True
+        assert rep["isometry_hs_gap_max"].hex() == hs_gap
+        assert all(rep[key] == 0.0 for key in rep
+                   if key.endswith("_max") and key != "isometry_hs_gap_max")
+        assert rep["defect_bm_square"] == sandbox_suite(cases=1)["defect_bm_square"]
