@@ -30,6 +30,7 @@ __all__ = ["ApproxReport", "fit_expsum", "convergence_suite"]
 
 _FIT_GRID_POINTS = 2000
 _MAX_CONDITION = 1e14
+_CS_SLACK = 1e-9
 
 
 @dataclass
@@ -114,18 +115,18 @@ def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
     return ExpSumKernel(weights=tuple(coef), rates=tuple(rates), horizon=T)
 
 
-def _pointwise_cs_ok(target, fitted, grid, slack=1e-9):
-    """|Gamma_n - Gamma| <= d_n(t) (||K_n||_t + ||K||_t) at every grid point."""
-    g_t = energy_function(target, grid).values[1:]
-    g_f = energy_function(fitted, grid).values[1:]
+def _pointwise_cs_ok(target, fitted, grid, gamma_target, gamma_fit):
+    """|Gamma_n - Gamma| <= d_n(t) (||K_n||_t + ||K||_t) at every grid point
+    past 0, given Gamma and Gamma_n on the grid."""
+    g_t, g_f = gamma_target[1:], gamma_fit[1:]
     cross = covariance(target, fitted, grid.times[1:], grid.times[1:])
     dist2 = np.maximum(g_t + g_f - 2.0 * cross, 0.0)
     bound = np.sqrt(dist2) * (np.sqrt(g_t) + np.sqrt(g_f))
-    return not np.any(np.abs(g_f - g_t) > bound + slack)
+    return not np.any(np.abs(g_f - g_t) > bound + _CS_SLACK)
 
 
 def convergence_suite(target: Kernel, n_list, grid: TimeGrid,
-                      t_min: float = 1e-3) -> ApproxReport:
+                      t_min: float) -> ApproxReport:
     """Fit exp-sums for each n and quantify kernel and bracket errors.
 
     Per n: the L2(mu) kernel distance, the sup over the grid of the bracket
@@ -161,10 +162,11 @@ def convergence_suite(target: Kernel, n_list, grid: TimeGrid,
         )
         report.l2_errors.append(kernel_l2mu_distance(target, fitted))
 
-        gamma_fit = energy_function(fitted, grid)
-        sup_err = float(np.max(np.abs(gamma_fit.values - gamma_target)))
+        gamma_fit = energy_function(fitted, grid).values
+        sup_err = float(np.max(np.abs(gamma_fit - gamma_target)))
         report.bracket_sup_errors.append(sup_err)
-        cs_all = cs_all and _pointwise_cs_ok(target, fitted, grid)
+        cs_all = cs_all and _pointwise_cs_ok(target, fitted, grid, gamma_target,
+                                             gamma_fit)
 
         h_hat, _r2 = estimate_hurst(
             energy_function(fitted, hurst_grid), (t_min, 10.0 * t_min)

@@ -1,9 +1,11 @@
-"""Energy functions, intrinsic brackets and Stieltjes integration.
+"""Energy functions, intrinsic brackets and Hurst estimation.
 
 The energy function Gamma(t) = int_0^t K(t,r)^2 dr is always computed from
 the kernel's exact Gamma (closed form, or exact cell masses for tables),
 never from sample variances: bracket values are deterministic to rounding
-and the statistical machinery lives elsewhere.
+and the statistical machinery lives elsewhere. Integrals against dGamma are
+not taken here: the Ito correction integrates in g = Gamma(s) itself
+(``itoverify._correction``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "EnergyFunction",
     "energy_function",
     "cross_bracket",
-    "stieltjes_integrate",
     "estimate_hurst",
 ]
 
@@ -64,22 +65,6 @@ def cross_bracket(k1: Kernel, k2: Kernel, grid: TimeGrid) -> EnergyFunction:
     vals = np.zeros(times.size)
     vals[1:] = covariance(k1, k2, times[1:], times[1:])
     return EnergyFunction(grid=grid, values=vals)
-
-
-def stieltjes_integrate(f, times, values) -> float:
-    """Midpoint Riemann-Stieltjes integral of f against an integrator sampled
-    as ``values`` at the increasing ``times``.
-
-    Each cell samples f at its midpoint. For smooth f and integrator the
-    error is O(mesh^2 |f''| TV(Gamma)); rough integrators need grids graded
-    so the per-cell increments stay balanced (see ``equal_energy_grid``).
-    ``f`` is evaluated elementwise on the array of cell midpoints.
-    """
-    mids = 0.5 * (times[:-1] + times[1:])
-    vals = np.asarray(f(mids), dtype=float)
-    if vals.shape != mids.shape:
-        raise DomainError("integrand callable must evaluate elementwise")
-    return float(np.dot(vals, np.diff(values)))
 
 
 def estimate_hurst(g: EnergyFunction, fit_window) -> tuple:

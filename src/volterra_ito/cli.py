@@ -27,6 +27,7 @@ from .approx import convergence_suite, fit_expsum
 from .bracket import cross_bracket, energy_function, estimate_hurst
 from .errors import DomainError, NumericalError
 from .itoverify import (
+    DEFAULT_Z,
     TestFunction,
     verify_mean_identity,
     verify_multivariate,
@@ -399,7 +400,7 @@ def _add_draw_flags(p, paths):
 def _add_check_flags(p):
     p.add_argument("--t", type=float, default=None,
                    help="time of the check; default the horizon")
-    p.add_argument("--z", type=float, default=4.0)
+    p.add_argument("--z", type=float, default=DEFAULT_Z)
     p.add_argument("--threads", type=_thread_count,
                    default=os.environ.get("VOLTERRA_ITO_THREADS", "1"),
                    help="Monte Carlo worker threads; default "

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, special
 
-from .bracket import stieltjes_integrate
 from .errors import DomainError, NumericalError
 from .kernels import Kernel, TimeGrid, _leggauss01, covariance
 from .paths import _normals_matrix, _weight_row
@@ -104,11 +103,11 @@ class TestFunction:
                 np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
             )
         elif family == "cosine":
-            self.freq = 1.0 if freq is None else float(freq)
+            self.freq = float(freq)
             if not math.isfinite(self.freq):
                 raise DomainError("cosine frequency must be finite")
         elif family == "mollified_square":
-            self.cut = 100.0 if cut is None else float(cut)
+            self.cut = float(cut)
             if not (math.isfinite(self.cut) and self.cut > 0):
                 raise DomainError("mollified square cutoff must be finite and positive")
         else:
@@ -318,7 +317,7 @@ class TestFunction:
     @property
     def label(self) -> str:
         if self.family == "polynomial":
-            return f"poly{list(self.coeffs)}"
+            return f"poly{self.coeffs.tolist()}"
         if self.family == "cosine":
             return f"cos({self.freq}x)"
         return f"x^2*eta(x/{self.cut})"
@@ -412,12 +411,12 @@ def _co_sum_block(phi, w, z):
 
 @dataclass
 class VerificationReport:
-    """Outcome of one check. The mean, pathwise and multivariate identities
-    are built by ``_identity_report`` and pass iff |estimate - reference| <=
-    z * se + bias_bound (and, for a pathwise ladder, the ladder is monotone);
-    the perturbation test keeps its detection criterion. A non-finite
-    estimate, reference, se or bias_bound judges nothing and raises
-    NumericalError.
+    """Outcome of one check, built by ``_identity_report``: it passes iff
+    |estimate - reference| <= z * se + bias_bound and the check's own
+    condition holds (a pathwise ladder is monotone; the perturbation test's
+    base identity passes and its threshold exceeds z * se + bias_bound). A
+    non-finite estimate, reference, se or bias_bound judges nothing and
+    raises NumericalError.
     """
 
     identity: str
@@ -543,8 +542,12 @@ def _correction(phi, gamma_t):
     and 33 nodes, which include its ends. The panels are split m = 1, 2, 4,
     ... ways until half the rules' gap, summed over them, is at most 1e-13
     max(1, |c|); b is that plus the floor 1e-12 max(1, |c|). NumericalError
-    is raised past 256 ways, and at once when c or the gap is not finite.
+    is raised past 256 ways, and at once when Gamma(t), c or the gap is not
+    finite.
     """
+    if not math.isfinite(gamma_t):
+        raise NumericalError("the energy function Gamma(t) is not finite",
+                             estimate=float(gamma_t))
     for split in _SPLITS:
         lo = _PANELS[:-1, None] + np.diff(_PANELS)[:, None] * np.arange(split) / split
         h = gamma_t * np.repeat(np.diff(_PANELS) / split, split)
@@ -581,8 +584,8 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
     t_idx = grid.index_of(t)
     gamma_t = k.total_l2(grid.times[t_idx])
 
-    lhs_quad = float(phi.smooth(0, 0.0, gamma_t))
     rhs, bias = _correction(phi, gamma_t)
+    lhs_quad = float(phi.smooth(0, 0.0, gamma_t))
 
     detail = {
         "lhs_quadrature": lhs_quad,
@@ -627,15 +630,13 @@ def _res2_reference(phi, w):
     return ref, float(quad + rounding), co2
 
 
-def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, threads):
-    """E[res^2] of res = phi(X_t) - c - CO_t by Monte Carlo, X_t = Z w_t
+def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, c_t, threads):
+    """E[res^2] of res = phi(X_t) - c_t - CO_t by Monte Carlo, X_t = Z w_t
     drawn from the t_idx normals it reads, with the terms that judge it:
-    ``_res2_reference``'s, ``_correction``'s bound on c at Gamma(t) (the
-    ``stieltjes_bias``), and a ``floor`` on the rounding of res^2,
-    1e-24 E[(c + CO_t)^2].
+    ``_res2_reference``'s and a ``floor`` on the rounding of res^2,
+    1e-24 E[(c_t + CO_t)^2].
     """
     w_t = _weight_row(k, grid.times, t_idx)
-    c_t, bias = _correction(phi, k.total_l2(grid.times[t_idx]))
 
     def sample(z):
         res = phi.phi(z @ w_t) - c_t - _co_sum_block(phi, w_t, z)
@@ -645,7 +646,7 @@ def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, threads):
     ref, ref_err, co2 = _res2_reference(phi, w_t)
     return {"grid_n": grid.n_cells, "estimate": est, "se": se,
             "reference": ref, "reference_error": ref_err,
-            "stieltjes_bias": bias, "floor": 1e-24 * (c_t * c_t + co2)}
+            "floor": 1e-24 * (c_t * c_t + co2)}
 
 
 def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
@@ -657,7 +658,9 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
 
     The estimate is E[res^2] by Monte Carlo. On the grid E[res^2] =
     Var phi(X_t) - E[CO_t^2] + (E phi(X_t) - c)^2, the last term at most b^2
-    for the Stieltjes bias bound b. So the reference is the exact
+    for ``_correction``'s bound b on c, which depends on Gamma(t) alone: c and
+    b are computed once, at t on the finest grid, and b is
+    ``detail["stieltjes_bias"]``. So the reference is the exact
     Var phi(X_t) - E[CO_t^2], and the bias bound is its error + b^2 + floor.
     A ladder of grids (strictly increasing cell counts) must also be
     nonincreasing, 1 SE of slack per rung; the finest grid is judged.
@@ -674,10 +677,10 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     if any(b <= a for a, b in zip(cells, cells[1:])):
         raise DomainError(
             f"field 'ladder': cell counts must be strictly increasing, got {cells}")
-    ladder = []
-    for g in grids:
-        ladder.append(_pathwise_res2_moments(k, phi, g, paths, seed, g.index_of(t),
-                                             threads))
+    finest = grids[-1]
+    c_t, b = _correction(phi, k.total_l2(finest.times[finest.index_of(t)]))
+    ladder = [_pathwise_res2_moments(k, phi, g, paths, seed, g.index_of(t), c_t,
+                                     threads) for g in grids]
 
     monotone = all(
         ladder[i + 1]["estimate"]
@@ -685,11 +688,12 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
         for i in range(len(ladder) - 1)
     )
     final = ladder[-1]
-    b = final["stieltjes_bias"]  # b * b overflows to inf where b ** 2 raises
+    # b * b overflows to inf where b ** 2 raises
     bias = final["reference_error"] + b * b + final["floor"]
-    return _identity_report("pathwise_formula", grids[-1], paths, seed, z,
+    return _identity_report("pathwise_formula", finest, paths, seed, z,
                             final["estimate"], final["reference"], final["se"], bias,
-                            {"ladder": ladder, "monotone": monotone}, holds=monotone)
+                            {"ladder": ladder, "monotone": monotone,
+                             "stieltjes_bias": b}, holds=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +726,13 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
 # Uniqueness of the correction measure
 # ---------------------------------------------------------------------------
 
+def _lebesgue_term(k, phi, times):
+    """L = int_0^t E[phi''(X_s)] ds by the midpoint rule on the cells of
+    ``times``, which run from 0 to t."""
+    mids = 0.5 * (times[:-1] + times[1:])
+    return float(np.dot(phi.smooth(2, 0.0, k.total_l2(mids)), np.diff(times)))
+
+
 def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
                                    grid: TimeGrid, paths: int, seed: int,
                                    t: float,
@@ -729,6 +740,11 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
                                    threads: int = 1) -> VerificationReport:
     """Rerun the mean identity with integrator Gamma + eps*t and require the
     residual to be detectably nonzero, pinning the correction measure.
+
+    The estimate is the perturbed identity's residual |E phi(X_t) - rhs_nu|
+    and the reference its threshold |eps / 2| |L|, judged by the identity
+    rule; the base identity must also pass and the threshold exceed
+    z * se + bias_bound.
 
     The added Lebesgue term L = int_0^t E[phi''(X_s)] ds stays on the s axis,
     by the midpoint rule on the grid. Its quadrature error cancels: the
@@ -742,35 +758,13 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
     base = verify_mean_identity(k, phi, grid, paths, seed, t, z=z, threads=threads)
     if eps == 0.0:
         return base
-    t_idx = grid.index_of(t)
-
-    # Lebesgue part added by the corrupted integrator nu = Gamma + eps * s
-    head = grid.times[:t_idx + 1]
-    lebesgue = stieltjes_integrate(
-        lambda s: phi.smooth(2, 0.0, k.total_l2(s)), head, head)
+    lebesgue = _lebesgue_term(k, phi, grid.times[:grid.index_of(t) + 1])
     rhs_nu = base.reference + 0.5 * eps * lebesgue
-    estimate = base.estimate  # LHS (quadrature or MC, as in the base check)
-    residual = abs(estimate - rhs_nu)
+    residual = abs(base.estimate - rhs_nu)  # the LHS: quadrature or MC, as in base
     threshold = 0.5 * abs(eps) * abs(lebesgue)
-    combined_tol = z * base.se + base.bias_bound + base.detail[
-        "residual_quadrature"
-    ]
-    passed = residual >= threshold - combined_tol and residual > combined_tol
-    return VerificationReport(
-        identity="uniqueness_perturbation",
-        estimate=float(residual),
-        reference=float(threshold),
-        se=float(base.se),
-        bias_bound=float(base.bias_bound),
-        grid_n=grid.n_cells,
-        paths=paths,
-        seed=seed,
-        passed=bool(passed),
-        z=z,
-        detail={
-            "eps": eps,
-            "rhs_perturbed": rhs_nu,
-            "combined_tolerance": combined_tol,
-            "detection_ratio": residual / combined_tol if combined_tol > 0 else math.inf,
-        },
-    )
+    tol = z * base.se + base.bias_bound
+    detail = {"eps": eps, "rhs_perturbed": rhs_nu, "combined_tolerance": tol,
+              "detection_ratio": residual / tol}
+    return _identity_report("uniqueness_perturbation", grid, paths, seed, z,
+                            residual, threshold, base.se, base.bias_bound, detail,
+                            holds=base.passed and threshold > tol)

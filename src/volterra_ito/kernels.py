@@ -587,9 +587,8 @@ def kernel_l2mu_distance(k1: Kernel, k2: Kernel) -> float:
 def equal_energy_grid(k: Kernel, n_cells: int) -> TimeGrid:
     """Grid whose cells carry equal increments of Gamma(t) = int_0^t K(t,r)^2 dr.
 
-    For singular integrators (rough kernels) this is the graded mesh that
-    keeps midpoint Stieltjes sums accurate; for the Brownian kernel it is the
-    uniform grid.
+    For rough kernels it is graded toward 0, where Gamma rises fastest; for
+    the Brownian kernel it is the uniform grid.
     """
     if n_cells < 1:
         raise DomainError("need at least one cell")

@@ -428,28 +428,30 @@ def discretized_bm_square(n: int) -> GaussPoly:
 # Randomized suite
 # ---------------------------------------------------------------------------
 
-def _random_poly(rng, n, max_degree=8, max_terms=5, coef_lo=-3, coef_hi=3):
+def _random_poly(rng, n):
+    """A sum of 1 to 5 monomials of degree <= 8 with nonzero integer
+    coefficients in [-3, 3]."""
     terms: dict = {}
-    for _ in range(rng.integers(1, max_terms + 1)):
-        degree = int(rng.integers(0, max_degree + 1))
+    for _ in range(rng.integers(1, 6)):
+        degree = int(rng.integers(0, 9))
         exps: dict = {}
         for c in rng.integers(0, n, size=degree).tolist():
             exps[c] = exps.get(c, 0) + 1
         key = tuple(sorted(exps.items()))
         coef = 0
         while coef == 0:
-            coef = int(rng.integers(coef_lo, coef_hi + 1))
+            coef = int(rng.integers(-3, 4))
         terms[key] = terms.get(key, 0.0) + coef
     return GaussPoly(n, terms)
 
 
-def _random_field(rng, n, **kw):
+def _random_field(rng, n):
     comps = []
     for _ in range(n):
         if rng.random() < 0.25:
             comps.append(GaussPoly.zero(n))
         else:
-            comps.append(_random_poly(rng, n, **kw))
+            comps.append(_random_poly(rng, n))
     return PolyField(tuple(comps))
 
 

@@ -1,4 +1,4 @@
-"""Energy functions, Stieltjes integration, Hurst recovery."""
+"""Energy functions, cross-brackets, Hurst recovery."""
 
 import math
 
@@ -10,7 +10,6 @@ from volterra_ito.bracket import (
     cross_bracket,
     energy_function,
     estimate_hurst,
-    stieltjes_integrate,
 )
 from volterra_ito.errors import DomainError
 from volterra_ito.kernels import (
@@ -135,45 +134,6 @@ class TestCrossBracket:
         se = prod.std() / math.sqrt(prod.size)
         want = cross_bracket(RL25, BM, grid).values[-1]
         assert abs(prod.mean() - want) <= 4 * se + 5e-3
-
-
-class TestStieltjes:
-    def test_power_law_total_mass(self):
-        grid = TimeGrid.uniform(256, 1.0)
-        ef = energy_function(RL25, grid)
-        got = stieltjes_integrate(lambda s: np.ones_like(s), grid.times, ef.values)
-        assert got == pytest.approx(1.0, rel=1e-12)
-
-    def test_linear_integrand_quadratic_integrator(self):
-        times = TimeGrid.uniform(1024, 1.0).times
-        got = stieltjes_integrate(lambda s: s, times, times ** 2)
-        # midpoint rule: error 1/(6 n^2) for this pair
-        assert got == pytest.approx(2.0 / 3.0, abs=2e-7)
-
-    def test_linearity(self):
-        grid = TimeGrid.uniform(64, 1.0)
-        t, g = grid.times, energy_function(RL25, grid).values
-        f1 = lambda s: np.sin(s)
-        f2 = lambda s: s ** 2
-        alpha = 2.75
-        lhs = stieltjes_integrate(lambda s: alpha * f1(s) + f2(s), t, g)
-        rhs = alpha * stieltjes_integrate(f1, t, g) + stieltjes_integrate(f2, t, g)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_additivity_over_intervals(self):
-        grid = TimeGrid.uniform(64, 1.0)
-        t, g = grid.times, energy_function(ES, grid).values
-        f = lambda s: np.cos(3 * s)
-        whole = stieltjes_integrate(f, t, g)
-        split = (stieltjes_integrate(f, t[:41], g[:41])
-                 + stieltjes_integrate(f, t[40:], g[40:]))
-        assert split == pytest.approx(whole, rel=1e-12, abs=1e-15)
-
-    def test_grid_mismatch(self):
-        # an integrand that does not give one value per cell midpoint
-        times = TimeGrid.uniform(32, 1.0).times
-        with pytest.raises(DomainError):
-            stieltjes_integrate(lambda s: np.ones(7), times, times)
 
 
 class TestEstimateHurst:

@@ -3,6 +3,7 @@
 import argparse
 import gzip
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -17,6 +18,7 @@ import pytest
 
 import volterra_ito
 from volterra_ito.cli import build_parser, main
+from volterra_ito.itoverify import DEFAULT_Z, TestFunction
 from volterra_ito.sandbox import sandbox_suite
 
 
@@ -261,6 +263,24 @@ class TestErrors:
         assert code == 3
         assert [line for line in err.splitlines()
                 if line.startswith("numerical error:")] == [err.rstrip("\n")]
+
+    @pytest.mark.parametrize("argv, message", [
+        (NON_FINITE_REPORTS["mean-expsum-weight"],
+         "the energy function Gamma(t) is not finite (estimate inf)"),
+        (f"verify-path {HUGE_EXPSUM} --grid-n 16 --paths 100",
+         "the energy function Gamma(t) is not finite (estimate inf)"),
+        ("verify-mean --kernel brownian --grid-n 16 --phi poly --phi-coeffs 0,0,1e308",
+         "the Ito correction of poly[0.0, 0.0, 1e+308] is not finite over "
+         "[0, Gamma(t)]"),
+    ], ids=["mean-gamma", "path-gamma", "mean-correction"])
+    def test_non_finite_message_names_its_value(self, argv, message, capsys):
+        # an infinite Gamma(t) was blamed on the correction, which printed
+        # poly[np.float64(0.0), ...]
+        code = run_cli(argv.split())
+        err = capsys.readouterr().err
+        assert code == 3
+        _assert_one_numerical_error_line(err)
+        assert err.startswith(f"numerical error: {message}")
 
     @pytest.mark.parametrize("argv", list(NON_FINITE_OUTPUTS.values()),
                              ids=list(NON_FINITE_OUTPUTS))
@@ -546,6 +566,20 @@ def _readme_cli_section():
 _FLAG = r"`(--[\w-]+)`(?: \((\w+)\))?"  # a flag and the default after it, if any
 
 
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    for sub in ("verify-mean", "verify-path", "verify-multi", "verify-unique"):
+        assert parser.parse_args([sub]).z == DEFAULT_Z, sub
+    check = parser.parse_args(["verify-mean"])
+    assert check.phi_freq == inspect.signature(TestFunction.cosine).parameters[
+        "freq"].default
+    assert check.phi_cut == inspect.signature(TestFunction.mollified_square).parameters[
+        "cut"].default
+    sandbox = parser.parse_args(["sandbox"])
+    for name, param in inspect.signature(sandbox_suite).parameters.items():
+        assert getattr(sandbox, name) == param.default, name
+
+
 def test_readme_flag_tables_match_parser():
     section = _readme_cli_section()
     groups = {
@@ -589,7 +623,7 @@ def test_mollified_mean_identity_closes_at_small_cuts(kernel, grid_kind, cut, ca
                  "--no-timestamp"]) == 0
 
 
-# passing and failing runs of the three identity checks; the failures are a
+# passing and failing runs of the identity checks; the failures are a
 # z = 1 band missed by seed 3, the verify-path z = 1 run whose report read PASS
 # by its own rule while it exited 1, and a coarse quadrature-only grid
 IDENTITY_RUNS = {
@@ -610,6 +644,8 @@ IDENTITY_RUNS = {
                   "--grid-n 64 --paths 2000 --z 1 --seed 1",
     "multi-fail": "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian "
                   "--grid-n 64 --paths 2000 --z 1 --seed 3",
+    "unique-pass": "verify-unique --kernel rl --hurst 0.25 --grid-kind energy "
+                   "--phi mollified --grid-n 256",
 }
 
 

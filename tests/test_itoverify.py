@@ -59,6 +59,11 @@ class TestTestFunction:
         assert np.allclose(c.dphi(x), -2 * np.sin(2 * x))
         assert np.allclose(c.d2phi(x), -4 * np.cos(2 * x))
 
+    def test_labels_print_plain_numbers(self):
+        assert TestFunction.polynomial([0, 0.5, 3]).label == "poly[0.0, 0.5, 3.0]"
+        assert TestFunction.cosine(2).label == "cos(2.0x)"
+        assert TestFunction.mollified_square(1.5).label == "x^2*eta(x/1.5)"
+
     def test_mollified_square_inside(self):
         m = TestFunction.mollified_square(cut=5.0)
         x = np.linspace(-5, 5, 21)
@@ -559,6 +564,13 @@ class TestMeanIdentity:
             itoverify._correction(phi, 1.0)
         assert calls == [2]
 
+    @pytest.mark.parametrize("gamma_t", [math.inf, math.nan])
+    def test_non_finite_gamma_is_refused_by_name(self, gamma_t):
+        # an infinite Gamma(t) was reported as a non-finite correction
+        with pytest.raises(NumericalError,
+                           match=r"^the energy function Gamma\(t\) is not finite$"):
+            itoverify._correction(TestFunction.square(), gamma_t)
+
     def test_integrand_linear_in_the_first_cell_is_resolved(self):
         # phi = x^4 on Brownian: E[phi''(X_s)] = 12 s, which both panel rules
         # integrate exactly, so the bound is the floor 1e-12 max(1, |c|)
@@ -610,7 +622,7 @@ class TestPathwise:
         final = rep.detail["ladder"][-1]
         ref = final["reference"]
         assert abs(rep.estimate - ref) <= 4.0 * rep.se
-        b = final["stieltjes_bias"]
+        b = rep.detail["stieltjes_bias"]
         slack = final["reference_error"] + b * b + final["floor"]
         assert rep.reference == ref
         assert rep.bias_bound == slack
@@ -802,13 +814,36 @@ class TestUniqueness:
             return rep.passed, close, rep.detail["rhs_perturbed"]
 
         passed, close, rhs = run()
-        lebesgue = itoverify.stieltjes_integrate
-        monkeypatch.setattr(itoverify, "stieltjes_integrate",
+        lebesgue = itoverify._lebesgue_term
+        monkeypatch.setattr(itoverify, "_lebesgue_term",
                             lambda *a: (1.0 + 1e-3) * lebesgue(*a))
         scaled = run()
         assert scaled[:2] == (passed, close)
         assert close and scaled[2] != rhs
         assert passed or paths  # 4096 paths do not resolve eps = 0.01
+
+    @pytest.mark.parametrize("offset", [-0.05, -0.005, 0.005, 0.05])
+    @pytest.mark.parametrize("k", [BM, RL25], ids=["brownian", "rl025"])
+    def test_wrong_correction_fails(self, k, offset, monkeypatch):
+        # c off by the offset fails the mean identity, and residual - threshold
+        # is off by it too; the + offsets passed while the mean identity's
+        # observed residual was part of the tolerance
+        correction = itoverify._correction
+        monkeypatch.setattr(itoverify, "_correction",
+                            lambda *a: (lambda c, b: (c + offset, b))(*correction(*a)))
+        rep = verify_uniqueness_perturbation(k, TestFunction.mollified_square(), 0.01,
+                                             equal_energy_grid(k, 256), 0, 11, 1.0)
+        assert rep.identity == "uniqueness_perturbation"
+        assert abs(rep.estimate - rep.reference) > rep.detail["combined_tolerance"]
+        assert not rep.passed
+
+    def test_undetectable_perturbation_fails(self):
+        # eps = 1e-13 moves the right side by less than the correction's bound
+        rep = verify_uniqueness_perturbation(RL25, TestFunction.mollified_square(),
+                                             1e-13, equal_energy_grid(RL25, 256),
+                                             0, 11, 1.0)
+        assert rep.reference <= rep.detail["combined_tolerance"]
+        assert not rep.passed
 
     def test_detection_strength(self):
         for k in (BM, RL25, ES):

@@ -56,7 +56,7 @@ def test_install_traces_and_restore_undoes(tracer, capsys):
     names = {span[1] for span in recorder.spans}
     assert set(tracer.WORK) - {"itoverify.mehler_conditional"} <= names
     assert {"kernels.Kernel.total_l2", "itoverify.TestFunction.phi",
-            "bracket.stieltjes_integrate", "cli.main"} <= names
+            "cli.main"} <= names
     assert not recorder.errors
     start = min(span[2] for span in recorder.spans)
     end = max(span[3] for span in recorder.spans)
