@@ -414,7 +414,7 @@ class VerificationReport:
     """Outcome of one check, built by ``_identity_report``: it passes iff
     |estimate - reference| <= z * se + bias_bound and the check's own
     condition holds (a pathwise ladder is monotone; the perturbation test's
-    base identity passes and its threshold exceeds z * se + bias_bound). A
+    base identity passes and its residual exceeds z * se + bias_bound). A
     non-finite estimate, reference, se or bias_bound judges nothing and
     raises NumericalError.
     """
@@ -743,8 +743,9 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
 
     The estimate is the perturbed identity's residual |E phi(X_t) - rhs_nu|
     and the reference its threshold |eps / 2| |L|, judged by the identity
-    rule; the base identity must also pass and the threshold exceed
-    z * se + bias_bound.
+    rule; the base identity must also pass and the residual exceed
+    z * se + bias_bound, so the perturbed integrator fails the identity the
+    true one passes.
 
     The added Lebesgue term L = int_0^t E[phi''(X_s)] ds stays on the s axis,
     by the midpoint rule on the grid. Its quadrature error cancels: the
@@ -767,4 +768,4 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
               "detection_ratio": residual / tol}
     return _identity_report("uniqueness_perturbation", grid, paths, seed, z,
                             residual, threshold, base.se, base.bias_bound, detail,
-                            holds=base.passed and threshold > tol)
+                            holds=base.passed and residual > tol)

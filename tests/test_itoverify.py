@@ -845,6 +845,25 @@ class TestUniqueness:
         assert rep.reference <= rep.detail["combined_tolerance"]
         assert not rep.passed
 
+    @pytest.mark.parametrize("k", [BM, RL25], ids=["brownian", "rl025"])
+    def test_residual_inside_the_tolerance_fails(self, k):
+        # threshold = 1.5 (z se + bias_bound): a passing base identity leaves the
+        # residual anywhere in [0.5, 2.5] tolerances, and one at most 1 tolerance
+        # means Gamma + eps*s passes the mean identity too
+        grid, phi = TimeGrid.uniform(16, 1.0), TestFunction.cosine()
+        lebesgue = itoverify._lebesgue_term(k, phi, grid.times)
+        undetected = 0
+        for seed in range(8):
+            base = verify_mean_identity(k, phi, grid, 256, seed, 1.0, z=1.0)
+            eps = 3.0 * (base.se + base.bias_bound) / abs(lebesgue)
+            rep = verify_uniqueness_perturbation(k, phi, eps, grid, 256, seed, 1.0,
+                                                 z=1.0)
+            assert rep.reference == pytest.approx(1.5 * rep.detail["combined_tolerance"])
+            detected = rep.detail["detection_ratio"] > 1.0
+            assert rep.passed == (base.passed and detected)
+            undetected += base.passed and not detected
+        assert undetected  # the band is reached: seeds 7 (brownian), 6 and 7 (rl)
+
     def test_detection_strength(self):
         for k in (BM, RL25, ES):
             grid = equal_energy_grid(k, 512)
