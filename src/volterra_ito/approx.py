@@ -20,7 +20,6 @@ from .errors import DomainError, NumericalError
 from .kernels import (
     ExpSumKernel,
     Kernel,
-    RiemannLiouvilleKernel,
     TimeGrid,
     covariance,
     kernel_l2mu_distance,
@@ -84,7 +83,7 @@ def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
     -------
     ExpSumKernel with nonnegative weights on the geometric rate grid.
     """
-    if not isinstance(target, RiemannLiouvilleKernel):
+    if target.kind != "rl":  # Brownian motion, RL at H = 1/2, stays refused
         raise DomainError("exp-sum fitting targets Riemann-Liouville kernels only")
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")

@@ -189,26 +189,6 @@ class Kernel:
 
 
 @dataclass(frozen=True, eq=False)
-class BrownianKernel(Kernel):
-    """K(t, s) = 1 on s < t: the driving Brownian motion itself."""
-
-    horizon: float = 1.0
-    kind = "brownian"
-
-    def __post_init__(self):
-        _check_horizon(self.horizon)
-
-    def lag_eval(self, t, lag, s):
-        return np.ones_like(np.asarray(lag, dtype=float))
-
-    def cell_l2_rows(self, t, a, b):
-        return np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-
-    def spec_dict(self):
-        return {"kind": "brownian", "T": self.horizon}
-
-
-@dataclass(frozen=True, eq=False)
 class RiemannLiouvilleKernel(Kernel):
     """K(t, s) = sqrt(2H) (t-s)^(H-1/2), normalized so Gamma(t) = t^(2H)."""
 
@@ -234,10 +214,23 @@ class RiemannLiouvilleKernel(Kernel):
 
     @property
     def diag_exponent(self):
-        return self.hurst - 0.5
+        # at H = 1/2 the factor (t-s)^0 is not singular
+        return None if self.hurst == 0.5 else self.hurst - 0.5
 
     def spec_dict(self):
         return {"kind": "rl", "hurst": self.hurst, "T": self.horizon}
+
+
+@dataclass(frozen=True, eq=False)
+class BrownianKernel(RiemannLiouvilleKernel):
+    """K(t, s) = 1 on s < t: the driving Brownian motion itself, which is the
+    Riemann-Liouville kernel at H = 1/2 and takes every formula from it."""
+
+    hurst: float = field(default=0.5, init=False, repr=False)
+    kind = "brownian"
+
+    def spec_dict(self):
+        return {"kind": "brownian", "T": self.horizon}
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,29 +453,17 @@ def _cov_closed(k1, k2, t, u):
 
     Returns (values, closed): ``closed`` marks the elements whose pair and
     times admit a stable closed form, and ``values`` holds them there (0
-    elsewhere).
+    elsewhere). Brownian motion, the power law at H = 1/2, has family "rl":
+    every power-law pair is closed, and so is a power law with an exp-sum
+    whose time does not trail. Table kernels have no closed form.
     """
     m = np.minimum(t, u)
-    a, b = sorted(((k1, t), (k2, u)), key=lambda p: p[0].kind)
-    (ka, ta), (kb, tb) = a, b
-    kinds = (ka.kind, kb.kind)
+    (fa, ka, ta), (fb, kb, tb) = sorted(
+        (("rl" if isinstance(k, RiemannLiouvilleKernel) else k.kind, k, x)
+         for k, x in ((k1, t), (k2, u))), key=lambda p: p[0])
     closed = np.ones(m.shape, dtype=bool)
 
-    if kinds == ("brownian", "brownian"):
-        return m, closed
-    if kinds == ("brownian", "rl"):
-        h = kb.hurst
-        return (
-            math.sqrt(2.0 * h) / (h + 0.5)
-            * (tb ** (h + 0.5) - (tb - m) ** (h + 0.5))
-        ), closed
-    if kinds == ("brownian", "expsum"):
-        lam = np.asarray(kb.rates)
-        c = np.asarray(kb.weights)
-        lag, tb = (tb - m)[:, None], tb[:, None]
-        return np.sum(c / lam * (np.exp(-lam * lag) - np.exp(-lam * tb)),
-                      axis=-1), closed
-    if kinds == ("expsum", "expsum"):
+    if (fa, fb) == ("expsum", "expsum"):
         lam = np.asarray(ka.rates)[:, None]
         mu = np.asarray(kb.rates)
         cc = np.multiply.outer(np.asarray(ka.weights), np.asarray(kb.weights))
@@ -491,7 +472,7 @@ def _cov_closed(k1, k2, t, u):
               - np.exp(-(lam * ta + mu * tb)))
         terms = cc * ee / (lam + mu)
         return np.sum(terms.reshape(m.size, -1), axis=-1), closed
-    if kinds == ("expsum", "rl"):
+    if (fa, fb) == ("expsum", "rl"):
         # stable only where the exp-sum time does not trail the RL time
         closed = ~(ta < tb - 1e-12 * np.maximum(ta, tb))
         h = kb.hurst
@@ -505,14 +486,20 @@ def _cov_closed(k1, k2, t, u):
         vals[closed] = (math.sqrt(2.0 * h) * special.gamma(aa)
                         * np.sum(terms, axis=-1))
         return vals, closed
-    if kinds == ("rl", "rl") and ka.hurst == kb.hurst:
-        h = ka.hurst
+    if (fa, fb) == ("rl", "rl"):
         # the diagonal test is math.isclose(ta, tb, rel_tol=1e-14), elementwise
         diag = np.abs(ta - tb) <= 1e-14 * np.maximum(np.abs(ta), np.abs(tb))
-        lo, hi = m, np.maximum(ta, tb)
-        hyp = special.hyp2f1(1.0, 0.5 - h, 1.5 + h, lo / hi)
-        off = 2.0 * h * lo ** (h + 0.5) * hi ** (h - 0.5) * hyp / (h + 0.5)
-        return np.where(diag, m ** (2.0 * h), off), closed
+        ha, hb = ka.hurst, kb.hurst
+        vals = 2.0 * math.sqrt(ha * hb) / (ha + hb) * m ** (ha + hb)
+        # off it, one pass per time order with the later time's exponent
+        # first; Python-float exponents keep numpy's scalar pow fast paths
+        for h_late, h_early, late in ((ha, hb, ta > tb), (hb, ha, tb > ta)):
+            at = late & ~diag
+            lo, hi = m[at], np.maximum(ta, tb)[at]
+            hyp = special.hyp2f1(1.0, 0.5 - h_late, 1.5 + h_early, lo / hi)
+            vals[at] = (2.0 * math.sqrt(h_late * h_early) * lo ** (h_early + 0.5)
+                        * hi ** (h_late - 0.5) * hyp / (h_early + 0.5))
+        return vals, closed
     return np.zeros(m.shape), ~closed
 
 
@@ -520,8 +507,9 @@ def covariance(k1: Kernel, k2: Kernel, t, u):
     """E[X1_t X2_u] = int_0^(t^u) K1(t,s) K2(u,s) ds, elementwise in (t, u).
 
     Uses exact closed forms, evaluated over whole arrays, where the pair
-    admits one, and a graded Gauss-Legendre rule, one element at a time,
-    for the elements that do not.
+    admits one (every power-law pair, Brownian motion included; see
+    ``_cov_closed``), and a graded Gauss-Legendre rule, one element at a
+    time, for the elements that do not: table kernels, trailing exp-sum times.
 
     Parameters
     ----------
@@ -587,28 +575,39 @@ def kernel_l2mu_distance(k1: Kernel, k2: Kernel) -> float:
 def equal_energy_grid(k: Kernel, n_cells: int) -> TimeGrid:
     """Grid whose cells carry equal increments of Gamma(t) = int_0^t K(t,r)^2 dr.
 
-    For rough kernels it is graded toward 0, where Gamma rises fastest; for
-    the Brownian kernel it is the uniform grid.
+    For a power law Gamma(t) = t^(2H), so the nodes are T (i/n)^(1/(2H)):
+    graded toward 0, where Gamma rises fastest, for H < 1/2, and uniform for
+    Brownian motion. Other kernels bisect Gamma. A DomainError names the
+    energy function where Gamma(T) is not positive or the nodes do not
+    strictly increase in floating point.
     """
     if n_cells < 1:
         raise DomainError("need at least one cell")
     T = k.horizon
-    if isinstance(k, BrownianKernel):
-        return TimeGrid.uniform(n_cells, T)
+    total = k.total_l2(T)
+    if not total > 0.0:
+        raise DomainError(f"the energy function Gamma(T) = {total:.3g} is not "
+                          "positive, so it grades no grid; use --grid-kind uniform")
     if isinstance(k, RiemannLiouvilleKernel):
         frac = np.arange(n_cells + 1) / n_cells
-        return TimeGrid(T * frac ** (1.0 / (2.0 * k.hurst)))
-    # bisect every interior node at once on [0, T], one array Gamma call per
-    # step; a bracket that stops changing never changes again
-    targets = k.total_l2(T) * np.arange(1, n_cells) / n_cells
-    lo = np.zeros(n_cells - 1)
-    hi = np.full(n_cells - 1, T)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = k.total_l2(mid) < targets
-        new_lo = np.where(below, mid, lo)
-        new_hi = np.where(below, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return TimeGrid(np.concatenate(([0.0], 0.5 * (lo + hi), [T])))
+        times = T * frac ** (1.0 / (2.0 * k.hurst))
+    else:
+        # bisect every interior node at once on [0, T], one array Gamma call
+        # per step; a bracket that stops changing never changes again
+        targets = total * np.arange(1, n_cells) / n_cells
+        lo = np.zeros(n_cells - 1)
+        hi = np.full(n_cells - 1, T)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            below = k.total_l2(mid) < targets
+            new_lo = np.where(below, mid, lo)
+            new_hi = np.where(below, hi, mid)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
+        times = np.concatenate(([0.0], 0.5 * (lo + hi), [T]))
+    if not np.all(np.diff(times) > 0):
+        raise DomainError(f"the energy function's {n_cells} equal increments give "
+                          "grid times that do not strictly increase in floating "
+                          "point; use --grid-kind uniform")
+    return TimeGrid(times)

@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import resource
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import volterra_ito
+from volterra_ito import kernels
 from volterra_ito.cli import build_parser, main
 from volterra_ito.itoverify import DEFAULT_Z, TestFunction
 from volterra_ito.sandbox import sandbox_suite
@@ -708,13 +710,51 @@ class TestVerifySubcommands:
         # grid's midpoint rule; the last exited 3 there
         assert run_cli([*argv.split(), "--no-timestamp"]) == 0
 
-    def test_unresolvable_covariance_exits_3(self, capsys):
-        code = run_cli(["verify-multi", "--kernel", "rl", "--hurst", "0.02",
-                        "--kernel2", "rl", "--hurst2", "0.03", "--T", "1e-300",
-                        "--grid-n", "4", "--paths", "100"])
+    def test_unresolvable_covariance_exits_3(self, tmp_path, capsys):
+        # a table kernel has no closed form, and at T = 1e-300 the lags that
+        # underflow hold more of its covariance than the quadrature allows
+        spec = tmp_path / "table.json"
+        spec.write_text('{"kind":"table","times":[0,5e-301,1e-300],'
+                        '"values":[[0,0,0],[1,0,0],[1,1,0]]}')
+        code = run_cli(["verify-multi", "--kernel-spec", str(spec),
+                        "--kernel2-spec", str(spec), "--grid-n", "4",
+                        "--paths", "100"])
         err = capsys.readouterr().err
         assert code == 3
-        assert "underflow" in err and "Traceback" not in err
+        assert "lags that underflow may hold 2.23e-08" in err
+        assert "Traceback" not in err
+
+    def test_tiny_horizon_rl_pair_is_closed(self, tmp_path):
+        # this pair once reached the quadrature's underflow refusal
+        out = tmp_path / "rep.json"
+        code = run_cli(["verify-multi", "--kernel", "rl", "--hurst", "0.02",
+                        "--kernel2", "rl", "--hurst2", "0.03", "--T", "1e-300",
+                        "--grid-n", "4", "--paths", "100", "--output", str(out)])
+        assert code == 0
+        want = 2.0 * math.sqrt(0.02 * 0.03) / 0.05 * 1e-300 ** 0.05
+        ref = json.loads(out.read_text())["reports"][0]["reference"]
+        assert ref == pytest.approx(want, rel=1e-15)  # 9.80e-16
+
+    @pytest.mark.parametrize("kernel", [
+        "--kernel rl --hurst 0.001 --grid-n 1024",
+        "--kernel expsum --weights 0 --rates 1",
+    ], ids=["rl-nodes-underflow", "expsum-zero-energy"])
+    def test_energy_grid_refusal_names_the_energy_function(self, kernel, capsys):
+        code = run_cli(["verify-mean", *kernel.split(), "--grid-kind", "energy"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: the energy function")
+        assert err.endswith("use --grid-kind uniform\n")
+
+    def test_unequal_hurst_bracket_takes_no_quadrature(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the quadrature fallback was called")
+
+        monkeypatch.setattr(kernels, "_covariance_quad", refuse)
+        code = run_cli(["bracket", "--kernel", "rl", "--hurst", "0.25",
+                        "--kernel2", "rl", "--hurst2", "0.75", "--grid-n", "1024",
+                        "--output", str(tmp_path / "cross.json")])
+        assert code == 0
 
     def test_verify_path_ladder(self, tmp_path):
         out = tmp_path / "rep.json"

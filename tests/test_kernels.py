@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volterra_ito.approx import fit_expsum
+from volterra_ito.bracket import energy_function
 from volterra_ito.errors import DomainError, NumericalError
 from volterra_ito.kernels import (
     BrownianKernel,
@@ -22,6 +23,7 @@ from volterra_ito.kernels import (
     kernel_from_spec,
     kernel_l2mu_distance,
 )
+from volterra_ito.paths import volterra_weights
 
 BM = BrownianKernel(horizon=1.0)
 RL25 = RiemannLiouvilleKernel(hurst=0.25, horizon=1.0)
@@ -129,22 +131,33 @@ class TestCovariance:
         k1 = RiemannLiouvilleKernel(hurst=h1, horizon=1.0)
         k2 = RiemannLiouvilleKernel(hurst=h2, horizon=1.0)
         want = 2.0 * math.sqrt(h1 * h2) / (h1 + h2) * m ** (h1 + h2)
-        assert covariance(k1, k2, m, m) == pytest.approx(want, rel=1e-12)
+        assert _covariance_quad(k1, k2, m, m) == pytest.approx(want, rel=1e-12)
+        assert covariance(k1, k2, m, m) == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("m", [1e-300, 1e-200, 1e-100, 1e-50])
     def test_tiny_time_rl_pair_is_right_or_refused(self, m):
-        # lags below the smallest normal float are lost; at 1e-300 they held
-        # 6.6% of the integral and the value came back silently wrong
+        # lags below the smallest normal float are lost to the quadrature; at
+        # 1e-300 they held 6.6% of the integral and the value came back
+        # silently wrong. The closed form has no such floor.
         k1 = RiemannLiouvilleKernel(hurst=0.02, horizon=1.0)
         k2 = RiemannLiouvilleKernel(hurst=0.03, horizon=1.0)
         want = 2.0 * math.sqrt(0.02 * 0.03) / 0.05 * m ** 0.05
+        assert covariance(k1, k2, m, m) == pytest.approx(want, rel=1e-15)
         try:
-            got = covariance(k1, k2, m, m)
+            got = _covariance_quad(k1, k2, m, m)
         except NumericalError as exc:
             assert m <= 1e-200, exc
             assert exc.bound > 1e-9
         else:
             assert got == pytest.approx(want, rel=1e-9)
+
+    def test_quadrature_refuses_underflowing_lags(self):
+        # the pair a CLI run at --T 1e-300 once sent to the quadrature
+        k1 = RiemannLiouvilleKernel(hurst=0.02, horizon=1e-300)
+        k2 = RiemannLiouvilleKernel(hurst=0.03, horizon=1e-300)
+        with pytest.raises(NumericalError, match="underflow") as exc:
+            _covariance_quad(k1, k2, 1e-300, 1e-300)
+        assert exc.value.bound > 1e-9
 
     def test_rl_brownian_cross(self):
         want = math.sqrt(0.5) * 4.0 / 3.0
@@ -285,6 +298,7 @@ EXPSUM = st.lists(
     min_size=1, max_size=3,
 ).map(lambda terms: ExpSumKernel(weights=tuple(w for w, _ in terms),
                                  rates=tuple(r for _, r in terms)))
+POWER_LAW = st.one_of(st.just(BM), HURST.map(lambda h: RiemannLiouvilleKernel(hurst=h)))
 
 
 def assert_closed_matches_quadrature(k1, k2, t, u):
@@ -329,6 +343,14 @@ class TestClosedFormSweep:
         k = RiemannLiouvilleKernel(hurst=h)
         assert_closed_matches_quadrature(k, k, t, u)
 
+    @SWEEP
+    @given(k1=POWER_LAW, k2=POWER_LAW, t=TIME, u=TIME)
+    def test_two_hurst_exponents(self, k1, k2, t, u):
+        # independent exponents, Brownian (H = 1/2) among them, with each
+        # kernel's time the later one in turn
+        assert_closed_matches_quadrature(k1, k2, t, u)
+        assert_closed_matches_quadrature(k1, k2, u, t)
+
 
 class TestL2MuDistance:
     def test_identical_kernels(self):
@@ -370,6 +392,14 @@ class TestSpecs:
     def test_round_trip(self):
         for k in (BM, RL25, ES):
             assert kernel_from_spec(k.spec_dict()).spec_dict() == k.spec_dict()
+
+    def test_brownian_spec_names_no_exponent(self):
+        # Brownian motion is the RL kernel at H = 1/2 but keeps its own spec
+        assert BM.spec_dict() == {"kind": "brownian", "T": 1.0}
+        assert BM.kernel_id == '{"T":1.0,"kind":"brownian"}'
+        k = kernel_from_spec({"kind": "brownian", "T": 2.0})
+        assert type(k) is BrownianKernel
+        assert (k.hurst, k.horizon) == (0.5, 2.0)
 
     def test_json_parsing(self):
         k = kernel_from_json('{"kind":"rl","hurst":0.25,"T":1.0}')
@@ -443,6 +473,39 @@ class TestTimeGrid:
         gam = np.array([ES.total_l2(t) for t in g.times])
         incs = np.diff(gam)
         assert np.allclose(incs, incs[0], rtol=1e-6)
+
+    def test_equal_energy_refuses_underflowing_nodes(self):
+        # T (i/n)^(1/(2H)) = (i/1024)^500 underflows to 0 for small i
+        with pytest.raises(DomainError,
+                           match=r"^the energy function.*--grid-kind uniform$"):
+            equal_energy_grid(RiemannLiouvilleKernel(hurst=0.001), 1024)
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_equal_energy_refuses_zero_energy(self, n):
+        with pytest.raises(DomainError, match=r"^the energy function Gamma\(T\) = 0 "
+                                              r"is not positive.*--grid-kind uniform$"):
+            equal_energy_grid(ExpSumKernel(weights=(0.0,), rates=(1.0,)), n)
+
+
+class TestBrownianIsRiemannLiouvilleHalf:
+    """Brownian motion is the RL kernel at H = 1/2, bit for bit."""
+
+    RL50 = RiemannLiouvilleKernel(hurst=0.5)
+
+    @pytest.mark.parametrize("grid_kind", ["uniform", "energy"])
+    def test_same_numbers(self, grid_kind):
+        grids = [TimeGrid.uniform(100, 1.0) if grid_kind == "uniform"
+                 else equal_energy_grid(k, 100) for k in (BM, self.RL50)]
+        assert np.array_equal(grids[0].times, grids[1].times)
+        grid = grids[0]
+        assert np.array_equal(volterra_weights(BM, grid),
+                              volterra_weights(self.RL50, grid))
+        assert np.array_equal(energy_function(BM, grid).values,
+                              energy_function(self.RL50, grid).values)
+        t = grid.times[1:]
+        for other in (BM, self.RL50, RL25):
+            assert np.array_equal(covariance(BM, other, t[:, None], t[None, :]),
+                                  covariance(self.RL50, other, t[:, None], t[None, :]))
 
 
 def sequential_energy_grid(k, n_cells):
