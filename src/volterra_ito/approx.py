@@ -59,9 +59,6 @@ class ApproxReport:
             "bracket_nonincreasing": self.bracket_nonincreasing,
         }
 
-    def rows(self):
-        return zip(self.n_terms, self.l2_errors, self.bracket_sup_errors)
-
 
 def _check_t_min(t_min, T):
     if not 0.0 < t_min < T:

@@ -44,9 +44,6 @@ class EnergyFunction:
         drop = -1e-12 * max(1.0, np.max(np.abs(vals)))
         self.monotone = bool(np.all(np.diff(vals) >= drop))
 
-    def to_rows(self):
-        return zip(self.grid.times, self.values)
-
 
 def energy_function(k: Kernel, grid: TimeGrid) -> EnergyFunction:
     """Gamma(t_i) at every grid point, from one direct evaluation of Gamma.

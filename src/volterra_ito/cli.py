@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gzip
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ from .kernels import (
     kernel_from_json,
     kernel_from_spec,
 )
-from .paths import dump_paths_csv, simulate_cholesky, simulate_volterra
+from .paths import simulate_cholesky, simulate_volterra
 from .sandbox import sandbox_suite
 
 EXIT_OK = 0
@@ -50,12 +51,13 @@ EXIT_NUMERICAL = 3
 
 _GRID_N = 256  # --grid-n's default
 
-# Flags the config echo leaves out: the kernel and phi parameters show in the
-# spec dicts they resolve to, and the destination does not determine the run.
+# What the config echo leaves out: the kernel and phi parameters show in the
+# spec dicts they resolve to, and neither the destination nor the subcommand's
+# runner (``run``, named by ``subcommand``) determines the run.
 _NOT_ECHOED = frozenset({
     "T", "kernel_spec", "hurst", "weights", "rates",
     "kernel2_spec", "hurst2", "weights2", "rates2",
-    "phi_freq", "phi_cut", "phi_coeffs", "output",
+    "phi_freq", "phi_cut", "phi_coeffs", "output", "run",
 })
 
 
@@ -127,10 +129,10 @@ def _phi_from_args(args):
     """The test function of the phi flags; its spec dict replaces ``args.phi``."""
     if args.phi == "square":
         phi, spec = TestFunction.square(), {"family": "square"}
-    elif args.phi in ("cos", "cosine"):
+    elif args.phi == "cos":
         phi = TestFunction.cosine(args.phi_freq)
         spec = {"family": "cosine", "freq": args.phi_freq}
-    elif args.phi in ("mollified", "mollified_square"):
+    elif args.phi == "mollified":
         phi = TestFunction.mollified_square(args.phi_cut)
         spec = {"family": "mollified_square", "cut": args.phi_cut}
     else:
@@ -179,22 +181,31 @@ def _emit(args, payload: dict, text_lines) -> None:
         sys.stdout.write(out)
 
 
-def _write_csv(args, header, rows) -> None:
-    """Write rows of numbers, floats to 17 digits; a non-finite one raises."""
-    rows = list(rows)
-    _refuse_non_finite(args, np.array(rows, dtype=float))
+def _write_csv(args, header, *columns) -> None:
+    """Write the broadcast ``columns`` as CSV rows under ``header``: the
+    program's one CSV writer.
+
+    Rows follow the broadcast shape in C order, one element of each column
+    per row, streamed so no row list is built; floats print to 17
+    significant digits and integers as integers. A non-finite column raises
+    NumericalError before anything is written. Under ``--compress`` the file
+    is gzipped.
+    """
+    for column in columns:
+        _refuse_non_finite(args, np.asarray(column))
 
     def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row]
-                         for row in rows)
+                         for row in np.broadcast(*columns))
 
-    if args.output:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
-    else:
+    if not args.output:
         write(sys.stdout)
+        return
+    opener = gzip.open if vars(args).get("compress") else open
+    with opener(args.output, "wt", newline="", encoding="utf-8") as fh:
+        write(fh)
 
 
 def _emit_report(args, rep):
@@ -216,7 +227,7 @@ def _cmd_bracket(args):
         ef = energy_function(k, grid)
         col = "gamma"
     if args.format == "csv":
-        _write_csv(args, ["t", col], ef.to_rows())
+        _write_csv(args, ["t", col], ef.grid.times, ef.values)
     else:
         payload = {
             "bracket": {
@@ -241,7 +252,8 @@ def _cmd_simulate(args):
     x = sampler(k, grid, args.paths, args.seed)
     _refuse_non_finite(args, x)
     if args.format == "csv":
-        dump_paths_csv(grid, x, args.output, compress=args.compress)
+        _write_csv(args, ["path", "t", "X"], np.arange(x.shape[0])[:, None],
+                   grid.times, x)
         return EXIT_OK
     xt = x[:, -1]
     payload = {
@@ -317,13 +329,11 @@ def _cmd_approx(args):
     report = convergence_suite(k, args.n_terms, grid, t_min=args.t_min)
     ok = (report.cauchy_schwarz_ok and report.l2_strictly_decreasing
           and report.bracket_nonincreasing)
+    columns = report.n_terms, report.l2_errors, report.bracket_sup_errors
     if args.format == "csv":
-        _write_csv(args, ["n", "l2_err", "bracket_sup_err"], report.rows())
+        _write_csv(args, ["n", "l2_err", "bracket_sup_err"], *columns)
         return EXIT_OK if ok else EXIT_FAIL
-    lines = [
-        f"n={n}: l2={a:.5e} bracket_sup={b:.5e}"
-        for n, a, b in report.rows()
-    ]
+    lines = [f"n={n}: l2={a:.5e} bracket_sup={b:.5e}" for n, a, b in zip(*columns)]
     lines.append(
         f"l2 strictly decreasing = {report.l2_strictly_decreasing}, "
         f"bracket nonincreasing = {report.bracket_nonincreasing}, "
@@ -409,8 +419,7 @@ def _add_check_flags(p):
 
 def _add_phi_flags(p):
     p.add_argument("--phi", default="square",
-                   choices=["square", "cos", "cosine", "mollified",
-                            "mollified_square", "poly"])
+                   choices=["square", "cos", "mollified", "poly"])
     p.add_argument("--phi-freq", type=float, default=1.0)
     p.add_argument("--phi-cut", type=float, default=100.0)
     p.add_argument("--phi-coeffs", type=_floats)
@@ -425,17 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, summary, formats=("json", "text")):
+    def command(name, summary, run, formats=("json", "text")):
+        """The subcommand ``name``, which ``main`` hands to ``run``."""
         # no prefix matching: an abbreviation would let an unread flag in
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", default=None)
         p.add_argument("--no-timestamp", action="store_true")
         return p
 
-    def check(name, summary, paths):
+    def check(name, summary, run, paths):
         """A check of one kernel against a test function."""
-        p = command(name, summary)
+        p = command(name, summary, run)
         _add_kernel_flags(p)
         _add_grid_flags(p)
         _add_draw_flags(p, paths)
@@ -445,12 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = ("json", "csv", "text")
 
-    p = command("bracket", "emit the energy function / cross-bracket", tables)
+    p = command("bracket", "emit the energy function / cross-bracket", _cmd_bracket,
+                tables)
     _add_kernel_flags(p)
     _add_kernel_flags(p, "2")
     _add_grid_flags(p)
 
-    p = command("simulate", "simulate paths and dump them", tables)
+    p = command("simulate", "simulate paths and dump them", _cmd_simulate, tables)
     _add_kernel_flags(p)
     _add_grid_flags(p)
     _add_draw_flags(p, paths=100)
@@ -458,14 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
                    default="volterra")
     p.add_argument("--compress", action="store_true")
 
-    check("verify-mean", "mean identity check", paths=0)
+    check("verify-mean", "mean identity check", _cmd_verify_mean, paths=0)
 
-    p = check("verify-path", "pathwise operator Ito formula check", paths=10000)
+    p = check("verify-path", "pathwise operator Ito formula check", _cmd_verify_path,
+              paths=10000)
     p.add_argument("--ladder", type=_ints,
                    help="comma-separated grid sizes for the refinement ladder")
     p.set_defaults(grid_n=None)  # _GRID_N unless a ladder is given
 
-    p = command("verify-multi", "multivariate formula check")
+    p = command("verify-multi", "multivariate formula check", _cmd_verify_multi)
     _add_kernel_flags(p)
     _add_kernel_flags(p, "2")
     _add_grid_flags(p)
@@ -473,20 +486,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_check_flags(p)
     p.add_argument("--phi2d", choices=["xy"], default="xy")
 
-    p = check("verify-unique", "correction-measure perturbation test", paths=0)
+    p = check("verify-unique", "correction-measure perturbation test",
+              _cmd_verify_unique, paths=0)
     p.add_argument("--eps", type=float, default=0.01)
 
-    p = command("sandbox", "exact Gaussian polynomial suite")
+    p = command("sandbox", "exact Gaussian polynomial suite", _cmd_sandbox)
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--seed", type=int, default=20240801)
 
-    p = command("approx", "exponential-sum convergence suite", tables)
+    p = command("approx", "exponential-sum convergence suite", _cmd_approx, tables)
     _add_kernel_flags(p)
     _add_grid_flags(p)
     p.add_argument("--n-terms", type=_ints, default=[2, 4, 8, 16])
     p.add_argument("--t-min", type=float, default=1e-4)
 
-    p = command("hurst", "bracket scaling exponent recovery")
+    p = command("hurst", "bracket scaling exponent recovery", _cmd_hurst)
     _add_kernel_flags(p)
     p.add_argument("--window-lo", type=float, default=1e-3)
     p.add_argument("--window-hi", type=float, default=1e-1)
@@ -497,19 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "bracket": _cmd_bracket,
-    "simulate": _cmd_simulate,
-    "verify-mean": _cmd_verify_mean,
-    "verify-path": _cmd_verify_path,
-    "verify-multi": _cmd_verify_multi,
-    "verify-unique": _cmd_verify_unique,
-    "sandbox": _cmd_sandbox,
-    "approx": _cmd_approx,
-    "hurst": _cmd_hurst,
-}
-
-
 def main(argv=None) -> int:
     output = None
     try:
@@ -517,7 +518,7 @@ def main(argv=None) -> int:
         output = args.output
         # a non-finite output raises NumericalError; warnings would add lines
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.subcommand](args)
+            return args.run(args)
     except OSError as exc:
         if output is None or exc.filename != output:
             raise

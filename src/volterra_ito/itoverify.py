@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from .errors import DomainError, NumericalError
 from .kernels import Kernel, TimeGrid, _leggauss01, covariance
@@ -261,7 +261,9 @@ class TestFunction:
         # both rules' nodes on [0, 1]; weight columns: 64-node, 128-node, 128 again
         (t64, w64), (t128, w128) = _leggauss01(64), _leggauss01(128)
         t = np.concatenate([t64, t128])
-        w = linalg.block_diag(w64[:, None], w128[:, None])[:, [0, 1, 1]]
+        w = np.zeros((t.size, 3))
+        w[:t64.size, 0] = w64
+        w[t64.size:, 1:] = w128[:, None]
         bands = ((c, 2.0 * c), (-2.0 * c, -c))
         x = np.concatenate([lo + (hi - lo) * t for lo, hi in bands])
         f = g(x)

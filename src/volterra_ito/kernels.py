@@ -105,23 +105,30 @@ def _leggauss01(order):
     return _LEGENDRE_CACHE[order]
 
 
-def _refining_gauss01(h, what: str) -> float:
-    """Integrate h over [0,1] with panel doubling until two passes agree.
+def _refining_gauss01(h, edges, what: str) -> float:
+    """Integrate h over [edges[0], edges[-1]] with panel doubling until two
+    passes agree.
 
-    h must accept a vector of points and return integrand values. Raises
-    NumericalError past the panel budget.
+    ``edges`` (increasing) cut the range into pieces, each split into the
+    same number of equal panels, so a kink of h at an edge costs no
+    accuracy. h must accept a vector of points and return integrand values.
+    Raises NumericalError past the panel budget of each piece.
     """
     nodes, weights = _leggauss01(_GAUSS_ORDER)
+    lo, span = edges[:-1, None], np.diff(edges)[:, None]
     n_panels = _INITIAL_PANELS
     prev = None
     val = 0.0
     diff = math.inf
     while n_panels <= _MAX_PANELS:
-        width = 1.0 / n_panels
-        offsets = np.arange(n_panels) * width
-        pts = (offsets[:, None] + width * nodes[None, :]).ravel()
-        vals = h(pts).reshape(n_panels, -1)
-        val = float(np.sum(vals @ weights) * width)
+        width = span / n_panels
+        offsets = (lo + np.arange(n_panels) * width).ravel()
+        widths = np.repeat(width.ravel(), n_panels)
+        pts = (offsets[:, None] + widths[:, None] * nodes[None, :]).ravel()
+        vals = h(pts).reshape(offsets.size, -1)
+        # with the one piece [0, 1] each width is a power of 2, which scales
+        # the sum exactly: the value of one width times the panel sum
+        val = float(np.sum((vals @ weights) * widths))
         if prev is not None:
             diff = abs(val - prev)
             if diff <= max(_QUAD_RTOL * abs(val), _QUAD_ATOL):
@@ -408,6 +415,11 @@ def _check_same_horizon(k1, k2):
 def _covariance_quad(k1, k2, t, u):
     """Graded-quadrature fallback for covariance integrals.
 
+    The rule runs in v, s = m*(1 - v^p) with m = min(t, u), graded toward
+    v = 0 where a power law is singular. A table kernel is piecewise linear
+    in s between its knots, so every knot in (0, m) is a panel edge, at
+    v = (1 - s/m)^(1/p), and each piece is refined on its own panels.
+
     Lags below L = tiny * max(m, 1), with tiny the smallest normal float,
     underflow or lose precision in m*v^p. Near lag 0 the integrand is
     lag^g times a factor that does not decrease, where g sums the diagonal
@@ -433,6 +445,9 @@ def _covariance_quad(k1, k2, t, u):
             f"covariance({t},{u}): lags that underflow may hold {share:.3g} of "
             f"the integral, above {_QUAD_RTOL:g}", bound=share)
     p = _grading_power(gamma, singular)
+    knots = np.array([s for k in (k1, k2) if isinstance(k, TableKernel)
+                      for s in k.grid.times if 0.0 < s < m])
+    edges = np.unique(np.concatenate(([0.0, 1.0], (1.0 - knots / m) ** (1.0 / p))))
 
     def h(v):
         w = m * v ** p
@@ -445,7 +460,7 @@ def _covariance_quad(k1, k2, t, u):
             f2 = k2.lag_eval(u, (u - m) + w, s)
             return np.where(w == 0.0, 0.0, f1 * f2 * jac)
 
-    return _refining_gauss01(h, f"covariance({t},{u})")
+    return _refining_gauss01(h, edges, f"covariance({t},{u})")
 
 
 def _cov_closed(k1, k2, t, u):
@@ -565,7 +580,8 @@ def kernel_l2mu_distance(k1: Kernel, k2: Kernel) -> float:
         dk = k1.lag_eval(T, w, None) - k2.lag_eval(T, w, None)
         return dk * dk * (T - w) * jac
 
-    return math.sqrt(max(_refining_gauss01(h, "l2mu(lag)"), 0.0))
+    value = _refining_gauss01(h, np.array([0.0, 1.0]), "l2mu(lag)")
+    return math.sqrt(max(value, 0.0))
 
 
 # ---------------------------------------------------------------------------

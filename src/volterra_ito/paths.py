@@ -13,8 +13,6 @@ not change any draw.
 
 from __future__ import annotations
 
-import csv
-import gzip
 import numpy as np
 from scipy import special
 
@@ -25,7 +23,6 @@ __all__ = [
     "simulate_volterra",
     "simulate_cholesky",
     "volterra_weights",
-    "dump_paths_csv",
     "SIM_BUDGET",
 ]
 
@@ -184,23 +181,3 @@ def simulate_cholesky(k: Kernel, grid: TimeGrid, paths: int, seed: int) -> np.nd
                         ^ _CHOLESKY_SALT)[0])
     z = _normals_matrix(salted, 0, paths, n)
     return np.concatenate([np.zeros((paths, 1)), z @ chol.T], axis=1)
-
-
-def dump_paths_csv(grid: TimeGrid, x: np.ndarray, path: str,
-                   compress: bool = False) -> None:
-    """Write rows (path, t, X) for every path of ``x`` and grid point."""
-    times = grid.times
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["path", "t", "X"])
-        for p in range(x.shape[0]):
-            for i, t in enumerate(times):
-                writer.writerow([p, f"{t:.17g}", f"{x[p, i]:.17g}"])
-
-    if compress:
-        with gzip.open(path, "wt", newline="") as fh:
-            write(fh)
-    else:
-        with open(path, "w", newline="") as fh:
-            write(fh)

@@ -1,6 +1,7 @@
 """CLI: flags, exit codes, artifact formats, determinism."""
 
 import argparse
+import ast
 import gzip
 import hashlib
 import inspect
@@ -15,12 +16,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import volterra_ito
 from volterra_ito import kernels
+from volterra_ito.approx import convergence_suite
+from volterra_ito.bracket import cross_bracket, energy_function
 from volterra_ito.cli import build_parser, main
 from volterra_ito.itoverify import DEFAULT_Z, TestFunction
+from volterra_ito.kernels import BrownianKernel, RiemannLiouvilleKernel, TimeGrid
+from volterra_ito.paths import simulate_volterra
 from volterra_ito.sandbox import sandbox_suite
 
 
@@ -853,6 +859,29 @@ class TestSimulate:
         with gzip.open(out, "rt") as fh:
             assert fh.readline().strip() == "path,t,X"
 
+    def test_csv_round_trip(self, tmp_path):
+        out = tmp_path / "paths.csv"
+        assert run_cli([
+            "simulate", "--kernel", "brownian", "--grid-n", "4", "--paths", "3",
+            "--seed", "2", "--format", "csv", "--output", str(out),
+        ]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "path,t,X"
+        assert len(lines) == 1 + 3 * 5
+        row = lines[1].split(",")
+        assert row[0] == "0" and float(row[1]) == 0.0 and float(row[2]) == 0.0
+        x = simulate_volterra(BrownianKernel(), TimeGrid.uniform(4, 1.0), 3, seed=2)
+        dumped = [float(line.split(",")[2]) for line in lines[1:]]
+        assert np.array_equal(np.reshape(dumped, x.shape), x)
+
+    def test_gzip(self, tmp_path):
+        plain, packed = tmp_path / "paths.csv", tmp_path / "paths.csv.gz"
+        argv = ["simulate", "--kernel", "brownian", "--grid-n", "4", "--paths", "2",
+                "--seed", "2", "--format", "csv"]
+        assert run_cli(argv + ["--output", str(plain)]) == 0
+        assert run_cli(argv + ["--compress", "--output", str(packed)]) == 0
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+
     def test_json_summary(self, tmp_path):
         out = tmp_path / "sim.json"
         code = run_cli([
@@ -916,3 +945,106 @@ class TestDeterminism:
         d1 = json.loads(out1.read_text())
         d2 = json.loads(out2.read_text())
         assert d1["reports"] == d2["reports"]
+
+
+RL25 = RiemannLiouvilleKernel(hurst=0.25)
+
+
+def _bracket_rows():
+    grid = TimeGrid.uniform(4, 1.0)
+    ef = energy_function(BrownianKernel(), grid)
+    return ["t", "gamma"], list(zip(grid.times, ef.values))
+
+
+def _cross_bracket_rows():
+    grid = TimeGrid.uniform(8, 1.0)
+    ef = cross_bracket(RL25, BrownianKernel(), grid)
+    return ["t", "gamma_12"], list(zip(grid.times, ef.values))
+
+
+def _approx_rows():
+    rep = convergence_suite(RL25, [2, 4], TimeGrid.uniform(32, 1.0), t_min=1e-3)
+    return (["n", "l2_err", "bracket_sup_err"],
+            list(zip(rep.n_terms, rep.l2_errors, rep.bracket_sup_errors)))
+
+
+def _path_rows():
+    grid = TimeGrid.uniform(4, 1.0)
+    x = simulate_volterra(RL25, grid, 3, seed=4)
+    return ["path", "t", "X"], [(p, t, x[p, i]) for p in range(3)
+                                for i, t in enumerate(grid.times)]
+
+
+class TestCsvRows:
+    """Every CSV row is the .17g text of the library's numbers, integers as
+    integers; a path dump is path-major."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        ("bracket --kernel brownian --grid-n 4", _bracket_rows),
+        ("bracket --kernel rl --hurst 0.25 --kernel2 brownian --grid-n 8",
+         _cross_bracket_rows),
+        ("approx --kernel rl --hurst 0.25 --n-terms 2,4 --t-min 1e-3 --grid-n 32",
+         _approx_rows),
+        ("simulate --kernel rl --hurst 0.25 --grid-n 4 --paths 3 --seed 4",
+         _path_rows),
+    ], ids=["bracket", "cross-bracket", "approx", "simulate"])
+    def test_rows_are_the_library_arrays(self, argv, expected, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([*argv.split(), "--format", "csv", "--output", str(out)]) in (0, 1)
+        header, rows = expected()
+        want = [",".join(header)] + [
+            ",".join(str(x) if isinstance(x, int) else f"{x:.17g}" for x in row)
+            for row in rows]
+        assert out.read_bytes().decode("utf-8").split("\r\n") == want + [""]
+
+
+def test_only_the_cli_imports_csv_or_gzip():
+    # the CLI owns every output format; paths.py had its own CSV dump
+    package = Path(volterra_ito.__file__).resolve().parent
+    importers = set()
+    for module in package.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module}
+            else:
+                continue
+            if names & {"csv", "gzip"}:
+                importers.add(module.name)
+    assert importers == {"cli.py"}
+
+
+@pytest.mark.parametrize("spelling", ["cosine", "mollified_square"])
+def test_phi_takes_one_spelling_per_family(spelling, capsys):
+    code = main(["verify-mean", "--kernel", "brownian", "--grid-n", "4",
+                 "--phi", spelling])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: argument --phi: invalid choice")
+
+
+def _brownian_table_spec(path, n_cells):
+    """Brownian motion tabulated on n_cells uniform cells: 1 below the diagonal."""
+    times = np.linspace(0.0, 1.0, n_cells + 1)
+    values = np.tril(np.ones((n_cells + 1, n_cells + 1)), -1)
+    path.write_text(json.dumps({"kind": "table", "times": times.tolist(),
+                                "values": values.tolist()}))
+    return str(path)
+
+
+class TestTableKernels:
+    """A table's knots are panel edges of the covariance quadrature; a knot
+    inside a panel stalled the rule just above its 1e-9 tolerance (exit 3)."""
+
+    def test_cholesky_oracle(self, tmp_path):
+        spec = _brownian_table_spec(tmp_path / "bm10.json", 10)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--sampler", "cholesky", "--kernel-spec", spec,
+                     "--grid-n", "10", "--paths", "10", "--output", str(out)]) == 0
+
+    @pytest.mark.parametrize("hurst", ["0.3", "0.45", "0.7"])
+    def test_cross_bracket_with_a_power_law(self, hurst, tmp_path):
+        spec = _brownian_table_spec(tmp_path / "step8.json", 8)
+        out = tmp_path / "cross.json"
+        assert main(["bracket", "--kernel-spec", spec, "--kernel2", "rl",
+                     "--hurst2", hurst, "--grid-n", "8", "--output", str(out)]) == 0

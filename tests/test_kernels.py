@@ -218,6 +218,43 @@ class TestCovariance:
         assert got == pytest.approx(1.0, rel=5e-3)
 
 
+def brownian_table(times):
+    """Brownian motion tabulated on ``times``: 1 strictly below the diagonal."""
+    times = np.asarray(times, dtype=float)
+    return TableKernel(grid=TimeGrid(times),
+                       values=np.tril(np.ones((times.size, times.size)), -1))
+
+
+BM10 = brownian_table(np.linspace(0.0, 1.0, 11))
+
+
+def ragged_table():
+    """A table on a non-uniform grid with seeded values below the diagonal."""
+    times = np.array([0.0, 0.07, 0.2, 0.23, 0.41, 0.5, 0.66, 0.9, 1.0])
+    vals = np.tril(np.random.default_rng(5).uniform(-1.0, 2.0, (9, 9)), -1)
+    return TableKernel(grid=TimeGrid(times), values=vals)
+
+
+class TestTableCovariance:
+    """Table rows are piecewise linear in s: their knots are panel edges."""
+
+    @pytest.mark.parametrize("table", [BM10, ragged_table()], ids=["bm10", "ragged"])
+    def test_diagonal_is_the_energy_function(self, table):
+        # a knot inside a panel stalled the rule just above 1e-9: bm10
+        # raised at covariance(0.5, 0.5)
+        times = np.concatenate([table.grid.times[1:],
+                                np.linspace(0.013, 0.987, 17)])
+        got = covariance(table, table, times, times)
+        np.testing.assert_allclose(got, table.total_l2(times), rtol=1e-12, atol=0.0)
+
+    def test_bm10_values(self):
+        # K(t, .) is 1 up to the cell below t and ramps to 0 across it
+        assert covariance(BM10, BM10, 0.5, 0.5) == pytest.approx(0.4 + 0.1 / 3,
+                                                                 rel=1e-12)
+        assert covariance(BM10, BM10, 0.3, 0.8) == pytest.approx(0.2 + 0.1 / 2,
+                                                                 rel=1e-12)
+
+
 RL60 = RiemannLiouvilleKernel(hurst=0.6, horizon=1.0)
 # on the diagonal, within 1e-14 of it (the diagonal branch), just past that
 # (off it), and far off it

@@ -1,6 +1,5 @@
 """Path simulation: reproducibility, exact variances, distributional checks."""
 
-import gzip
 import math
 import tracemalloc
 
@@ -23,7 +22,6 @@ from volterra_ito.paths import (
     SIM_BUDGET,
     _mix64,
     _normals_matrix,
-    dump_paths_csv,
     simulate_cholesky,
     simulate_volterra,
     volterra_weights,
@@ -269,22 +267,3 @@ class TestSimulateCholesky:
         critical = 1.628 * math.sqrt(2.0 / 10000)  # 1% two-sample level
         assert ks.statistic < critical
 
-
-class TestDump:
-    def test_csv_round_trip(self, tmp_path):
-        grid = TimeGrid.uniform(4, 1.0)
-        out = tmp_path / "paths.csv"
-        dump_paths_csv(grid, simulate_volterra(BM, grid, 3, seed=2), str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "path,t,X"
-        assert len(lines) == 1 + 3 * 5
-        row = lines[1].split(",")
-        assert row[0] == "0" and float(row[1]) == 0.0 and float(row[2]) == 0.0
-
-    def test_gzip(self, tmp_path):
-        grid = TimeGrid.uniform(4, 1.0)
-        out = tmp_path / "paths.csv.gz"
-        dump_paths_csv(grid, simulate_volterra(BM, grid, 2, seed=2), str(out),
-                       compress=True)
-        with gzip.open(out, "rt") as fh:
-            assert fh.readline().strip() == "path,t,X"
