@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .bracket import energy_function, estimate_hurst
 from .errors import DomainError, NumericalError
@@ -70,7 +69,7 @@ def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
 
     Parameters
     ----------
-    target : RiemannLiouvilleKernel
+    target : RiemannLiouvilleKernel with H <= 1/2
     n_terms : int
         Number of exponential terms (>= 1).
     t_min : float
@@ -82,6 +81,11 @@ def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
     """
     if target.kind != "rl":  # Brownian motion, RL at H = 1/2, stays refused
         raise DomainError("exp-sum fitting targets Riemann-Liouville kernels only")
+    if target.hurst > 0.5:
+        raise DomainError(
+            f"field 'hurst': exp-sum fitting needs H <= 1/2, got {target.hurst}: a "
+            "nonnegative exponential sum is completely monotone (Bernstein), so it "
+            "cannot approach the increasing kernel w^(H-1/2)")
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     T = target.horizon
@@ -107,6 +111,10 @@ def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
             "reduce n_terms or raise t_min",
             estimate=cond,
         )
+    # imported here, not at the top: only the fits use scipy.optimize, and the
+    # packages it loads would add to the set-up of every CLI call
+    from scipy import optimize
+
     coef, _res = optimize.nnls(design, targ)
     return ExpSumKernel(weights=tuple(coef), rates=tuple(rates), horizon=T)
 

@@ -38,6 +38,12 @@ class TestFitExpsum:
         with pytest.raises(DomainError):
             fit_expsum(BrownianKernel(horizon=1.0), 4, 1e-3)
 
+    def test_increasing_target_rejected_before_the_fit(self):
+        # at H = 1/4 these arguments fail on the design's condition number
+        rl75 = RiemannLiouvilleKernel(hurst=0.75, horizon=1.0)
+        with pytest.raises(DomainError, match="completely monotone"):
+            fit_expsum(rl75, 200, 1e-12)
+
     def test_t_min_range(self):
         with pytest.raises(DomainError):
             fit_expsum(RL25, 4, 0.0)

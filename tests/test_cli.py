@@ -69,14 +69,18 @@ def _assert_one_numerical_error_line(err):
     assert err.startswith("numerical error:") and err.count("\n") == 1
 
 
-def _run_program(argv, **kwargs):
-    """Run ``python -m volterra_ito.cli`` on the argv string in a child."""
+def _run_python(args, **kwargs):
+    """Run a fresh interpreter on ``args`` with this package importable."""
     src = str(Path(volterra_ito.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "volterra_ito.cli", *argv.split()],
-                          capture_output=True, text=True, env=env, timeout=120,
-                          **kwargs)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120, **kwargs)
+
+
+def _run_program(argv, **kwargs):
+    """Run ``python -m volterra_ito.cli`` on the argv string in a child."""
+    return _run_python(["-m", "volterra_ito.cli", *argv.split()], **kwargs)
 
 
 class TestBracket:
@@ -362,6 +366,37 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "budget" in proc.stderr
+
+    def test_fits_alone_import_scipy_optimize(self, tmp_path):
+        # scipy.optimize serves only the exp-sum fit, so a call that fits
+        # nothing must not pay for importing it
+        out = tmp_path / "approx.json"
+        proc = _run_python(["-c", (
+            "import sys\n"
+            "import volterra_ito.cli as cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "code = cli.main(['approx', '--kernel', 'rl', '--hurst', '0.25',\n"
+            "                 '--grid-n', '32', '--n-terms', '4,8', '--t-min', '1e-3',\n"
+            f"                 '--output', {str(out)!r}])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "0 True"]
+        assert json.loads(out.read_text())["approx"]["n_terms"] == [4, 8]
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--kernel", "rl", "--hurst", "0.75", "--n-terms", "2,4,8,16",
+         "--t-min", "1e-4"],
+        ["hurst", "--kernel", "rl", "--hurst", "0.75", "--fit-n", "4"],
+    ], ids=["approx", "hurst-fit-n"])
+    def test_fit_of_increasing_kernel_is_bad_input(self, argv, capsys):
+        # no nonnegative exp-sum approaches w^(H-1/2) for H > 1/2, so no term
+        # count can pass
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: field 'hurst'") and err.count("\n") == 1
+        assert "completely monotone" in err and "Traceback" not in err
 
     def test_numerical_failure_exit_code(self, capsys):
         # hopeless fit: condition estimate reported, exit 3
