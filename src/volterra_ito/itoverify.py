@@ -19,7 +19,7 @@ from scipy import special
 
 from .errors import DomainError, NumericalError
 from .kernels import Kernel, TimeGrid, _leggauss01, covariance
-from .paths import _normals_matrix, _weight_row
+from .paths import _CHUNK_WORDS, _normals_matrix, _weight_row
 
 __all__ = [
     "TestFunction",
@@ -396,8 +396,9 @@ def _co_sum_block(phi, w, z):
     Per row, the sum over cells j of E[phi'(X_t) | F_{s_j}] w_j z_j, the
     conditional expectation being phi's smoothing at the adapted (m_j, v_j):
     m_j sums w_i z_i over i < j, v_j is ``_prefix_masses``'s residual variance.
-    Two block-sized buffers: the increments w_j z_j and the conditional means
-    m_j (their prefix sums), which the smoothing overwrites in place.
+    Two buffers of z's size: the increments w_j z_j and the conditional means
+    m_j (their prefix sums), which the smoothing overwrites in place;
+    ``_mc_mean_se`` hands it cache-sized chunks of rows.
     """
     contrib = z * w
     m = np.empty_like(contrib)
@@ -476,22 +477,30 @@ def _check_z(z):
 def _mc_mean_se(sample, paths, seed, t_idx, threads):
     """Monte Carlo mean and SE of ``sample(z)`` over ``paths`` draws of X_t.
 
-    Each block's z holds, per path, the t_idx normals X_t reads
-    (``_normals_matrix``, keyed by absolute path index), and ``sample``
-    returns one value per row. Blocks of BLOCK_PATHS paths each give (count,
-    sum, M2), M2 two-pass about the block's own mean; merging them in path
-    order (Chan, Golub & LeVeque) makes the result independent of ``threads``.
+    Each z holds, per path, the t_idx normals X_t reads (``_normals_matrix``,
+    keyed by absolute path index), and ``sample`` returns one value per row.
+    A block of BLOCK_PATHS paths is drawn and sampled in chunks of about
+    ``_CHUNK_WORDS`` normals, so its scratch stays cache-sized whatever
+    ``paths`` and BLOCK_PATHS are. A chunk is a multiple of 4 rows: OpenBLAS
+    gives such chunks the whole block's z @ w bit for bit, while 1, 3, 7 or
+    33 rows move it at rounding level. Each block gives (count, sum, M2), M2
+    two-pass about the block's own mean; merging them in path order (Chan,
+    Golub & LeVeque) makes the result independent of ``threads``.
     """
     if paths < 2:
         raise DomainError(
             f"Monte Carlo needs at least 2 paths, got {paths}: one path has no "
             "standard error")
     errstate = np.geterr()  # a new thread starts from numpy's default
+    rows = max(4, _CHUNK_WORDS // max(t_idx, 1) // 4 * 4)
 
     def block(start):
+        stop = min(start + BLOCK_PATHS, paths)
+        vals = np.empty(stop - start)
         with np.errstate(**errstate):
-            vals = sample(_normals_matrix(seed, start, min(BLOCK_PATHS, paths - start),
-                                          t_idx))
+            for r in range(start, stop, rows):
+                z = _normals_matrix(seed, r, min(rows, stop - r), t_idx)
+                vals[r - start:r - start + len(z)] = sample(z)
         total = np.sum(vals)
         dev = vals - total / vals.size
         return vals.size, total, np.sum(dev * dev)

@@ -466,6 +466,72 @@ class TestMonteCarloReducer:
         assert mean == pytest.approx(np.mean(phi.phi(x[:, t_idx])), rel=1e-12)
 
 
+class TestStreamedReducer:
+    """_mc_mean_se draws and samples each block in row chunks; the result is
+    that of the whole block's normals in one matrix."""
+
+    PATHS = 2 * BLOCK_PATHS + 17
+
+    @staticmethod
+    def samples(t_idx):
+        grid = TimeGrid.uniform(64, 1.0)
+        w1 = _weight_row(RL25, grid.times, t_idx)
+        w2 = _weight_row(BM, grid.times, t_idx)
+        cos = TestFunction.cosine(1.3)
+        sq = TestFunction.square()
+
+        def res2(z):
+            res = sq.phi(z @ w1) - 0.3 - _co_sum_block(sq, w1, z)
+            return res * res
+
+        return {"mean": lambda z: cos.phi(z @ w1),
+                "xy": lambda z: (z @ w1) * (z @ w2),
+                "pathwise": res2}
+
+    @staticmethod
+    def whole_blocks(sample, paths, seed, t_idx):
+        starts = range(0, paths, BLOCK_PATHS)
+        vals = np.concatenate([
+            sample(_normals_matrix(seed, s, min(BLOCK_PATHS, paths - s), t_idx))
+            for s in starts])
+        return np.mean(vals), np.std(vals) / math.sqrt(paths)
+
+    # 48 normals a row make chunks of 680 rows, which do not divide a block;
+    # at t_idx = 0 a chunk is the whole block. The Clark-Ocone sum needs a
+    # cell, and no check reads X_0, so the pathwise sample starts at 1.
+    @pytest.mark.parametrize("name, t_idx", [
+        ("mean", 48), ("mean", 0), ("xy", 48), ("xy", 0),
+        ("pathwise", 48), ("pathwise", 1),
+    ])
+    def test_matches_whole_block_matrix(self, name, t_idx):
+        sample = self.samples(t_idx)[name]
+        mean, se = _mc_mean_se(sample, self.PATHS, 19, t_idx, 1)
+        want_mean, want_se = self.whole_blocks(sample, self.PATHS, 19, t_idx)
+        assert mean == pytest.approx(want_mean, rel=1e-13, abs=0.0)
+        assert se == pytest.approx(want_se, rel=1e-13, abs=0.0)
+        assert (mean, se) == _mc_mean_se(sample, self.PATHS, 19, t_idx, 3)
+
+    @pytest.mark.parametrize("check", ["pathwise", "multivariate", "mean"])
+    def test_peak_memory_is_chunk_sized(self, check):
+        # one 4096 x 1024 block of normals alone is 32 MiB
+        grid = TimeGrid.uniform(1024, 1.0)
+        run = {
+            "pathwise": lambda: verify_pathwise_formula(
+                RL25, TestFunction.square(), grid, 4096, 42, 1.0),
+            "multivariate": lambda: verify_multivariate(
+                RL25, BM, "xy", grid, 8192, 42, 1.0),
+            "mean": lambda: verify_mean_identity(
+                RL25, TestFunction.square(), grid, 8192, 42, 1.0),
+        }[check]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
 class TestMeanIdentity:
     def test_square_both_sides_gamma(self):
         # phi = x^2: E[X_t^2] = Gamma(t) and the correction is Gamma(t)

@@ -258,6 +258,18 @@ class TestSimulateCholesky:
         var = x[:, -1].var()
         assert abs(var - 1.0) <= 4.0 * math.sqrt(2.0 / 20000)
 
+    @pytest.mark.parametrize("n, paths", [(256, 4096), (64, 20000)])
+    def test_peak_within_budget_charge(self, n, paths):
+        # _check_budget charges 8 n^2 + 2 paths n float64 elements
+        grid = TimeGrid.uniform(n, 1.0)
+        tracemalloc.start()
+        try:
+            simulate_cholesky(RL25, grid, paths, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (8 * n * n + 2 * paths * n) + 2 ** 20
+
     def test_two_sample_ks_vs_volterra(self):
         # both samplers produce N(0, Gamma(T)) at the endpoint
         grid = TimeGrid.uniform(16, 1.0)
