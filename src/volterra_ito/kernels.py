@@ -482,11 +482,17 @@ def _cov_closed(k1, k2, t, u):
         lam = np.asarray(ka.rates)[:, None]
         mu = np.asarray(kb.rates)
         cc = np.multiply.outer(np.asarray(ka.weights), np.asarray(kb.weights))
-        ta, tb, m = ta[:, None, None], tb[:, None, None], m[:, None, None]
-        ee = (np.exp(-(lam * (ta - m) + mu * (tb - m)))
-              - np.exp(-(lam * ta + mu * tb)))
-        terms = cc * ee / (lam + mu)
-        return np.sum(terms.reshape(m.size, -1), axis=-1), closed
+        vals = np.empty(m.shape)
+        # elements x term pairs in chunks of about m.size, so the temporaries
+        # stay a few times the output whatever the number of terms
+        step = max(1, m.size // cc.size)
+        for s in range(0, m.size, step):
+            sa, sb, sm = (x[s:s + step, None, None] for x in (ta, tb, m))
+            ee = (np.exp(-(lam * (sa - sm) + mu * (sb - sm)))
+                  - np.exp(-(lam * sa + mu * sb)))
+            terms = cc * ee / (lam + mu)
+            vals[s:s + step] = np.sum(terms.reshape(sm.size, -1), axis=-1)
+        return vals, closed
     if (fa, fb) == ("expsum", "rl"):
         # stable only where the exp-sum time does not trail the RL time
         closed = ~(ta < tb - 1e-12 * np.maximum(ta, tb))

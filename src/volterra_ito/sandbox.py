@@ -5,12 +5,31 @@ which the derivation D (coordinatewise partial derivative), the divergence
 delta (its adjoint) and the predictable projection Pi (coordinate i
 conditions on coordinates < i) act in closed form. Expectations reduce to
 Wick/Isserlis moments, so every operator identity can be checked to machine
-precision with no simulation. The checks take E[ab] without building the
-product a b: a pair of monomials has a nonzero moment only when no coordinate
-carries an odd total power, that is when the coordinates each holds to an
-odd power (its odd signature) are the same, so ``_wick_inner`` groups both
-operands' terms by odd signature and sums, over the matching pairs only, the
-coefficients times the Isserlis moment of the merged key.
+precision with no simulation.
+
+The checks take E[ab] without building the product a b. A pair of monomials
+has a nonzero moment only when no coordinate carries an odd total power,
+that is when the coordinates each holds to an odd power (its odd signature)
+are the same, so ``_wick_inner`` groups both operands' terms by odd
+signature and sums over the matching pairs only. Pairs with a nonempty
+signature always share a coordinate and are summed pair by pair, the
+coefficients times the Isserlis moment of the merged key. In the all-even
+group two monomials with disjoint supports are independent, E[m1 m2] =
+E[m1] E[m2], so that group is summed as (sum_a c E[m]) (sum_b c E[m]) plus
+c1 c2 (E[m1 m2] - E[m1] E[m2]) for each pair sharing a coordinate, found
+through a coordinate index. With exact moments (integer products below
+2^53) the factored sum is within gamma_K sum |c1 c2| E[m1 m2] of the
+exact value, gamma_K = K u / (1 - K u), u = 2^-53, K = N_a + N_b + N_s + 3
+for N_a and N_b group terms and N_s sharing pairs. It is exact, as the
+pairwise sum is, when every partial sum is an integer below 2^53.
+
+``factorization_defect`` builds Pi D f straight from f's monomials: the
+partial of a monomial in its pos-th factor's coordinate c, conditioned on
+the coordinates below c, is the monomial of its first pos factors, with
+coefficient coef * p * E[xi^(p-1)] times the moments of the later factors. It
+adds the same products in the same order as
+``project_predictable(derive(f))``, so the defect is bit-identical to the
+operator pipeline.
 
 Monomials are stored sparsely: a term key is a canonical tuple of
 (coordinate, power) pairs, with int coordinates strictly increasing in
@@ -171,7 +190,10 @@ class GaussPoly:
     def __sub__(self, other):
         if isinstance(other, (int, float)):
             other = GaussPoly.constant(self.n, other)
-        return self + (-other)
+        out = dict(self.terms)
+        for key, coef in other.terms.items():
+            out[key] = out.get(key, 0.0) - coef
+        return GaussPoly._trusted(self.n, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -218,16 +240,21 @@ class PolyField:
 # Operators
 # ---------------------------------------------------------------------------
 
+def _key_moment(m: float, key) -> float:
+    """m times the Isserlis moment of the monomial ``key``, multiplied in
+    factor by factor and left at 0 from the first odd power on."""
+    for (_c, p) in key:
+        m *= _MOMENTS[p]
+        if m == 0.0:
+            break
+    return m
+
+
 def wick_expectation(f: GaussPoly) -> float:
     """E[f(xi)] via Isserlis: per-monomial product of single-coordinate moments."""
     total = 0.0
     for key, coef in f.terms.items():
-        m = coef
-        for (_c, p) in key:
-            m *= _MOMENTS[p]
-            if m == 0.0:
-                break
-        total += m
+        total += _key_moment(coef, key)
     return total
 
 
@@ -240,26 +267,58 @@ def _odd_groups(f: GaussPoly) -> dict:
     return groups
 
 
+def _even_inner(terms_a: list, terms_b: list) -> float:
+    """E[ab] over two lists of all-even terms: monomials with disjoint
+    supports are independent, so the sum is the product of the two means
+    plus a correction for each pair that shares a coordinate."""
+    index: dict = {}
+    for j, (key, _coef) in enumerate(terms_b):
+        for (c, _p) in key:
+            index.setdefault(c, []).append(j)
+    moments_b = [_key_moment(1.0, key) for key, _coef in terms_b]
+    mean_a = mean_b = correction = 0.0
+    for (_key, coef), m in zip(terms_b, moments_b):
+        mean_b += coef * m
+    for k1, c1 in terms_a:
+        m1 = _key_moment(1.0, k1)
+        mean_a += c1 * m1
+        for j in dict.fromkeys(j for c, _p in k1 for j in index.get(c, ())):
+            k2, c2 = terms_b[j]
+            joint = _key_moment(1.0, _merge_keys(k1, k2))
+            correction += c1 * c2 * (joint - m1 * moments_b[j])
+    return mean_a * mean_b + correction
+
+
 def _grouped_inner(ga: dict, gb: dict) -> float:
     """E[ab] from the odd groups of a and b: only pairs of monomials with
-    equal odd signatures have a nonzero moment, so only those are merged."""
+    equal odd signatures have a nonzero moment, so only those are merged;
+    the all-even group goes through ``_even_inner``."""
     total = 0.0
     for sig, terms_a in ga.items():
         terms_b = gb.get(sig)
         if terms_b is None:
             continue
+        if not sig:
+            total += _even_inner(terms_a, terms_b)
+            continue
         for k1, c1 in terms_a:
             for k2, c2 in terms_b:
-                m = c1 * c2
-                for (_c, p) in _merge_keys(k1, k2):
-                    m *= _MOMENTS[p]
-                total += m
+                total += _key_moment(c1 * c2, _merge_keys(k1, k2))
     return total
 
 
 def _wick_inner(a: GaussPoly, b: GaussPoly) -> float:
-    """E[ab], equal to ``wick_expectation(a * b)`` without building a * b;
-    the sum runs pair by pair, so general float inputs agree to rounding."""
+    """E[ab], equal to ``wick_expectation(a * b)`` without building a * b.
+
+    Groups with an odd signature are summed pair by pair. The all-even group
+    is the product of the two groups' means plus a correction
+    c1 c2 (E[m1 m2] - E[m1] E[m2]) for each pair sharing a coordinate: with
+    N_a, N_b terms, N_s sharing pairs and exact moments, its rounding error is
+    at most gamma_K sum |c1 c2| E[m1 m2], K = N_a + N_b + N_s + 3,
+    gamma_K = K u / (1 - K u), u = 2^-53. Integer coefficients whose partial
+    sums stay below 2^53 give the oracle's value bit for bit; general floats
+    agree to rounding.
+    """
     ga = _odd_groups(a)
     return _grouped_inner(ga, ga if b is a else _odd_groups(b))
 
@@ -402,10 +461,35 @@ def factorization_defect(f: GaussPoly) -> GaussPoly:
     """delta(Pi D f) - (f - E[f]): the finite-dimensional factorization residue.
 
     Identically zero for multilinear f; for diagonal chaos it is the
-    discrete-time residue that vanishes in the continuum limit.
+    discrete-time residue that vanishes in the continuum limit. Pi D f is
+    built in one pass over f's monomials and equals
+    ``diverge(project_predictable(derive(f))) - (f - wick_expectation(f))``
+    term for term, bit for bit and in the same key order.
     """
-    co = diverge(project_predictable(derive(f)))
-    return co - (f - wick_expectation(f))
+    # pi[c]: component c of Pi D f. The partial of a monomial in its pos-th
+    # factor (c, p), conditioned on the coordinates below c, keeps key[:pos]
+    # with coefficient coef * p * E[xi^(p-1)] * (moments of key[pos+1:])
+    pi: list = [{} for _ in range(f.n)]
+    for key, coef in f.terms.items():
+        for pos, (c, p) in enumerate(key):
+            m = coef * p * _MOMENTS[p - 1]
+            if m != 0.0:
+                m = _key_moment(m, key[pos + 1:])
+            if m != 0.0:
+                out, new = pi[c], key[:pos]
+                out[new] = out.get(new, 0.0) + m
+    # every key of pi[c] lies below c, so delta maps it to key + xi_c; a sum
+    # that cancelled to 0 is skipped, as the projection drops it, so the
+    # terms of f - E[f] land in the pipeline's key order
+    d: dict = {}
+    for c, comp in enumerate(pi):
+        xi = ((c, 1),)
+        for key, coef in comp.items():
+            if coef != 0.0:
+                d[key + xi] = coef
+    for key, coef in (f - wick_expectation(f)).terms.items():
+        d[key] = d.get(key, 0.0) - coef
+    return GaussPoly._trusted(f.n, d)
 
 
 def discretized_bm_square(n: int) -> GaussPoly:
@@ -414,13 +498,17 @@ def discretized_bm_square(n: int) -> GaussPoly:
         raise DomainError("need n >= 1 cells")
     a = 1.0 / math.sqrt(n)
     aa = a * a
+    cross = aa + aa
     # s * s for s = sum_i a xi_i, written out in its insertion order and
-    # with its coefficients: a*a on the diagonal, a*a + a*a off it
+    # with its coefficients: a*a on the diagonal, a*a + a*a off it; the
+    # off-diagonal keys share one ((i, 1),) tuple per coordinate
+    xs = [((i, 1),) for i in range(n)]
     terms: dict = {}
     for i in range(n):
         terms[((i, 2),)] = aa
-        for j in range(i + 1, n):
-            terms[((i, 1), (j, 1))] = aa + aa
+        xi = xs[i]
+        for xj in xs[i + 1:]:
+            terms[xi + xj] = cross
     return GaussPoly._trusted(n, terms)
 
 
@@ -483,6 +571,8 @@ def sandbox_suite(cases: int = 200, seed: int = 20240801) -> dict:
     """
     if cases < 1:
         raise DomainError("sandbox suite needs cases >= 1")
+    if seed < 0:
+        raise DomainError(f"sandbox suite needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     keys = [f"{name}_max" for name in _RESIDUALS]
     res = {"cases": cases, **dict.fromkeys(keys, 0.0)}

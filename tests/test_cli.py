@@ -184,6 +184,7 @@ class TestErrors:
         ["verify-mean", "--kernel", "brownian", "--grid-n", "8", "--phi", "cos",
          "--quad-order", "-1"],
         ["sandbox", "--cases", "0"],
+        ["sandbox", "--seed", "-1"],
         # one path has no standard error: se = 0 made a certain FAIL
         ["verify-mean", "--kernel", "brownian", "--grid-n", "16", "--phi", "cos",
          "--paths", "1"],
@@ -193,7 +194,7 @@ class TestErrors:
         ["verify-unique", "--kernel", "brownian", "--grid-n", "16", "--paths", "1"],
     ], ids=["path-paths-0", "multi-xy-paths-0", "mean-paths-negative",
             "quad-order-0", "quad-order-negative", "sandbox-cases-0",
-            "mean-paths-1", "path-paths-1", "multi-paths-1", "unique-paths-1"])
+            "sandbox-seed-negative", "mean-paths-1", "path-paths-1", "multi-paths-1", "unique-paths-1"])
     def test_out_of_range_count_is_bad_input(self, argv, capsys):
         code = run_cli(argv)
         err = capsys.readouterr().err

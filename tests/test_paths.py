@@ -270,6 +270,24 @@ class TestSimulateCholesky:
             tracemalloc.stop()
         assert peak <= 8 * (8 * n * n + 2 * paths * n) + 2 ** 20
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("k", [
+        RL25, BM,
+        ExpSumKernel(weights=(1.0, 0.5, 0.25, 0.125), rates=(1.0, 2.0, 4.0, 8.0),
+                     horizon=1.0),
+    ], ids=["rl", "brownian", "expsum-4"])
+    def test_gram_phase_within_budget_charge(self, k, n):
+        # one path: the Gram matrix, its covariance temporaries and the
+        # factor set the peak, which must stay within the 8 n^2 charged
+        grid = TimeGrid.uniform(n, 1.0)
+        tracemalloc.start()
+        try:
+            simulate_cholesky(k, grid, 1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (8 * n * n + 2 * n)
+
     def test_two_sample_ks_vs_volterra(self):
         # both samplers produce N(0, Gamma(T)) at the endpoint
         grid = TimeGrid.uniform(16, 1.0)

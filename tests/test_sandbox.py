@@ -56,6 +56,23 @@ class TestWick:
         assert wick_expectation(GaussPoly.constant(3, 2.5)) == 2.5
 
 
+def even_poly(rng, coords, coefs):
+    """A polynomial over ``coords`` whose monomials hold every coordinate
+    to an even power, one monomial per coefficient."""
+    terms = {}
+    for coef in coefs:
+        picked = sorted(c for c in coords if rng.random() < 0.5)
+        key = tuple((c, 2 * int(rng.integers(1, 3))) for c in picked)
+        terms[key] = terms.get(key, 0.0) + float(coef)
+    return GaussPoly(8, terms)
+
+
+# the supports of b against a's coordinates (0, 1, 2, 3)
+EVEN_SUPPORTS = pytest.mark.parametrize(
+    "coords_b", [(4, 5, 6, 7), (2, 3, 4, 5), (0, 1, 2, 3)],
+    ids=["disjoint", "partly-shared", "identical"])
+
+
 def int_poly(rng, n):
     """A random polynomial with integer coefficients in [-3, 3]: every
     moment sum is exact, so the inner product equals its oracle bit for bit."""
@@ -102,6 +119,40 @@ class TestWickInner:
     def test_bm_square_defect_at_n_64(self):
         d = factorization_defect(discretized_bm_square(64))
         assert _wick_inner(d, d) == wick_expectation(d * d) == 2.0 / 64
+
+    @EVEN_SUPPORTS
+    def test_even_group_matches_oracle(self, coords_b):
+        # all-even operands take the factored sum; on integer coefficients
+        # it is exact, so it equals the oracle bit for bit
+        rng = np.random.default_rng(sum(coords_b))
+        for _ in range(200):
+            a = even_poly(rng, (0, 1, 2, 3), rng.integers(-3, 4, size=6))
+            b = even_poly(rng, coords_b, rng.integers(-3, 4, size=6))
+            assert _wick_inner(a, b) == wick_expectation(a * b)
+            assert _wick_inner(b, a) == wick_expectation(b * a)
+            assert _wick_inner(a, a) == wick_expectation(a * a)
+
+    @EVEN_SUPPORTS
+    def test_even_group_float_coefficients_within_rounding(self, coords_b):
+        # the factored sum and the oracle each err by at most gamma_K times
+        # sum |c1 c2| E[m1 m2]: K = N_a + N_b + N_s + 3 for the factored sum
+        # (N_s <= N_a N_b sharing pairs), N_a N_b + L + 1 for the oracle,
+        # which rounds once per product term, per addition into a key and
+        # per moment factor (L <= 8 factors)
+        def gamma(k):
+            u = 2.0 ** -53
+            return k * u / (1 - k * u)
+
+        rng = np.random.default_rng(7 + sum(coords_b))
+        for _ in range(200):
+            a = even_poly(rng, (0, 1, 2, 3), rng.normal(size=6))
+            b = even_poly(rng, coords_b, rng.normal(size=6))
+            na, nb = len(a.terms), len(b.terms)
+            scale = wick_expectation(
+                GaussPoly(a.n, {k: abs(c) for k, c in a.terms.items()})
+                * GaussPoly(b.n, {k: abs(c) for k, c in b.terms.items()}))
+            tol = (gamma(na + nb + na * nb + 3) + gamma(na * nb + 9)) * scale
+            assert abs(_wick_inner(a, b) - wick_expectation(a * b)) <= tol
 
 
 class TestDerive:
@@ -235,6 +286,26 @@ class TestFactorizationDefect:
         want = list((s * s).terms.items())
         assert got == want
         assert [c.hex() for _, c in got] == [c.hex() for _, c in want]
+
+    def test_matches_operator_pipeline_on_random_polys(self):
+        # the one-pass Pi D f adds the pipeline's products in its order:
+        # equal term for term, in key order, for any coefficients
+        rng = np.random.default_rng(23)
+        for k in range(300):
+            n = 1 + k % 6
+            f = int_poly(rng, n)
+            for g in (f, f * 0.1):
+                want = (diverge(project_predictable(derive(g)))
+                        - (g - wick_expectation(g)))
+                assert list(factorization_defect(g).terms.items()) == \
+                    list(want.terms.items())
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_bm_square_matches_operator_pipeline(self, n):
+        f = discretized_bm_square(n)
+        want = diverge(project_predictable(derive(f))) - (f - wick_expectation(f))
+        got = factorization_defect(f)
+        assert list(got.terms.items()) == list(want.terms.items())
 
     def test_defect_polynomial_shape(self):
         # defect of the n-cell W_1^2 is 1 - (1/n) sum xi_i^2
