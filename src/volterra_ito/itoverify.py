@@ -10,6 +10,7 @@ cancel, and results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError
-from .kernels import Kernel, TimeGrid, _leggauss01, covariance
+from .kernels import Kernel, TimeGrid, covariance
 from .paths import _CHUNK_WORDS, _normals_matrix, _weight_row
 
 __all__ = [
@@ -32,6 +33,14 @@ __all__ = [
 
 BLOCK_PATHS = 4096
 DEFAULT_Z = 4.0
+_TINY = np.finfo(float).tiny
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss01(order):
+    """Gauss-Legendre nodes/weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # Where |m| + sqrt(2 v) _REACH <= cut, N(m, v) has mass below 1e-23 past the
@@ -485,7 +494,8 @@ def _mc_mean_se(sample, paths, seed, t_idx, threads):
     gives such chunks the whole block's z @ w bit for bit, while 1, 3, 7 or
     33 rows move it at rounding level. Each block gives (count, sum, M2), M2
     two-pass about the block's own mean; merging them in path order (Chan,
-    Golub & LeVeque) makes the result independent of ``threads``.
+    Golub & LeVeque) makes the result independent of ``threads``. A block
+    whose M2 underflows while a deviation is not 0 raises NumericalError.
     """
     if paths < 2:
         raise DomainError(
@@ -503,7 +513,12 @@ def _mc_mean_se(sample, paths, seed, t_idx, threads):
                 vals[r - start:r - start + len(z)] = sample(z)
         total = np.sum(vals)
         dev = vals - total / vals.size
-        return vals.size, total, np.sum(dev * dev)
+        m2 = np.sum(dev * dev)
+        if m2 < _TINY and np.any(dev):
+            raise NumericalError(
+                f"the Monte Carlo standard error underflows: a block's squared "
+                f"deviations sum to {m2:.3g}, below {_TINY:.3g}, and are not all 0")
+        return vals.size, total, m2
 
     starts = range(0, paths, BLOCK_PATHS)
     if threads <= 1:

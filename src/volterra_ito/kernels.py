@@ -1,10 +1,10 @@
 """Volterra kernel families, exact cell integrals, covariances and L2 distances.
 
-Kernels are immutable and all operations are pure. Evaluation near the
-diagonal s -> t is the delicate part: the Riemann-Liouville family behaves
-like (t-s)^(H-1/2) and is integrated either in closed form or with a graded
-(power-substituted) Gauss-Legendre rule that resolves the algebraic endpoint
-singularity to the requested tolerance.
+Kernels are immutable and all operations are pure. Every integral is taken
+in closed form. Near the diagonal s -> t the Riemann-Liouville family
+behaves like (t-s)^(H-1/2), whose powers integrate exactly; a table row is
+linear in s between its knots, so it integrates against any kernel piece by
+piece (``TableKernel._product_integral``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 __all__ = [
     "TimeGrid",
@@ -84,66 +84,26 @@ class TimeGrid:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
+# Closed-form moments
 # ---------------------------------------------------------------------------
 
-# budget and tolerances of the graded Gauss-Legendre engine
-_QUAD_RTOL = 1e-9
-_QUAD_ATOL = 1e-14
-_GAUSS_ORDER = 16
-_INITIAL_PANELS = 8
-_MAX_PANELS = 4096
-
-_LEGENDRE_CACHE: dict = {}
-
-
-def _leggauss01(order):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    if order not in _LEGENDRE_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _LEGENDRE_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)
-    return _LEGENDRE_CACHE[order]
-
-
-def _refining_gauss01(h, edges, what: str) -> float:
-    """Integrate h over [edges[0], edges[-1]] with panel doubling until two
-    passes agree.
-
-    ``edges`` (increasing) cut the range into pieces, each split into the
-    same number of equal panels, so a kink of h at an edge costs no
-    accuracy. h must accept a vector of points and return integrand values.
-    Raises NumericalError past the panel budget of each piece.
-    """
-    nodes, weights = _leggauss01(_GAUSS_ORDER)
-    lo, span = edges[:-1, None], np.diff(edges)[:, None]
-    n_panels = _INITIAL_PANELS
-    prev = None
-    val = 0.0
-    diff = math.inf
-    while n_panels <= _MAX_PANELS:
-        width = span / n_panels
-        offsets = (lo + np.arange(n_panels) * width).ravel()
-        widths = np.repeat(width.ravel(), n_panels)
-        pts = (offsets[:, None] + widths[:, None] * nodes[None, :]).ravel()
-        vals = h(pts).reshape(offsets.size, -1)
-        # with the one piece [0, 1] each width is a power of 2, which scales
-        # the sum exactly: the value of one width times the panel sum
-        val = float(np.sum((vals @ weights) * widths))
-        if prev is not None:
-            diff = abs(val - prev)
-            if diff <= max(_QUAD_RTOL * abs(val), _QUAD_ATOL):
-                return val
-        prev = val
-        n_panels *= 2
-    raise NumericalError(f"quadrature for {what} did not converge within "
-                         f"{_MAX_PANELS} panels", estimate=val, bound=diff)
-
-
-def _grading_power(gamma_total, singular: bool) -> int:
-    """Power p for the substitution s = m*(1 - v^p) resolving (m-s)^gamma."""
-    if not singular:
-        return 1
-    return max(2, math.ceil(9.0 / (1.0 + gamma_total)))
+def _lag_moment(a, x):
+    """M(a, x) = int_0^1 (1 - y) y^(a-1) e^(-x y) dy for a > 0 and x >= 0,
+    elementwise over broadcast arrays: Gamma(a) (x^-a P(a, x) - a x^(-a-1)
+    P(a+1, x)) from x = 1 on, P the regularized incomplete gamma function,
+    and below, where those powers of x overflow as x -> 0, its series
+    sum_k (-x)^k / (k! (a + k)(a + k + 1)). At a = 1 it is
+    phi_2(x) = (x - 1 + e^-x) / x^2, a form that cancels at small x."""
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    small = x < 1.0
+    xs = np.where(small, x, 0.0)
+    series = np.zeros(xs.shape)
+    for k in range(18, 0, -1):  # Horner; the first term left out is < 2e-16
+        series = 1.0 / ((a + (k - 1)) * (a + k)) - xs / k * series
+    xl = np.where(small, 1.0, x)
+    large = special.gamma(a) * (xl ** -a * special.gammainc(a, xl)
+                                - a * xl ** (-a - 1.0) * special.gammainc(a + 1.0, xl))
+    return np.where(small, series, large)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +138,10 @@ class Kernel:
         vals = self.cell_l2_rows(flat, 0.0, flat)
         return float(vals[0]) if ts.ndim == 0 else vals.reshape(ts.shape)
 
-    # -- structure queries --------------------------------------------------
-
-    @property
-    def diag_exponent(self):
-        """Algebraic exponent of K(t,s) ~ (t-s)^gamma at the diagonal, or None."""
-        return None
+    def _linear_moment(self, u, s0, s1, a0, a1):
+        """Integral of l(s) K(u, s) over [s0, s1], elementwise over broadcast
+        arrays s0 < s1 <= u, for the line l through (s0, a0) and (s1, a1)."""
+        raise NotImplementedError
 
     # -- serialization ------------------------------------------------------
 
@@ -219,10 +177,21 @@ class RiemannLiouvilleKernel(Kernel):
         tb = np.maximum(t - np.asarray(b, dtype=float), 0.0)
         return ta ** h2 - tb ** h2
 
-    @property
-    def diag_exponent(self):
-        # at H = 1/2 the factor (t-s)^0 is not singular
-        return None if self.hurst == 0.5 else self.hurst - 0.5
+    def _linear_moment(self, u, s0, s1, a0, a1):
+        # The lag L = u - s falls from L0 by rho = (s1 - s0) / L0 of it; the
+        # hat functions of s0 and s1 integrate against L^(q-1), q = H + 1/2, to
+        # L0^q / rho (e_(q+1) - (1 - rho) e_q) and L0^q / rho (e_q - e_(q+1)),
+        # e_p = (1 - (1 - rho)^p) / p from expm1 and log1p: only the
+        # differences cancel, by about 1 / rho. L0^q / rho is formed as
+        # h L0^(q-1) / rho^2, which does not underflow at tiny lags.
+        q = self.hurst + 0.5
+        h = s1 - s0
+        lag = u - s0
+        rho = h / lag
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives e_p = 1/p
+            e1, e2 = (-np.expm1(p * np.log1p(-rho)) / p for p in (q, q + 1.0))
+        hats = a0 * (e2 - (1.0 - rho) * e1) + a1 * (e1 - e2)
+        return math.sqrt(2.0 * self.hurst) * h * lag ** (q - 1.0) * hats / rho / rho
 
     def spec_dict(self):
         return {"kind": "rl", "hurst": self.hurst, "T": self.horizon}
@@ -280,6 +249,22 @@ class ExpSumKernel(Kernel):
         eb = np.exp(-np.multiply.outer(t - b, mu))
         return (eb - ea) @ (cc / mu)
 
+    def _linear_moment(self, u, s0, s1, a0, a1):
+        # e^(-lam (u - s)) = e^(-lam (u - s1)) e^(-z y), z = lam (s1 - s0), y
+        # from 0 at s1 to 1 at s0, so the ends weigh psi(z) = int y e^(-zy) dy
+        # and phi_2(z): psi = phi_1 - phi_2 below z = 1 and (phi_1 - e^-z) / z
+        # above, phi_1 = int e^(-zy) dy from exprel; neither branch cancels.
+        h = s1 - s0
+        out = 0.0
+        for c, lam in zip(self.weights, self.rates):
+            z = lam * h
+            phi1 = special.exprel(-z)
+            phi2 = _lag_moment(1.0, z)
+            psi = np.where(z < 1.0, phi1 - phi2,
+                           (phi1 - np.exp(-z)) / np.maximum(z, 1.0))
+            out = out + c * np.exp(-lam * (u - s1)) * (a0 * psi + a1 * phi2)
+        return h * out
+
     def spec_dict(self):
         return {
             "kind": "expsum",
@@ -321,35 +306,68 @@ class TableKernel(Kernel):
         ) or np.any(np.asarray(s) > times[-1]):
             raise DomainError("table kernel query outside stored grid")
 
-    def _interp_row(self, t, s):
-        """Bilinear interpolation of the sample table at (t, s arrays)."""
+    def _cell(self, x):
+        """Index i and weight w of each x in its cell [times[i], times[i+1]]."""
         times = self.grid.times
-        self._check_range(t, s)
-        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
-        wt = (t - times[i]) / (times[i + 1] - times[i])
-        row = (1.0 - wt) * self.values[i] + wt * self.values[i + 1]
-        s = np.asarray(s, dtype=float)
-        j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
-        ws = (s - times[j]) / (times[j + 1] - times[j])
-        return (1.0 - ws) * row[j] + ws * row[j + 1]
+        i = np.clip(np.searchsorted(times, x, side="right") - 1, 0, times.size - 2)
+        return i, (x - times[i]) / (times[i + 1] - times[i])
+
+    def _piece_values(self, i, wt, j, *s):
+        """K(t, s) for each s in cell j, elementwise, with t at (i, wt) of
+        ``_cell``: bilinear interpolation of the sample table."""
+        times, v = self.grid.times, self.values
+        left = (1.0 - wt) * v[i, j] + wt * v[i + 1, j]
+        right = (1.0 - wt) * v[i, j + 1] + wt * v[i + 1, j + 1]
+        width = times[j + 1] - times[j]
+        return [(1.0 - ws) * left + ws * right
+                for ws in ((x - times[j]) / width for x in s)]
 
     def lag_eval(self, t, lag, s):
-        return self._interp_row(float(t), np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        self._check_range(t, s)
+        return self._piece_values(*self._cell(float(t)), self._cell(s)[0], s)[0]
 
     def cell_l2_rows(self, t, a, b):
-        # piecewise linear in s along fixed t, so K^2 is piecewise quadratic
-        # and the closed form (Kl^2 + Kl*Kr + Kr^2)/3 per piece is exact
-        times = self.grid.times
-        cells = np.broadcast(t, a, b)
-        out = np.empty(cells.shape)
-        for i, (ti, ai, bi) in enumerate(cells):
-            self._check_range(ti, (ai, bi))
-            cuts = times[(times > ai) & (times < bi)]
-            pts = np.concatenate(([ai], cuts, [bi]))
-            k = self._interp_row(float(ti), pts)
-            kl, kr = k[:-1], k[1:]
-            out.flat[i] = np.sum((kl * kl + kl * kr + kr * kr) / 3.0 * np.diff(pts))
-        return out
+        return self._product_integral(t, self, t, a, b)
+
+    def _linear_moment(self, u, s0, s1, a0, a1):
+        # two lines: h/6 (2 a0 b0 + a0 b1 + a1 b0 + 2 a1 b1), grouped so that
+        # swapping the lines gives the same bits
+        self._check_range(u, s1)
+        b0, b1 = self._piece_values(*self._cell(u), self._cell(s0)[0], s0, s1)
+        return (s1 - s0) / 6.0 * (2.0 * (a0 * b0 + a1 * b1) + (a0 * b1 + a1 * b0))
+
+    def _product_integral(self, t, other, u, lo, hi):
+        """Integral of K(t, s) other(u, s) over [lo, hi], elementwise over
+        broadcast arrays lo <= hi <= u (<= t where ``other`` is a table).
+
+        K(t, .) is linear in s between the table's knots, so each piece
+        between the knots of both kernels is ``other._linear_moment``. The
+        loop runs over pieces, each over the elements whose [lo, hi] it
+        meets, so memory stays O(elements)."""
+        t, u, lo, hi = np.broadcast_arrays(
+            *(np.asarray(x, dtype=float) for x in (t, u, lo, hi)))
+        shape = t.shape
+        t, u, lo, hi = (x.ravel() for x in (t, u, lo, hi))
+        self._check_range(t, (lo, hi))
+        knots = self.grid.times
+        if isinstance(other, TableKernel):
+            knots = np.union1d(knots, other.grid.times)
+        # element e meets the count[e] pieces from [knots[first[e]], ...] on;
+        # piece p lies in the table's cell cell[p]
+        first = np.searchsorted(knots, lo, side="right") - 1
+        count = np.where(hi > lo, np.searchsorted(knots, hi) - first, 0)
+        cell = self._cell(knots[:-1])[0]
+        i, wt = self._cell(t)
+        total = np.zeros(t.size)
+        for r in range(int(count.max(initial=0))):
+            at = np.flatnonzero(count > r)
+            p = first[at] + r
+            s0 = np.maximum(knots[p], lo[at])
+            s1 = np.minimum(knots[p + 1], hi[at])
+            a0, a1 = self._piece_values(i[at], wt[at], cell[p], s0, s1)
+            total[at] += other._linear_moment(u[at], s0, s1, a0, a1)
+        return total.reshape(shape)
 
     def spec_dict(self):
         return {
@@ -412,72 +430,22 @@ def _check_same_horizon(k1, k2):
         raise DomainError("kernels must share the horizon T")
 
 
-def _covariance_quad(k1, k2, t, u):
-    """Graded-quadrature fallback for covariance integrals.
-
-    The rule runs in v, s = m*(1 - v^p) with m = min(t, u), graded toward
-    v = 0 where a power law is singular. A table kernel is piecewise linear
-    in s between its knots, so every knot in (0, m) is a panel edge, at
-    v = (1 - s/m)^(1/p), and each piece is refined on its own panels.
-
-    Lags below L = tiny * max(m, 1), with tiny the smallest normal float,
-    underflow or lose precision in m*v^p. Near lag 0 the integrand is
-    lag^g times a factor that does not decrease, where g sums the diagonal
-    exponent of each kernel whose time is m and the negative exponent of
-    the other, so those lags hold at most (L/m)^(1 + g) of the integral;
-    past the rule's relative tolerance a NumericalError is raised.
-    """
-    m = min(t, u)
-    gamma = 0.0
-    lost = 0.0
-    singular = False
-    for k, tau in ((k1, t), (k2, u)):
-        g = k.diag_exponent
-        if g is not None and math.isclose(tau, m, rel_tol=1e-12):
-            gamma += g
-            lost += g
-            singular = True
-        elif g is not None:
-            lost += min(g, 0.0)
-    share = min(1.0, np.finfo(float).tiny * max(m, 1.0) / m) ** (1.0 + lost)
-    if share > _QUAD_RTOL:
-        raise NumericalError(
-            f"covariance({t},{u}): lags that underflow may hold {share:.3g} of "
-            f"the integral, above {_QUAD_RTOL:g}", bound=share)
-    p = _grading_power(gamma, singular)
-    knots = np.array([s for k in (k1, k2) if isinstance(k, TableKernel)
-                      for s in k.grid.times if 0.0 < s < m])
-    edges = np.unique(np.concatenate(([0.0, 1.0], (1.0 - knots / m) ** (1.0 / p))))
-
-    def h(v):
-        w = m * v ** p
-        jac = m * p * v ** (p - 1)
-        s = np.maximum(m - w, 0.0)
-        # Where m*v^p underflows to lag 0 a singular factor is inf and the
-        # product NaN; the integrand's limit there is 0, as p(1 + gamma) > 1.
-        with np.errstate(all="ignore"):
-            f1 = k1.lag_eval(t, (t - m) + w, s)
-            f2 = k2.lag_eval(u, (u - m) + w, s)
-            return np.where(w == 0.0, 0.0, f1 * f2 * jac)
-
-    return _refining_gauss01(h, edges, f"covariance({t},{u})")
-
-
 def _cov_closed(k1, k2, t, u):
     """Closed-form covariance elementwise over equal-shape 1-D time arrays.
 
-    Returns (values, closed): ``closed`` marks the elements whose pair and
-    times admit a stable closed form, and ``values`` holds them there (0
-    elsewhere). Brownian motion, the power law at H = 1/2, has family "rl":
-    every power-law pair is closed, and so is a power law with an exp-sum
-    whose time does not trail. Table kernels have no closed form.
+    Brownian motion, the power law at H = 1/2, has family "rl": every
+    power-law pair has one form. A table pairs with any kernel piece by piece
+    (``TableKernel._product_integral``). An exp-sum time trailing a power-law
+    time has no stable form (its incomplete gamma functions cancel); no
+    command takes that pair, and it is refused with a DomainError.
     """
     m = np.minimum(t, u)
     (fa, ka, ta), (fb, kb, tb) = sorted(
         (("rl" if isinstance(k, RiemannLiouvilleKernel) else k.kind, k, x)
          for k, x in ((k1, t), (k2, u))), key=lambda p: p[0])
-    closed = np.ones(m.shape, dtype=bool)
 
+    if fb == "table":
+        return kb._product_integral(tb, ka, ta, 0.0, m)
     if (fa, fb) == ("expsum", "expsum"):
         lam = np.asarray(ka.rates)[:, None]
         mu = np.asarray(kb.rates)
@@ -492,45 +460,46 @@ def _cov_closed(k1, k2, t, u):
                   - np.exp(-(lam * sa + mu * sb)))
             terms = cc * ee / (lam + mu)
             vals[s:s + step] = np.sum(terms.reshape(sm.size, -1), axis=-1)
-        return vals, closed
+        return vals
     if (fa, fb) == ("expsum", "rl"):
-        # stable only where the exp-sum time does not trail the RL time
-        closed = ~(ta < tb - 1e-12 * np.maximum(ta, tb))
+        trailing = ta < tb - 1e-12 * np.maximum(ta, tb)
+        if trailing.any():
+            i = np.argmax(trailing)
+            raise DomainError(
+                f"covariance of an exp-sum kernel at {ta[i]} with a power law at "
+                f"the later time {tb[i]} has no stable closed form")
         h = kb.hurst
         aa = h + 0.5
         lam = np.asarray(ka.rates)
         c = np.asarray(ka.weights)
-        ta, tb, m = ta[closed, None], tb[closed, None], m[closed, None]
+        ta, tb, m = ta[:, None], tb[:, None], m[:, None]
         ginc = special.gammainc(aa, lam * tb) - special.gammainc(aa, lam * (tb - m))
         terms = c * np.exp(-lam * (ta - tb)) * lam ** (-aa) * ginc
-        vals = np.zeros(closed.shape)
-        vals[closed] = (math.sqrt(2.0 * h) * special.gamma(aa)
-                        * np.sum(terms, axis=-1))
-        return vals, closed
-    if (fa, fb) == ("rl", "rl"):
-        # the diagonal test is math.isclose(ta, tb, rel_tol=1e-14), elementwise
-        diag = np.abs(ta - tb) <= 1e-14 * np.maximum(np.abs(ta), np.abs(tb))
-        ha, hb = ka.hurst, kb.hurst
-        vals = 2.0 * math.sqrt(ha * hb) / (ha + hb) * m ** (ha + hb)
-        # off it, one pass per time order with the later time's exponent
-        # first; Python-float exponents keep numpy's scalar pow fast paths
-        for h_late, h_early, late in ((ha, hb, ta > tb), (hb, ha, tb > ta)):
-            at = late & ~diag
-            lo, hi = m[at], np.maximum(ta, tb)[at]
-            hyp = special.hyp2f1(1.0, 0.5 - h_late, 1.5 + h_early, lo / hi)
-            vals[at] = (2.0 * math.sqrt(h_late * h_early) * lo ** (h_early + 0.5)
-                        * hi ** (h_late - 0.5) * hyp / (h_early + 0.5))
-        return vals, closed
-    return np.zeros(m.shape), ~closed
+        return math.sqrt(2.0 * h) * special.gamma(aa) * np.sum(terms, axis=-1)
+    # (rl, rl): the diagonal test is math.isclose(ta, tb, rel_tol=1e-14),
+    # elementwise
+    diag = np.abs(ta - tb) <= 1e-14 * np.maximum(np.abs(ta), np.abs(tb))
+    ha, hb = ka.hurst, kb.hurst
+    vals = 2.0 * math.sqrt(ha * hb) / (ha + hb) * m ** (ha + hb)
+    # off it, one pass per time order with the later time's exponent
+    # first; Python-float exponents keep numpy's scalar pow fast paths
+    for h_late, h_early, late in ((ha, hb, ta > tb), (hb, ha, tb > ta)):
+        at = late & ~diag
+        lo, hi = m[at], np.maximum(ta, tb)[at]
+        hyp = special.hyp2f1(1.0, 0.5 - h_late, 1.5 + h_early, lo / hi)
+        vals[at] = (2.0 * math.sqrt(h_late * h_early) * lo ** (h_early + 0.5)
+                    * hi ** (h_late - 0.5) * hyp / (h_early + 0.5))
+    return vals
 
 
 def covariance(k1: Kernel, k2: Kernel, t, u):
     """E[X1_t X2_u] = int_0^(t^u) K1(t,s) K2(u,s) ds, elementwise in (t, u).
 
-    Uses exact closed forms, evaluated over whole arrays, where the pair
-    admits one (every power-law pair, Brownian motion included; see
-    ``_cov_closed``), and a graded Gauss-Legendre rule, one element at a
-    time, for the elements that do not: table kernels, trailing exp-sum times.
+    Every pair is taken in closed form over whole arrays (``_cov_closed``):
+    power laws (Brownian motion included) through hyp2f1, exp-sums with a
+    power law through gammainc, and tables piece by piece between their
+    knots. An exp-sum time trailing a power-law time, which no command
+    takes, raises DomainError.
 
     Parameters
     ----------
@@ -553,9 +522,7 @@ def covariance(k1: Kernel, k2: Kernel, t, u):
     bad = ~((times > 0.0) & (times <= limit))
     if bad.any():
         raise DomainError(f"covariance time {times[np.argmax(bad)]} outside (0, T]")
-    vals, closed = _cov_closed(k1, k2, ts, us)
-    for i in np.flatnonzero(~closed):
-        vals[i] = _covariance_quad(k1, k2, float(ts[i]), float(us[i]))
+    vals = _cov_closed(k1, k2, ts, us)
     return float(vals[0]) if shape == () else vals.reshape(shape)
 
 
@@ -563,31 +530,41 @@ def covariance(k1: Kernel, k2: Kernel, t, u):
 # L2(mu) distance over the causal triangle
 # ---------------------------------------------------------------------------
 
+def _lag_terms(k):
+    """(c, g, lam) per term of a stationary kernel K(w) = sum c w^g e^(-lam w)
+    of the lag w: one term for a power law, one per exponential of an exp-sum."""
+    if isinstance(k, RiemannLiouvilleKernel):
+        return [(math.sqrt(2.0 * k.hurst), k.hurst - 0.5, 0.0)]
+    return [(c, 0.0, lam) for c, lam in zip(k.weights, k.rates)]
+
+
 def kernel_l2mu_distance(k1: Kernel, k2: Kernel) -> float:
     """sqrt( int_0^T int_0^t (K1 - K2)^2 ds dt ) for stationary kernels
     (K(t, s) a function of t - s) sharing a horizon; a table kernel is
-    refused."""
+    refused.
+
+    The lag w = t - s has measure (T - w) dw on the triangle, and K1 - K2 is
+    a sum of N = n1 + n2 terms c w^g e^(-lam w) (``_lag_terms``), so the
+    squared distance, ||K1||^2 + ||K2||^2 - 2 <K1, K2>, sums over all N^2
+    pairs of terms c_i c_j T^(a+1) M(a, (lam_i + lam_j) T), a = g_i + g_j + 1
+    (``_lag_moment``).
+
+    Rounding: M is within 7.3e-15 of its value, relative, where a and x
+    occur (x = 0, or a in [0.5, 1.5] and x up to 1e5; checked against
+    40-digit arithmetic), and the sum adds at most N^2 eps of S, the sum of
+    the terms' magnitudes. So the squared distance is off by at most
+    (1e-14 + N^2 eps) S, and the distance d by that over 2 d: where d^2 is
+    small against S the terms cancel, and d keeps fewer digits.
+    """
     _check_same_horizon(k1, k2)
     if isinstance(k1, TableKernel) or isinstance(k2, TableKernel):
         raise DomainError("the L2(mu) distance takes stationary kernels, not tables")
     T = k1.horizon
-    gamma = 0.0
-    singular = False
-    for k in (k1, k2):
-        g = k.diag_exponent
-        if g is not None:
-            gamma = min(gamma, 2.0 * g) if singular else 2.0 * g
-            singular = True
-    p = _grading_power(gamma, singular)
-
-    def h(v):  # lag w = t - s has triangle measure (T - w) dw
-        w = T * v ** p
-        jac = T * p * v ** (p - 1)
-        dk = k1.lag_eval(T, w, None) - k2.lag_eval(T, w, None)
-        return dk * dk * (T - w) * jac
-
-    value = _refining_gauss01(h, np.array([0.0, 1.0]), "l2mu(lag)")
-    return math.sqrt(max(value, 0.0))
+    c, g, lam = np.array(_lag_terms(k1)
+                         + [(-c, g, lam) for c, g, lam in _lag_terms(k2)]).T
+    a = np.add.outer(g, g) + 1.0
+    terms = np.outer(c, c) * T ** (a + 1.0) * _lag_moment(a, np.add.outer(lam, lam) * T)
+    return math.sqrt(max(float(np.sum(terms)), 0.0))
 
 
 # ---------------------------------------------------------------------------

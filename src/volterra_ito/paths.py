@@ -157,20 +157,20 @@ def simulate_cholesky(k: Kernel, grid: TimeGrid, paths: int, seed: int) -> np.nd
     Returns X of shape [paths x (n_cells+1)] with X[:, 0] = 0. The Gram
     matrix [R(t_i, t_j)] is factorized after a 1e-10 * trace jitter if plain
     Cholesky fails. The Gram matrix, its factor and the covariance
-    temporaries count as 8 n x n matrices against SIM_BUDGET
+    temporaries count as 4 n x n matrices against SIM_BUDGET
     (``_check_budget``). The lower triangle is filled in blocks of rows of
     at most n^2 / 32 elements; ``covariance`` holds about 15 float64 words
     per element, index arrays included, so a block's temporaries stay under
     half a matrix. Each element is computed on its own, so the blocking
     does not change the Gram matrix. With paths = 1 tracemalloc measures
     2.1-2.3 n^2 elements for power laws and exp-sums of up to 8 terms
-    (n = 64 to 512) and 3.1 n^2 on the jitter path. The normals are freed
-    before X is padded with its zero column, so the paths hold
-    2 * paths * n elements at peak, as charged.
+    (n = 64 to 512), 2.1-2.7 n^2 for tables, and 3.1 n^2 on the jitter
+    path. The normals are freed before X is padded with its zero column, so
+    the paths hold 2 * paths * n elements at peak, as charged.
     """
     times = grid.times[1:]
     n = times.size
-    _check_budget(paths, n, 8)
+    _check_budget(paths, n, 4)
     gram = np.empty((n, n))
     rows = max(1, n // 32)
     for r0 in range(0, n, rows):

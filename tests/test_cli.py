@@ -753,18 +753,34 @@ class TestVerifySubcommands:
         assert run_cli([*argv.split(), "--no-timestamp"]) == 0
 
     def test_unresolvable_covariance_exits_3(self, tmp_path, capsys):
-        # a table kernel has no closed form, and at T = 1e-300 the lags that
-        # underflow hold more of its covariance than the quadrature allows
+        # the table's covariance at T = 1e-300 is closed (the quadrature once
+        # refused it: lags that underflow held 2.23e-08 of it), but the
+        # squares of the Monte Carlo deviations underflow, and an SE of 0
+        # judged the run: a false FAIL at seeds 0, 7 and 42
         spec = tmp_path / "table.json"
         spec.write_text('{"kind":"table","times":[0,5e-301,1e-300],'
                         '"values":[[0,0,0],[1,0,0],[1,1,0]]}')
+        table = kernels.kernel_from_json(spec.read_text())
+        assert kernels.covariance(table, table, 1e-300, 1e-300) == pytest.approx(
+            2.0 / 3.0 * 1e-300, rel=1e-15)
         code = run_cli(["verify-multi", "--kernel-spec", str(spec),
                         "--kernel2-spec", str(spec), "--grid-n", "4",
                         "--paths", "100"])
         err = capsys.readouterr().err
         assert code == 3
-        assert "lags that underflow may hold 2.23e-08" in err
+        assert "the Monte Carlo standard error underflows" in err
         assert "Traceback" not in err
+
+    def test_underflowing_monte_carlo_spread_exits_3(self, capsys):
+        # X_T^2 ~ 1e-300 at T = 1e-300: the squared deviations underflow to
+        # 0, and an SE of 0 on the 1e-12 rounding floor passed vacuously
+        code = run_cli(["verify-mean", "--kernel", "brownian", "--T", "1e-300",
+                        "--phi", "square", "--grid-n", "4", "--paths", "1000",
+                        "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 3
+        _assert_one_numerical_error_line(err)
+        assert "the Monte Carlo standard error underflows" in err
 
     def test_tiny_horizon_rl_pair_is_closed(self, tmp_path):
         # this pair once reached the quadrature's underflow refusal
@@ -787,16 +803,6 @@ class TestVerifySubcommands:
         assert code == 2
         assert err.startswith("error: the energy function")
         assert err.endswith("use --grid-kind uniform\n")
-
-    def test_unequal_hurst_bracket_takes_no_quadrature(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the quadrature fallback was called")
-
-        monkeypatch.setattr(kernels, "_covariance_quad", refuse)
-        code = run_cli(["bracket", "--kernel", "rl", "--hurst", "0.25",
-                        "--kernel2", "rl", "--hurst2", "0.75", "--grid-n", "1024",
-                        "--output", str(tmp_path / "cross.json")])
-        assert code == 0
 
     def test_verify_path_ladder(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -455,6 +455,15 @@ class TestMonteCarloReducer:
         for c in (1e10, 1e12):
             assert se(c) == pytest.approx(base, rel=1e-6)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_underflowing_spread_is_refused(self, threads):
+        # deviations of 1e-300 square to 0: the SE would read 0, not 1e-302
+        with pytest.raises(NumericalError, match="standard error underflows"):
+            _mc_mean_se(lambda z: 1e-300 * z[:, 0], 2 * BLOCK_PATHS, 11, 1, threads)
+        # a constant sample whose mean is exact has no spread to lose
+        assert _mc_mean_se(lambda z: np.full(len(z), 2.0 ** -1000), 100, 11, 1,
+                           threads) == (2.0 ** -1000, 0.0)
+
     def test_terminal_value_matches_full_path(self):
         # drawing only the normals X_t reads gives X_t of the full simulation
         grid = TimeGrid.uniform(48, 1.0)

@@ -16,7 +16,6 @@ from volterra_ito.kernels import (
     RiemannLiouvilleKernel,
     TableKernel,
     TimeGrid,
-    _covariance_quad,
     covariance,
     equal_energy_grid,
     kernel_from_json,
@@ -24,6 +23,15 @@ from volterra_ito.kernels import (
     kernel_l2mu_distance,
 )
 from volterra_ito.paths import volterra_weights
+
+from kernel_helpers import (
+    QUAD_RTOL,
+    brownian_table,
+    covariance_quad,
+    l2mu_distance_quad,
+    ragged_table,
+    table_of,
+)
 
 BM = BrownianKernel(horizon=1.0)
 RL25 = RiemannLiouvilleKernel(hurst=0.25, horizon=1.0)
@@ -71,7 +79,7 @@ class TestKernelEval:
     def test_table_outside_grid_rejected(self):
         table = make_table_from(RL25)
         with pytest.raises(DomainError):
-            table._interp_row(1.5, np.array([0.1]))
+            kernel_eval(table, 1.5, 0.1)
 
 
 class TestCellL2:
@@ -121,7 +129,7 @@ class TestCovariance:
         # the graded quadrature engine must reproduce the closed form
         k = RiemannLiouvilleKernel(hurst=hurst, horizon=1.0)
         for t in (0.3, 1.0):
-            got = _covariance_quad(k, k, t, t)
+            got = covariance_quad(k, k, t, t)
             assert got == pytest.approx(t ** (2 * hurst), rel=1e-10)
 
     @pytest.mark.parametrize("h1, h2", [(0.02, 0.03), (0.05, 0.1)])
@@ -131,7 +139,7 @@ class TestCovariance:
         k1 = RiemannLiouvilleKernel(hurst=h1, horizon=1.0)
         k2 = RiemannLiouvilleKernel(hurst=h2, horizon=1.0)
         want = 2.0 * math.sqrt(h1 * h2) / (h1 + h2) * m ** (h1 + h2)
-        assert _covariance_quad(k1, k2, m, m) == pytest.approx(want, rel=1e-12)
+        assert covariance_quad(k1, k2, m, m) == pytest.approx(want, rel=1e-12)
         assert covariance(k1, k2, m, m) == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("m", [1e-300, 1e-200, 1e-100, 1e-50])
@@ -144,7 +152,7 @@ class TestCovariance:
         want = 2.0 * math.sqrt(0.02 * 0.03) / 0.05 * m ** 0.05
         assert covariance(k1, k2, m, m) == pytest.approx(want, rel=1e-15)
         try:
-            got = _covariance_quad(k1, k2, m, m)
+            got = covariance_quad(k1, k2, m, m)
         except NumericalError as exc:
             assert m <= 1e-200, exc
             assert exc.bound > 1e-9
@@ -156,27 +164,27 @@ class TestCovariance:
         k1 = RiemannLiouvilleKernel(hurst=0.02, horizon=1e-300)
         k2 = RiemannLiouvilleKernel(hurst=0.03, horizon=1e-300)
         with pytest.raises(NumericalError, match="underflow") as exc:
-            _covariance_quad(k1, k2, 1e-300, 1e-300)
+            covariance_quad(k1, k2, 1e-300, 1e-300)
         assert exc.value.bound > 1e-9
 
     def test_rl_brownian_cross(self):
         want = math.sqrt(0.5) * 4.0 / 3.0
         assert covariance(RL25, BM, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
-        got_quad = _covariance_quad(RL25, BM, 1.0, 1.0)
+        got_quad = covariance_quad(RL25, BM, 1.0, 1.0)
         assert got_quad == pytest.approx(want, rel=1e-10)
 
     def test_closed_forms_match_quadrature(self):
         pairs = [
             (RL25, RL25, 0.5, 1.0),
             (RL25, ES, 0.8, 0.8),
-            (ES, RL25, 1.0, 0.5),  # exp-sum trailing time: incomplete-gamma route
+            (ES, RL25, 1.0, 0.5),  # the later time is the exp-sum's: incomplete gamma
             (ES, ES, 0.4, 0.9),
             (BM, ES, 0.6, 1.0),
             (RiemannLiouvilleKernel(hurst=0.7, horizon=1.0), BM, 1.0, 0.5),
         ]
         for k1, k2, t, u in pairs:
             closed = covariance(k1, k2, t, u)
-            quad = _covariance_quad(k1, k2, t, u)
+            quad = covariance_quad(k1, k2, t, u)
             assert closed == pytest.approx(quad, rel=1e-8), (k1.kind, k2.kind)
 
     def test_symmetry(self):
@@ -187,6 +195,11 @@ class TestCovariance:
         for k1, k2 in pairs:
             t = 0.8
             assert covariance(k1, k2, t, t) == covariance(k2, k1, t, t)
+            if trails(k1, k2, 0.5, 0.9):
+                for args in ((k1, k2, 0.5, 0.9), (k2, k1, 0.9, 0.5)):
+                    with pytest.raises(DomainError, match="no stable closed form"):
+                        covariance(*args)
+                continue
             a = covariance(k1, k2, 0.5, 0.9)
             b = covariance(k2, k1, 0.9, 0.5)
             assert a == pytest.approx(b, rel=1e-9)
@@ -218,25 +231,35 @@ class TestCovariance:
         assert got == pytest.approx(1.0, rel=5e-3)
 
 
-def brownian_table(times):
-    """Brownian motion tabulated on ``times``: 1 strictly below the diagonal."""
-    times = np.asarray(times, dtype=float)
-    return TableKernel(grid=TimeGrid(times),
-                       values=np.tril(np.ones((times.size, times.size)), -1))
+def trails(k1, k2, t, u):
+    """Whether an exp-sum time trails a power-law time: the refused pair."""
+    (ka, ta), (kb, tb) = sorted(((k1, t), (k2, u)), key=lambda p: p[0].kind != "expsum")
+    return (ka.kind == "expsum" and kb.kind in ("rl", "brownian")
+            and ta < tb - 1e-12 * max(t, u))
 
 
 BM10 = brownian_table(np.linspace(0.0, 1.0, 11))
+RAGGED = ragged_table()
+# the RL kernel at H = 0.6 on knots that are neither BM10's nor RAGGED's
+OTHER_KNOTS = table_of(RiemannLiouvilleKernel(hurst=0.6),
+                       [0.0, 0.15, 0.3, 0.62, 0.71, 0.8, 1.0])
+RL25_1024 = table_of(RL25, np.linspace(0.0, 1.0, 1025))
+# on the diagonal, on and off knots, and off it in both orders
+TABLE_TIMES = [(1.0, 1.0), (0.5, 0.5), (0.45, 0.45), (0.66, 0.66), (0.3, 0.8),
+               (0.8, 0.3), (0.123, 0.9)]
+TABLES = {"bm10": BM10, "ragged": RAGGED, "other-knots": OTHER_KNOTS}
 
 
-def ragged_table():
-    """A table on a non-uniform grid with seeded values below the diagonal."""
-    times = np.array([0.0, 0.07, 0.2, 0.23, 0.41, 0.5, 0.66, 0.9, 1.0])
-    vals = np.tril(np.random.default_rng(5).uniform(-1.0, 2.0, (9, 9)), -1)
-    return TableKernel(grid=TimeGrid(times), values=vals)
+def assert_matches_quadrature_both_orders(k1, k2, times):
+    for t, u in times:
+        for a, b, x, y in ((k1, k2, t, u), (k2, k1, u, t)):
+            assert covariance(a, b, x, y) == pytest.approx(
+                covariance_quad(a, b, x, y), rel=QUAD_RTOL), (a.kind, b.kind, x, y)
 
 
 class TestTableCovariance:
-    """Table rows are piecewise linear in s: their knots are panel edges."""
+    """Table rows are piecewise linear in s: each piece between the knots
+    has a closed form."""
 
     @pytest.mark.parametrize("table", [BM10, ragged_table()], ids=["bm10", "ragged"])
     def test_diagonal_is_the_energy_function(self, table):
@@ -254,6 +277,28 @@ class TestTableCovariance:
         assert covariance(BM10, BM10, 0.3, 0.8) == pytest.approx(0.2 + 0.1 / 2,
                                                                  rel=1e-12)
 
+    @pytest.mark.parametrize("k1, k2", [
+        (BM10, BM10), (RAGGED, RAGGED), (BM10, RAGGED), (RAGGED, OTHER_KNOTS),
+    ], ids=["bm10", "ragged", "bm10-ragged", "ragged-other-knots"])
+    def test_table_pair_matches_quadrature(self, k1, k2):
+        # the pieces run between the knots of both tables
+        assert_matches_quadrature_both_orders(k1, k2, TABLE_TIMES)
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.75])
+    @pytest.mark.parametrize("table", ["bm10", "ragged", "other-knots", "rl25-1024"])
+    def test_table_rl_matches_quadrature(self, table, hurst):
+        # on 1024 knots each piece is 1e-3 of a lag near 1: its two hat
+        # integrals cancel powers of the lag
+        table = RL25_1024 if table == "rl25-1024" else TABLES[table]
+        rl = BM if hurst == 0.5 else RiemannLiouvilleKernel(hurst=hurst)
+        assert_matches_quadrature_both_orders(table, rl, TABLE_TIMES)
+
+    @pytest.mark.parametrize("table", ["bm10", "ragged"])
+    def test_table_fast_expsum_matches_quadrature(self, table):
+        # at rate 1e4 a piece of width 0.1 spans 1000 decay lengths
+        es = ExpSumKernel(weights=(1.0, -0.5), rates=(1.0, 1e4))
+        assert_matches_quadrature_both_orders(TABLES[table], es, TABLE_TIMES)
+
 
 RL60 = RiemannLiouvilleKernel(hurst=0.6, horizon=1.0)
 # on the diagonal, within 1e-14 of it (the diagonal branch), just past that
@@ -269,13 +314,23 @@ class TestArrayCovariance:
     @pytest.mark.parametrize("k1, k2", [
         (BM, BM), (BM, RL25), (RL25, BM), (BM, SIGNED), (SIGNED, BM),
         (ES, SIGNED), (SIGNED, ES),
-        (ES, RL25), (RL25, ES),  # includes exp-sum times trailing: quadrature
+        (ES, RL25), (RL25, ES),  # includes exp-sum times trailing: refused
         (RL25, RL25), (RL25, RL60), (RL60, RL25),
+        (BM10, BM10), (BM10, RAGGED), (RAGGED, BM10), (RAGGED, RL25),
+        (RL25, RAGGED), (OTHER_KNOTS, SIGNED), (SIGNED, OTHER_KNOTS),
     ])
     def test_array_equals_stacked_scalar_calls(self, k1, k2):
-        t, u = (np.array(x) for x in zip(*ARRAY_TIMES))
+        refused = [p for p in ARRAY_TIMES if trails(k1, k2, *p)]
+        for p in refused:
+            with pytest.raises(DomainError, match="no stable closed form"):
+                covariance(k1, k2, *p)
+        if refused:
+            with pytest.raises(DomainError, match="no stable closed form"):
+                covariance(k1, k2, *(np.array(x) for x in zip(*ARRAY_TIMES)))
+        kept = [p for p in ARRAY_TIMES if p not in refused]
+        t, u = (np.array(x) for x in zip(*kept))
         got = covariance(k1, k2, t, u)
-        want = np.array([covariance(k1, k2, a, b) for a, b in ARRAY_TIMES])
+        want = np.array([covariance(k1, k2, a, b) for a, b in kept])
         assert got.shape == t.shape
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         assert np.array_equal(covariance(k1, k2, t, t), covariance(k2, k1, t, t))
@@ -287,10 +342,12 @@ class TestArrayCovariance:
         want = [covariance(table, table, a, b) for a, b in zip(t, u)]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
-    def test_trailing_expsum_time_falls_back_to_quadrature(self):
-        got = covariance(ES, RL25, np.array([0.5, 1.0]), np.array([1.0, 0.5]))
-        assert got[0] == _covariance_quad(ES, RL25, 0.5, 1.0)
-        assert got[1] == covariance(RL25, ES, 0.5, 1.0)
+    def test_trailing_expsum_time_is_refused(self):
+        # its incomplete gamma functions cancel, and no command takes it
+        with pytest.raises(DomainError, match=r"exp-sum kernel at 0\.5 with a "
+                                              r"power law at the later time 1\.0"):
+            covariance(ES, RL25, np.array([0.5, 1.0]), np.array([1.0, 0.5]))
+        assert covariance(ES, RL25, 1.0, 0.5) == covariance(RL25, ES, 0.5, 1.0)
 
     def test_rl_diagonal_tolerance(self):
         # math.isclose(t, u, rel_tol=1e-14) picks the diagonal form m^(2H)
@@ -301,9 +358,12 @@ class TestArrayCovariance:
         assert off == pytest.approx(t ** 0.5, rel=1e-12)
 
     def test_scalar_pair_returns_float(self):
-        for k1, k2 in ((BM, BM), (RL25, RL25), (ES, RL25), (RL25, RL60)):
+        for k1, k2 in ((BM, BM), (RL25, RL25), (RL25, ES), (RL25, RL60),
+                       (BM10, RL25)):
             assert type(covariance(k1, k2, 0.5, 0.8)) is float
             assert type(covariance(k1, k2, np.float64(0.5), 0.8)) is float
+        with pytest.raises(DomainError, match="no stable closed form"):
+            covariance(ES, RL25, 0.5, 0.8)
 
     def test_broadcast_shape(self):
         times = np.linspace(0.1, 1.0, 5)
@@ -320,12 +380,12 @@ class TestArrayCovariance:
             covariance(ES, RL25, np.array([0.5, np.nan]), 0.4)
 
 
-# Closed form against the quadrature fallback, over every pair that has one.
-# The draws are derandomized so that every run tests the same examples.
-# Times start at 1e-6: at tiny times the fallback, not the closed form, goes
-# wrong for small H. At H = 0.02 it is off by 1e-9 relative at t = 1e-100
-# and does not converge at 1e-200, as its graded nodes m*v^p underflow to
-# lag 0 over much of [0, 1] and are dropped.
+# Closed form against the graded quadrature oracle, over every power-law and
+# exp-sum pair. The draws are derandomized so that every run tests the same
+# examples. Times start at 1e-6: at tiny times the oracle, not the closed
+# form, goes wrong for small H. At H = 0.02 it is off by 1e-9 relative at
+# t = 1e-100 and does not converge at 1e-200, as its graded nodes m*v^p
+# underflow to lag 0 over much of [0, 1] and are dropped.
 SWEEP = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 HURST = st.floats(min_value=0.02, max_value=0.98)
 TIME = st.floats(min_value=1e-6, max_value=1.0)
@@ -341,7 +401,7 @@ POWER_LAW = st.one_of(st.just(BM), HURST.map(lambda h: RiemannLiouvilleKernel(hu
 def assert_closed_matches_quadrature(k1, k2, t, u):
     for a, b, x, y in ((k1, k2, t, u), (k2, k1, u, t)):
         closed = covariance(a, b, x, y)
-        quad = _covariance_quad(a, b, x, y)
+        quad = covariance_quad(a, b, x, y)
         assert closed == pytest.approx(quad, rel=1e-8, abs=1e-13), (a, b, x, y)
 
 
@@ -359,7 +419,14 @@ class TestClosedFormSweep:
     @SWEEP
     @given(es=EXPSUM, t=TIME, u=TIME)
     def test_brownian_expsum(self, es, t, u):
-        assert_closed_matches_quadrature(BM, es, t, u)
+        # the closed form holds where the exp-sum time does not trail; where
+        # it trails, the pair is refused
+        t_es, t_bm = max(t, u), min(t, u)
+        assert_closed_matches_quadrature(BM, es, t_bm, t_es)
+        if trails(es, BM, t_bm, t_es):
+            for args in ((es, BM, t_bm, t_es), (BM, es, t_es, t_bm)):
+                with pytest.raises(DomainError, match="no stable closed form"):
+                    covariance(*args)
 
     @SWEEP
     @given(e1=EXPSUM, e2=EXPSUM, t=TIME, u=TIME)
@@ -416,6 +483,16 @@ class TestL2MuDistance:
         ]
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] < 1e-5
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    @pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5])
+    def test_fitted_expsum_matches_quadrature(self, hurst, n):
+        # the distances `approx` reports; these terms cancel where the fit
+        # is close
+        k = RiemannLiouvilleKernel(hurst=hurst)
+        fitted = fit_expsum(k, n, 1e-4)
+        assert kernel_l2mu_distance(k, fitted) == pytest.approx(
+            l2mu_distance_quad(k, fitted), rel=QUAD_RTOL)
 
     def test_table_kernel_refused(self):
         # the distance integrates over the lag alone, which a table does not take
