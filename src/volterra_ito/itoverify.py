@@ -20,7 +20,7 @@ from scipy import special
 
 from .errors import DomainError, NumericalError
 from .kernels import Kernel, TimeGrid, covariance
-from .paths import _CHUNK_WORDS, _normals_matrix, _weight_row
+from .paths import _normal_chunks, _weight_row
 
 __all__ = [
     "TestFunction",
@@ -34,6 +34,7 @@ __all__ = [
 BLOCK_PATHS = 4096
 DEFAULT_Z = 4.0
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=None)
@@ -483,42 +484,45 @@ def _check_z(z):
         raise DomainError("z must be finite and positive")
 
 
-def _mc_mean_se(sample, paths, seed, t_idx, threads):
-    """Monte Carlo mean and SE of ``sample(z)`` over ``paths`` draws of X_t.
+def _mc_mean_se(sample, paths, seed, n_draws, threads):
+    """Monte Carlo mean and SE of ``sample(z)`` over ``paths`` draws of z.
 
-    Each z holds, per path, the t_idx normals X_t reads (``_normals_matrix``,
-    keyed by absolute path index), and ``sample`` returns one value per row.
-    A block of BLOCK_PATHS paths is drawn and sampled in chunks of about
-    ``_CHUNK_WORDS`` normals, so its scratch stays cache-sized whatever
-    ``paths`` and BLOCK_PATHS are. A chunk is a multiple of 4 rows: OpenBLAS
-    gives such chunks the whole block's z @ w bit for bit, while 1, 3, 7 or
-    33 rows move it at rounding level. Each block gives (count, sum, M2), M2
-    two-pass about the block's own mean; merging them in path order (Chan,
-    Golub & LeVeque) makes the result independent of ``threads``. A block
-    whose M2 underflows while a deviation is not 0 raises NumericalError.
+    Each z holds, per path, the first ``n_draws`` normals of the path's own
+    stream (``_normal_chunks``, keyed by absolute path index), and
+    ``sample`` returns one value per row. A block of BLOCK_PATHS paths is
+    drawn and sampled in ``_normal_chunks``'s cache-sized chunks of rows,
+    so its scratch stays chunk-sized whatever ``paths`` and BLOCK_PATHS are.
+    Each block gives (count, sum, M2), M2 two-pass about the block's own
+    mean; merging them in path order (Chan, Golub & LeVeque) makes the
+    result independent of ``threads``. A block whose M2 underflows has no
+    spread, and M2 = 0, when its deviations are within the rounding of its
+    mean, which no summation order takes past count * eps * max|value|
+    (a constant sample whose mean rounds); a larger deviation has lost its
+    square to underflow, and NumericalError is raised.
     """
     if paths < 2:
         raise DomainError(
             f"Monte Carlo needs at least 2 paths, got {paths}: one path has no "
             "standard error")
     errstate = np.geterr()  # a new thread starts from numpy's default
-    rows = max(4, _CHUNK_WORDS // max(t_idx, 1) // 4 * 4)
 
     def block(start):
-        stop = min(start + BLOCK_PATHS, paths)
-        vals = np.empty(stop - start)
+        count = min(BLOCK_PATHS, paths - start)
+        vals = np.empty(count)
         with np.errstate(**errstate):
-            for r in range(start, stop, rows):
-                z = _normals_matrix(seed, r, min(rows, stop - r), t_idx)
-                vals[r - start:r - start + len(z)] = sample(z)
+            for r0, z in _normal_chunks(seed, start, count, n_draws):
+                vals[r0:r0 + len(z)] = sample(z)
         total = np.sum(vals)
-        dev = vals - total / vals.size
+        dev = vals - total / count
         m2 = np.sum(dev * dev)
         if m2 < _TINY and np.any(dev):
-            raise NumericalError(
-                f"the Monte Carlo standard error underflows: a block's squared "
-                f"deviations sum to {m2:.3g}, below {_TINY:.3g}, and are not all 0")
-        return vals.size, total, m2
+            if np.any(np.abs(dev) > count * _EPS * np.max(np.abs(vals))):
+                raise NumericalError(
+                    f"the Monte Carlo standard error underflows: a block's squared "
+                    f"deviations sum to {m2:.3g}, below {_TINY:.3g}, and are not "
+                    "all within the rounding of its mean")
+            m2 = 0.0
+        return count, total, m2
 
     starts = range(0, paths, BLOCK_PATHS)
     if threads <= 1:
@@ -532,6 +536,38 @@ def _mc_mean_se(sample, paths, seed, t_idx, threads):
         m2 += m2b + delta * delta * (n * nb / (n + nb))
         n, total = n + nb, total + sb
     return float(total / paths), float(np.sqrt(m2 / paths / paths))
+
+
+def _gram_factor(rows):
+    """Lower-triangular f with f f^T = G, the Gram matrix of the weight
+    ``rows`` (one or two): X_t = Z w for each row is then exactly
+    (f Z')_i with Z' as many standard normals as rows.
+
+    Cholesky without pivoting, a zero pivot leaving its column 0 and a
+    rounding-level negative residual variance clipped to 0; so for two rows
+    X1 = s1 Z0 and X2 = (g12 / s1) Z0 + sqrt(max(g22 - g12^2 / s1^2, 0)) Z1,
+    s1 = sqrt(g11), and X2 = sqrt(g22) Z1 when s1 = 0. Identical rows (a
+    rank-1 G) and empty ones (X_0 = 0) are factored too.
+    """
+    g = np.array([[float(np.dot(a, b)) for b in rows] for a in rows])
+    f = np.zeros_like(g)
+    for i in range(len(rows)):
+        for j in range(i):
+            if f[j, j] > 0.0:
+                f[i, j] = (g[i, j] - f[i, :j] @ f[j, :j]) / f[j, j]
+        f[i, i] = math.sqrt(max(g[i, i] - f[i, :i] @ f[i, :i], 0.0))
+    return f
+
+
+def _terminal_mean_se(sample, rows, paths, seed, threads):
+    """Monte Carlo mean and SE of ``sample(X1_t, ...)``, X_t = Z w for each
+    weight row, drawn from their exact joint Gaussian law: path p reads only
+    the first len(rows) normals of its stream and scales them by
+    ``_gram_factor``. Checks that read nothing of the path but X_t use it;
+    a check that reads the increments draws them all (``_mc_mean_se``)."""
+    f = _gram_factor(rows)
+    return _mc_mean_se(lambda z: sample(*(z @ f.T).T), paths, seed, len(rows),
+                       threads)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +655,8 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
         "gamma_t": float(gamma_t),
     }
     if paths > 0:
-        w_t = _weight_row(k, grid.times, t_idx)
-        estimate, se = _mc_mean_se(lambda z: phi.phi(z @ w_t), paths, seed,
-                                   t_idx, threads)
+        estimate, se = _terminal_mean_se(
+            phi.phi, [_weight_row(k, grid.times, t_idx)], paths, seed, threads)
     else:
         estimate, se = lhs_quad, 0.0
     return _identity_report("mean_identity", grid, paths, seed, z, estimate, rhs,
@@ -743,7 +778,7 @@ def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
     w1 = _weight_row(k1, grid.times, t_idx)
     w2 = _weight_row(k2, grid.times, t_idx)
     model_cov = float(np.dot(w1, w2))
-    est, se = _mc_mean_se(lambda z: (z @ w1) * (z @ w2), paths, seed, t_idx, threads)
+    est, se = _terminal_mean_se(np.multiply, [w1, w2], paths, seed, threads)
     return _identity_report("multivariate_xy", grid, paths, seed, z, est, ref, se,
                             abs(model_cov - ref), {"model_cross_bracket": model_cov})
 

@@ -6,9 +6,9 @@ same numbers no matter how paths are batched or distributed over workers.
 The generator is the SplitMix64 finalizer applied to a Weyl sequence over
 the combined (stream, counter) index; normals are produced by inverting the
 standard normal CDF (Cephes ``ndtri``, max absolute error well below 1e-9).
-A block of draws is evaluated in cache-sized chunks of rows, in place and
-straight into its output, with no full-size temporaries; the chunking does
-not change any draw.
+A block of draws is evaluated in cache-sized chunks of rows, in three
+buffers reused from chunk to chunk, with no full-size temporaries; the
+chunking does not change any draw.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _CHOLESKY_SALT = np.uint64(0x5DEECE66D)
 _STREAM_SPAN = np.uint64(2 ** 32)
-_CHUNK_WORDS = 2 ** 15  # uint64 words per chunk: its two 256 KiB buffers stay in L2
+_CHUNK_WORDS = 2 ** 15  # words per chunk: its three 256 KiB buffers stay in L2
 
 
 def _mix64(x, scratch=None):
@@ -54,46 +54,69 @@ def _mix64(x, scratch=None):
     return x
 
 
-def _normals_matrix(seed, stream_start, n_streams, n_draws):
-    """[n_streams x n_draws] standard normals, rows keyed by stream index.
+def _normal_chunks(seed, stream_start, n_streams, n_draws):
+    """Row chunks of the [n_streams x n_draws] standard normals of
+    ``_normals_matrix``, in row order: an iterator of (r0, z), z holding
+    rows r0, r0 + 1, ... of the matrix.
 
     Draw (s, c) is ndtri(((w >> 11) + 0.5) * 2^-53) with w the SplitMix64
     finalizer of the Weyl index seed + GAMMA * (s * 2^32 + c + 1) mod 2^64;
     ``seed`` is any integer (or numpy integer), taken mod 2^64.
     That index splits into a per-row term seed + GAMMA * (s * 2^32 + 1) and a
     per-column term GAMMA * c, so it is formed by one broadcast add per chunk.
-    Rows are processed in chunks of about ``_CHUNK_WORDS`` words (at least
-    one row), each finalized in place in two reused buffers and converted
-    straight into the output, so no full-size temporary is built and the
-    draws do not depend on the chunking.
+
+    A chunk holds about ``_CHUNK_WORDS`` words in a multiple of 4 rows (at
+    least 4, the last chunk takes what is left): OpenBLAS gives such chunks
+    ``z @ w`` of the whole matrix bit for bit, while 1, 3, 7 or 33 rows move
+    it at rounding level. The iterator owns three chunk-sized buffers for
+    its whole life, two uint64 words and the normals, and each z is a view
+    of the last: it is overwritten by the next chunk. The draws do not
+    depend on the chunking.
 
     Streams and counters each index 2^32 values; a range past either would
-    alias another stream's draws, so it is refused.
+    alias another stream's draws, so it is refused here, before the first
+    chunk is asked for.
     """
     for what, start, count in (("stream indices", stream_start, n_streams),
                                ("draw counters", 0, n_draws)):
         if not 0 <= start <= start + count <= int(_STREAM_SPAN):
             raise DomainError(
                 f"{what} [{start}, {start + count}) must lie in [0, 2^32)")
-    out = np.empty((n_streams, n_draws))
-    if out.size == 0:
-        return out
+    return _chunks(seed, stream_start, n_streams, n_draws)
+
+
+def _chunks(seed, stream_start, n_streams, n_draws):
+    """``_normal_chunks``'s iterator, its range already checked."""
+    if n_streams == 0:  # no rows: allocate nothing, however many counters
+        return
     streams = np.arange(stream_start, stream_start + n_streams, dtype=np.uint64)
     row_key = (np.uint64(int(seed) % 2 ** 64)
                + _GAMMA * (streams * _STREAM_SPAN + np.uint64(1)))
     col_key = _GAMMA * np.arange(n_draws, dtype=np.uint64)
-    rows = max(1, _CHUNK_WORDS // n_draws)
+    rows = max(4, _CHUNK_WORDS // max(n_draws, 1) // 4 * 4)
     words = np.empty((min(rows, n_streams), n_draws), dtype=np.uint64)
     scratch = np.empty_like(words)
+    normals = np.empty(words.shape)
     for r0 in range(0, n_streams, rows):
-        o = out[r0:r0 + rows]
-        x, t = words[:len(o)], scratch[:len(o)]
-        np.add(row_key[r0:r0 + rows, None], col_key, out=x)
+        keys = row_key[r0:r0 + rows, None]
+        x, t, z = words[:len(keys)], scratch[:len(keys)], normals[:len(keys)]
+        np.add(keys, col_key, out=x)
         _mix64(x, t)
         x >>= np.uint64(11)
-        np.add(x, 0.5, out=o)
-        o *= 2.0 ** -53
-        special.ndtri(o, out=o)
+        np.add(x, 0.5, out=z)
+        z *= 2.0 ** -53
+        special.ndtri(z, out=z)
+        yield r0, z
+
+
+def _normals_matrix(seed, stream_start, n_streams, n_draws):
+    """[n_streams x n_draws] standard normals, rows keyed by stream index:
+    ``_normal_chunks`` copied into one matrix, with no full-size temporary.
+    """
+    chunks = _normal_chunks(seed, stream_start, n_streams, n_draws)
+    out = np.empty((n_streams, n_draws))
+    for r0, z in chunks:
+        out[r0:r0 + len(z)] = z
     return out
 
 

@@ -668,7 +668,7 @@ def test_mollified_mean_identity_closes_at_small_cuts(kernel, grid_kind, cut, ca
 
 
 # passing and failing runs of the identity checks; the failures are a
-# z = 1 band missed by seed 3, the verify-path z = 1 run whose report read PASS
+# z = 1 band missed by seed 11, the verify-path z = 1 run whose report read PASS
 # by its own rule while it exited 1, and a coarse quadrature-only grid
 IDENTITY_RUNS = {
     "mean-quadrature-pass": "verify-mean --kernel rl --hurst 0.75 --phi mollified "
@@ -679,7 +679,7 @@ IDENTITY_RUNS = {
     "mean-mc-pass": "verify-mean --kernel rl --hurst 0.25 --phi cos --grid-n 64 "
                     "--paths 2000 --z 1 --seed 1",
     "mean-mc-fail": "verify-mean --kernel rl --hurst 0.25 --phi cos --grid-n 64 "
-                    "--paths 2000 --z 1 --seed 3",
+                    "--paths 2000 --z 1 --seed 11",
     "path-pass": "verify-path --kernel rl --hurst 0.25 --grid-n 64 --phi square "
                  "--paths 4096 --z 4 --seed 1",
     "path-fail": "verify-path --kernel rl --hurst 0.25 --grid-n 64 --phi square "
@@ -687,7 +687,7 @@ IDENTITY_RUNS = {
     "multi-pass": "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian "
                   "--grid-n 64 --paths 2000 --z 1 --seed 1",
     "multi-fail": "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian "
-                  "--grid-n 64 --paths 2000 --z 1 --seed 3",
+                  "--grid-n 64 --paths 2000 --z 1 --seed 11",
     "unique-pass": "verify-unique --kernel rl --hurst 0.25 --grid-kind energy "
                    "--phi mollified --grid-n 256",
 }
@@ -781,6 +781,15 @@ class TestVerifySubcommands:
         assert code == 3
         _assert_one_numerical_error_line(err)
         assert "the Monte Carlo standard error underflows" in err
+
+    def test_constant_sample_whose_mean_rounds_exits_0(self, capsys):
+        # phi = 1e-300: the mean of 100 copies is an ulp off 1e-300 and the
+        # deviations' squares underflow, but they are rounding, not spread
+        code = run_cli(["verify-mean", "--kernel", "brownian", "--phi", "poly",
+                        "--phi-coeffs", "1e-300", "--paths", "100",
+                        "--grid-n", "4", "--no-timestamp"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["se"] == 0.0
 
     def test_tiny_horizon_rl_pair_is_closed(self, tmp_path):
         # this pair once reached the quadrature's underflow refusal
@@ -987,6 +996,21 @@ class TestDeterminism:
         d1 = json.loads(out1.read_text())
         d2 = json.loads(out2.read_text())
         assert d1["reports"] == d2["reports"]
+
+    # 8209 paths: two full blocks and a ragged one
+    @pytest.mark.parametrize("argv", [
+        "verify-mean --kernel rl --hurst 0.25 --grid-n 64 --phi cos",
+        "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian --grid-n 64",
+    ], ids=["mean", "multi"])
+    def test_terminal_threads_do_not_change_output(self, argv, tmp_path):
+        base = [*argv.split(), "--paths", "8209", "--seed", "2", "--no-timestamp"]
+        out1 = tmp_path / "t1.json"
+        out3 = tmp_path / "t3.json"
+        assert run_cli(base + ["--threads", "1", "--output", str(out1)]) == 0
+        assert run_cli(base + ["--threads", "3", "--output", str(out3)]) == 0
+        reports = [json.dumps(json.loads(out.read_text())["reports"])
+                   for out in (out1, out3)]
+        assert reports[0] == reports[1]
 
 
 RL25 = RiemannLiouvilleKernel(hurst=0.25)

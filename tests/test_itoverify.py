@@ -16,8 +16,10 @@ from volterra_ito.itoverify import (
     TestFunction,
     VerificationReport,
     _co_sum_block,
+    _gram_factor,
     _mc_mean_se,
     _res2_reference,
+    _terminal_mean_se,
     verify_mean_identity,
     verify_multivariate,
     verify_pathwise_formula,
@@ -463,6 +465,12 @@ class TestMonteCarloReducer:
         # a constant sample whose mean is exact has no spread to lose
         assert _mc_mean_se(lambda z: np.full(len(z), 2.0 ** -1000), 100, 11, 1,
                            threads) == (2.0 ** -1000, 0.0)
+        # nor has one whose mean rounds: 100 copies of 1e-300 average to an
+        # ulp off 1e-300, and those deviations' squares underflow
+        mean, se = _mc_mean_se(lambda z: np.full(len(z), 1e-300), 100, 11, 1,
+                               threads)
+        assert mean == pytest.approx(1e-300, rel=1e-15)
+        assert se == 0.0
 
     def test_terminal_value_matches_full_path(self):
         # drawing only the normals X_t reads gives X_t of the full simulation
@@ -473,6 +481,37 @@ class TestMonteCarloReducer:
         mean, _ = _mc_mean_se(lambda z: phi.phi(z @ w), 300, 17, t_idx, 1)
         x = simulate_volterra(SIGNED, grid, 300, 17)
         assert mean == pytest.approx(np.mean(phi.phi(x[:, t_idx])), rel=1e-12)
+
+
+class TestTerminalSampling:
+    """The terminal checks draw X_t from its exact Gaussian law: the first
+    one or two normals of each path's stream, scaled by the Gram factor."""
+
+    def test_mean_sample_is_the_scaled_first_normal(self):
+        grid = TimeGrid.uniform(48, 1.0)
+        w = _weight_row(SIGNED, grid.times, 29)
+        paths = BLOCK_PATHS + 17
+        seen = []
+
+        def sample(x):
+            seen.append(x.copy())
+            return x
+
+        _terminal_mean_se(sample, [w], paths, 17, 1)
+        want = np.linalg.norm(w) * _normals_matrix(17, 0, paths, 1)[:, 0]
+        assert np.array_equal(np.concatenate(seen), want)
+
+    @pytest.mark.parametrize("k1, k2, t_idx", [
+        (RL25, BM, 48), (BM, BM, 48), (RL25, BM, 0)],
+        ids=["rl025-brownian", "brownian-rank-1", "t-0"])
+    def test_factor_reproduces_gram(self, k1, k2, t_idx):
+        grid = TimeGrid.uniform(64, 1.0)
+        rows = [_weight_row(k, grid.times, t_idx) for k in (k1, k2)]
+        gram = np.array([[a @ b for b in rows] for a in rows])
+        f = _gram_factor(rows)
+        assert np.array_equal(f, np.tril(f))
+        assert np.all(np.abs(f @ f.T - gram)
+                      <= 4 * np.finfo(float).eps * np.max(np.abs(gram)))
 
 
 class TestStreamedReducer:
