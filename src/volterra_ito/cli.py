@@ -307,8 +307,7 @@ def _cmd_verify_unique(args):
     grid = _grid_for(k, args.grid_n, args.grid_kind)
     phi = _phi_from_args(args)
     return _emit_report(args, verify_uniqueness_perturbation(
-        k, phi, args.eps, grid, args.paths, args.seed, _check_time(args, k),
-        z=args.z, threads=args.threads))
+        k, phi, args.eps, grid, _check_time(args, k)))
 
 
 def _cmd_sandbox(args):
@@ -407,9 +406,13 @@ def _add_draw_flags(p, paths):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_check_flags(p):
+def _add_time_flag(p):
     p.add_argument("--t", type=float, default=None,
                    help="time of the check; default the horizon")
+
+
+def _add_check_flags(p):
+    _add_time_flag(p)
     p.add_argument("--z", type=float, default=DEFAULT_Z)
     p.add_argument("--threads", type=_thread_count,
                    default=os.environ.get("VOLTERRA_ITO_THREADS", "1"),
@@ -486,8 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_check_flags(p)
     p.add_argument("--phi2d", choices=["xy"], default="xy")
 
-    p = check("verify-unique", "correction-measure perturbation test",
-              _cmd_verify_unique, paths=0)
+    p = command("verify-unique", "correction-measure perturbation test",
+                _cmd_verify_unique)
+    _add_kernel_flags(p)
+    _add_grid_flags(p)
+    _add_time_flag(p)
+    _add_phi_flags(p)
     p.add_argument("--eps", type=float, default=0.01)
 
     p = command("sandbox", "exact Gaussian polynomial suite", _cmd_sandbox)

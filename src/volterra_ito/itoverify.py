@@ -426,8 +426,8 @@ def _co_sum_block(phi, w, z):
 class VerificationReport:
     """Outcome of one check, built by ``_identity_report``: it passes iff
     |estimate - reference| <= z * se + bias_bound and the check's own
-    condition holds (a pathwise ladder is monotone; the perturbation test's
-    base identity passes and its residual exceeds z * se + bias_bound). A
+    condition holds (a pathwise ladder is monotone; the exact perturbation
+    test's base identity passes and its residual exceeds bias_bound). A
     non-finite estimate, reference, se or bias_bound judges nothing and
     raises NumericalError.
     """
@@ -667,6 +667,14 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
 # Pathwise operator Ito formula
 # ---------------------------------------------------------------------------
 
+def _without_constant(phi):
+    """phi less a polynomial's constant: it cancels in the residuals judged,
+    and left in it would inflate the floors, 1e-12 max(1, |c|) and up."""
+    if phi.family != "polynomial":
+        return phi
+    return TestFunction.polynomial(np.concatenate([[0.0], phi.coeffs[1:]]))
+
+
 def _res2_reference(phi, w):
     """(Var phi(X_t) - E[CO_t^2], its error bound, E[CO_t^2]), X_t = Z w.
 
@@ -725,14 +733,9 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     Var phi(X_t) - E[CO_t^2], and the bias bound is its error + b^2 + floor.
     A ladder of grids (strictly increasing cell counts) must also be
     nonincreasing, 1 SE of slack per rung; the finest grid is judged.
-
-    A polynomial's constant cancels in res, so it is dropped before c and
-    res are formed: left in, it would cancel in floating point and inflate
-    the floors that bound c's and res's rounding.
     """
     _check_z(z)
-    if phi.family == "polynomial":
-        phi = TestFunction.polynomial(np.concatenate([[0.0], phi.coeffs[1:]]))
+    phi = _without_constant(phi)
     grids = list(grid) if isinstance(grid, (list, tuple)) else [grid]
     cells = [g.n_cells for g in grids]
     if any(b <= a for a, b in zip(cells, cells[1:])):
@@ -795,38 +798,27 @@ def _lebesgue_term(k, phi, times):
 
 
 def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
-                                   grid: TimeGrid, paths: int, seed: int,
-                                   t: float,
-                                   z: float = DEFAULT_Z,
-                                   threads: int = 1) -> VerificationReport:
-    """Rerun the mean identity with integrator Gamma + eps*t and require the
-    residual to be detectably nonzero, pinning the correction measure.
+                                   grid: TimeGrid, t: float) -> VerificationReport:
+    """Rerun the exact mean identity with integrator Gamma + eps*t, eps
+    finite and nonzero, and require its residual to be detectably nonzero.
 
-    The estimate is the perturbed identity's residual |E phi(X_t) - rhs_nu|
-    and the reference its threshold |eps / 2| |L|, judged by the identity
-    rule; the base identity must also pass and the residual exceed
-    z * se + bias_bound, so the perturbed integrator fails the identity the
-    true one passes.
-
-    The added Lebesgue term L = int_0^t E[phi''(X_s)] ds stays on the s axis,
-    by the midpoint rule on the grid. Its quadrature error cancels: the
-    perturbed right side enters only through rhs_nu - reference =
-    (eps / 2) L, and the threshold is |eps / 2| |L| for the same L, so
-    residual - threshold is within |estimate - reference| of 0 whatever L is.
-    eps = 0 degenerates to the plain mean identity check.
+    The estimate is the residual |E phi(X_t) - rhs_nu| and the reference its
+    threshold |eps / 2| |L|, judged by the identity rule with se = 0; the
+    base identity must also pass and the residual exceed its bias_bound.
+    L = int_0^t E[phi''(X_s)] ds, by the midpoint rule on the grid, enters
+    rhs_nu = c + (eps / 2) L and the threshold alike, so its quadrature
+    error cancels in residual - threshold.
     """
-    if not math.isfinite(eps):
-        raise DomainError("eps must be finite")
-    base = verify_mean_identity(k, phi, grid, paths, seed, t, z=z, threads=threads)
-    if eps == 0.0:
-        return base
+    if not (math.isfinite(eps) and eps != 0.0):
+        raise DomainError(f"field 'eps': must be finite and nonzero, got {eps!r}")
+    phi = _without_constant(phi)
+    base = verify_mean_identity(k, phi, grid, 0, 0, t)
     lebesgue = _lebesgue_term(k, phi, grid.times[:grid.index_of(t) + 1])
     rhs_nu = base.reference + 0.5 * eps * lebesgue
-    residual = abs(base.estimate - rhs_nu)  # the LHS: quadrature or MC, as in base
-    threshold = 0.5 * abs(eps) * abs(lebesgue)
-    tol = z * base.se + base.bias_bound
+    residual = abs(base.estimate - rhs_nu)
+    tol = base.bias_bound
     detail = {"eps": eps, "rhs_perturbed": rhs_nu, "combined_tolerance": tol,
               "detection_ratio": residual / tol}
-    return _identity_report("uniqueness_perturbation", grid, paths, seed, z,
-                            residual, threshold, base.se, base.bias_bound, detail,
+    return _identity_report("uniqueness_perturbation", grid, 0, 0, DEFAULT_Z, residual,
+                            0.5 * abs(eps) * abs(lebesgue), 0.0, tol, detail,
                             holds=base.passed and residual > tol)

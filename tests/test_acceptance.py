@@ -162,11 +162,14 @@ def test_criterion_7_uniqueness_detects_perturbation():
     worst = math.inf
     for k in kernels:
         grid = equal_energy_grid(k, 1024)
-        rep = verify_uniqueness_perturbation(k, phi, 0.01, grid, 0, SEED, 1.0)
+        rep = verify_uniqueness_perturbation(k, phi, 0.01, grid, 1.0)
         ratio = rep.detail["detection_ratio"]
         worst = min(worst, ratio)
         assert ratio >= 5.0, (k.kind, ratio)
         assert rep.passed
+        # exact: no standard error, and the tolerance is the bias bound alone
+        assert (rep.se, rep.paths, rep.seed, rep.z) == (0.0, 0, 0, 4.0)
+        assert rep.detail["combined_tolerance"] == rep.bias_bound
     elapsed = time.time() - t0
     assert elapsed < 60.0
     report(7, "correction-measure uniqueness, eps = 0.01", elapsed,

@@ -191,10 +191,9 @@ class TestErrors:
         ["verify-path", "--kernel", "brownian", "--grid-n", "16", "--paths", "1"],
         ["verify-multi", "--kernel", "brownian", "--kernel2", "brownian",
          "--grid-n", "16", "--paths", "1"],
-        ["verify-unique", "--kernel", "brownian", "--grid-n", "16", "--paths", "1"],
     ], ids=["path-paths-0", "multi-xy-paths-0", "mean-paths-negative",
             "quad-order-0", "quad-order-negative", "sandbox-cases-0",
-            "sandbox-seed-negative", "mean-paths-1", "path-paths-1", "multi-paths-1", "unique-paths-1"])
+            "sandbox-seed-negative", "mean-paths-1", "path-paths-1", "multi-paths-1"])
     def test_out_of_range_count_is_bad_input(self, argv, capsys):
         code = run_cli(argv)
         err = capsys.readouterr().err
@@ -259,12 +258,14 @@ class TestErrors:
         assert err.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in err
 
-    def test_non_finite_eps_is_bad_input(self, capsys):
-        code = run_cli(["verify-unique", "--kernel", "brownian", "--grid-n", "16",
-                        "--eps", "nan"])
+    @pytest.mark.parametrize("eps", ["nan", "0"])
+    def test_non_finite_or_zero_eps_is_bad_input(self, eps, capsys):
+        # --eps 0 exited 0 with the plain mean identity's report
+        code = run_cli(["verify-unique", "--kernel", "rl", "--hurst", "0.25",
+                        "--grid-n", "16", "--phi", "cos", "--eps", eps])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error: field 'eps':") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", list(NON_FINITE_REPORTS.values()),
@@ -495,6 +496,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == "error: unrecognized arguments: --quad-order 32\n"
 
+    @pytest.mark.parametrize("flag", [
+        ["--paths", "4096"], ["--seed", "1"], ["--threads", "2"], ["--z", "1"],
+    ], ids=["paths", "seed", "threads", "z"])
+    def test_verify_unique_takes_no_monte_carlo_flags(self, flag, capsys):
+        # its Monte Carlo route was verify-mean --paths N over again
+        assert main(["verify-unique", "--kernel", "brownian", "--grid-n", "8",
+                     *flag]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+
+    def test_verify_unique_ignores_the_thread_variable(self, monkeypatch, capsys):
+        # it read VOLTERRA_ITO_THREADS, and a bad value exited 2
+        monkeypatch.setenv("VOLTERRA_ITO_THREADS", "0")
+        assert main(["verify-unique", "--kernel", "brownian", "--grid-n", "8",
+                     "--phi", "cos", "--no-timestamp"]) == 0
+
     @pytest.mark.parametrize("argv", [["--version"], ["bracket", "--help"]])
     def test_help_and_version_still_exit(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -545,8 +562,7 @@ class TestConfigEcho:
         (["verify-mean", *rl, "--grid-n", "8"], KERNEL_GRID | DRAWS | CHECK | PHI),
         (["verify-path", *rl, "--grid-n", "8", "--paths", "64"],
          KERNEL_GRID | DRAWS | CHECK | PHI | {"ladder"}),
-        (["verify-unique", *rl, "--grid-n", "16"],
-         KERNEL_GRID | DRAWS | CHECK | PHI | {"eps"}),
+        (["verify-unique", *rl, "--grid-n", "16"], KERNEL_GRID | PHI | {"t", "eps"}),
         (["verify-multi", *rl, "--kernel2", "brownian", "--grid-n", "8",
           "--paths", "64"], KERNEL_GRID | DRAWS | CHECK | {"kernel2", "phi2d"}),
         (["sandbox", "--cases", "2"], OUTPUT | {"cases", "seed"}),
@@ -612,7 +628,7 @@ _FLAG = r"`(--[\w-]+)`(?: \((\w+)\))?"  # a flag and the default after it, if an
 
 def test_parser_defaults_are_the_library_defaults():
     parser = build_parser()
-    for sub in ("verify-mean", "verify-path", "verify-multi", "verify-unique"):
+    for sub in ("verify-mean", "verify-path", "verify-multi"):
         assert parser.parse_args([sub]).z == DEFAULT_Z, sub
     check = parser.parse_args(["verify-mean"])
     assert check.phi_freq == inspect.signature(TestFunction.cosine).parameters[
@@ -733,7 +749,6 @@ class TestVerifySubcommands:
     @pytest.mark.parametrize("argv", [
         "verify-mean --kernel rl --hurst 0.25 --phi cos --paths 0",
         "verify-mean --kernel rl --hurst 0.1 --phi cos --grid-n 256",
-        "verify-unique --kernel rl --hurst 0.25 --phi cos --eps 0",
         "verify-mean --kernel rl --hurst 0.05 --phi cos --phi-freq 10 --grid-n 64",
         "verify-mean --kernel rl --hurst 0.05 --phi mollified --phi-cut 0.1 "
             "--grid-n 64 --grid-kind energy",
@@ -743,11 +758,11 @@ class TestVerifySubcommands:
             "--grid-n 32",
         "verify-mean --kernel rl --hurst 0.25 --phi cos --phi-freq 1000 "
             "--grid-kind energy --grid-n 1024",
-    ], ids=["mean-rl025", "mean-rl010", "unique-eps-0", "mean-rl005-cos10",
+    ], ids=["mean-rl025", "mean-rl010", "mean-rl005-cos10",
             "mean-rl005-cut0.1-energy", "mean-rl010-cut0.25-energy-n8",
             "mean-rl025-cut0.25-n32", "mean-rl025-cos1000-energy"])
     def test_uniform_grid_stieltjes_bias_holds(self, argv, capsys):
-        # the first three exited 1 while the bias bound was the stride-2 gap
+        # the first two exited 1 while the bias bound was the stride-2 gap
         # alone, the next four while it came from strides 1, 2 and 4 of the
         # grid's midpoint rule; the last exited 3 there
         assert run_cli([*argv.split(), "--no-timestamp"]) == 0
@@ -833,6 +848,16 @@ class TestVerifySubcommands:
             "--eps", "0.01", "--output", str(out), "--no-timestamp",
         ])
         assert code == 0
+
+    def test_verify_unique_polynomial_constant_cancels(self, capsys):
+        # exited 1: the constant 1e12 set the bias floor 1e-12 max(1, |c|) to
+        # 1.0, above the 0.01 residual it cancels out of
+        code = run_cli(["verify-unique", "--kernel", "rl", "--hurst", "0.25",
+                        "--phi", "poly", "--phi-coeffs", "1e12,0,1", "--eps", "0.01",
+                        "--no-timestamp"])
+        rep = json.loads(capsys.readouterr().out)["reports"][0]
+        assert code == 0
+        assert rep["bias_bound"] < 1e-11
 
     def test_verify_multi(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -889,41 +889,57 @@ class TestUniqueness:
         # residual = eps * t exactly on the quadrature route
         grid = equal_energy_grid(RL25, 256)
         rep = verify_uniqueness_perturbation(
-            RL25, TestFunction.mollified_square(), 0.01, grid, 0, 11, 1.0
+            RL25, TestFunction.mollified_square(), 0.01, grid, 1.0
         )
         assert rep.estimate == pytest.approx(0.01, rel=1e-10)
         assert rep.passed
 
-    def test_eps_zero_degenerates(self):
+    def test_eps_zero_refused(self):
+        # eps = 0 returned the plain mean identity's report from this check
         grid = equal_energy_grid(RL25, 128)
+        with pytest.raises(DomainError, match="eps"):
+            verify_uniqueness_perturbation(
+                RL25, TestFunction.mollified_square(), 0.0, grid, 1.0)
+
+    def test_signature_is_exact_only(self):
+        # the Monte Carlo route reran verify_mean_identity with paths > 0
+        assert list(inspect.signature(verify_uniqueness_perturbation).parameters) == [
+            "k", "phi", "eps", "grid", "t"]
+
+    @pytest.mark.parametrize("const", [1e12, -3.0, 0.0])
+    def test_polynomial_constant_is_dropped(self, const):
+        # the constant cancels in residual and threshold; left in, 1e12 made
+        # the bias floor 1e-12 max(1, |c|) = 1.0, above the 0.01 residual
+        grid = TimeGrid.uniform(256, 1.0)
         rep = verify_uniqueness_perturbation(
-            RL25, TestFunction.mollified_square(), 0.0, grid, 0, 11, 1.0
-        )
-        assert rep.identity == "mean_identity"
+            RL25, TestFunction.polynomial([const, 0.0, 1.0]), 0.01, grid, 1.0)
+        want = verify_uniqueness_perturbation(RL25, TestFunction.square(), 0.01,
+                                              grid, 1.0)
+        assert rep.to_dict() == want.to_dict()
+        assert rep.bias_bound < 1e-11
         assert rep.passed
 
     def test_cosine_oracle(self):
         # residual = (eps/2) int_0^1 exp(-sqrt(s)/2) ds = (eps/2)(8 - 12 e^{-1/2})
         grid = equal_energy_grid(RL25, 1024)
         rep = verify_uniqueness_perturbation(
-            RL25, TestFunction.cosine(), 0.01, grid, 0, 12, 1.0
+            RL25, TestFunction.cosine(), 0.01, grid, 1.0
         )
         want = 0.5 * 0.01 * (8.0 - 12.0 * math.exp(-0.5))
         assert rep.estimate == pytest.approx(want, rel=1e-3)
         assert rep.passed
 
-    @pytest.mark.parametrize("paths", [0, 4096], ids=["quadrature", "monte-carlo"])
     @pytest.mark.parametrize("phi", [
         TestFunction.cosine(), TestFunction.mollified_square(1.5),
     ], ids=["cos", "mollified1.5"])
     @pytest.mark.parametrize("k", [BM, RL25], ids=["brownian", "rl025"])
-    def test_lebesgue_quadrature_error_cancels(self, k, phi, paths, monkeypatch):
+    def test_lebesgue_quadrature_error_cancels(self, k, phi, monkeypatch):
         # rhs_nu - reference and the threshold share L: an error of 1e-3 in L
         # moves rhs_perturbed but neither the verdict nor residual - threshold
         grid = TimeGrid.uniform(64, 1.0)
 
         def run():
-            rep = verify_uniqueness_perturbation(k, phi, 0.01, grid, paths, 5, 1.0)
+            rep = verify_uniqueness_perturbation(k, phi, 0.01, grid, 1.0)
             close = abs(rep.estimate - rep.reference) <= rep.detail["combined_tolerance"]
             return rep.passed, close, rep.detail["rhs_perturbed"]
 
@@ -934,7 +950,7 @@ class TestUniqueness:
         scaled = run()
         assert scaled[:2] == (passed, close)
         assert close and scaled[2] != rhs
-        assert passed or paths  # 4096 paths do not resolve eps = 0.01
+        assert passed
 
     @pytest.mark.parametrize("offset", [-0.05, -0.005, 0.005, 0.05])
     @pytest.mark.parametrize("k", [BM, RL25], ids=["brownian", "rl025"])
@@ -946,7 +962,7 @@ class TestUniqueness:
         monkeypatch.setattr(itoverify, "_correction",
                             lambda *a: (lambda c, b: (c + offset, b))(*correction(*a)))
         rep = verify_uniqueness_perturbation(k, TestFunction.mollified_square(), 0.01,
-                                             equal_energy_grid(k, 256), 0, 11, 1.0)
+                                             equal_energy_grid(k, 256), 1.0)
         assert rep.identity == "uniqueness_perturbation"
         assert abs(rep.estimate - rep.reference) > rep.detail["combined_tolerance"]
         assert not rep.passed
@@ -955,34 +971,31 @@ class TestUniqueness:
         # eps = 1e-13 moves the right side by less than the correction's bound
         rep = verify_uniqueness_perturbation(RL25, TestFunction.mollified_square(),
                                              1e-13, equal_energy_grid(RL25, 256),
-                                             0, 11, 1.0)
+                                             1.0)
         assert rep.reference <= rep.detail["combined_tolerance"]
         assert not rep.passed
 
     @pytest.mark.parametrize("k", [BM, RL25], ids=["brownian", "rl025"])
     def test_residual_inside_the_tolerance_fails(self, k):
-        # threshold = 1.5 (z se + bias_bound): a passing base identity leaves the
-        # residual anywhere in [0.5, 2.5] tolerances, and one at most 1 tolerance
-        # means Gamma + eps*s passes the mean identity too
+        # threshold = 0.5 bias_bound: the residual is within one bias_bound of
+        # the threshold, so the identity rule alone passes, but a residual of
+        # at most one tolerance means Gamma + eps*s passes the mean identity too
         grid, phi = TimeGrid.uniform(16, 1.0), TestFunction.cosine()
         lebesgue = itoverify._lebesgue_term(k, phi, grid.times)
-        undetected = 0
-        for seed in range(8):
-            base = verify_mean_identity(k, phi, grid, 256, seed, 1.0, z=1.0)
-            eps = 3.0 * (base.se + base.bias_bound) / abs(lebesgue)
-            rep = verify_uniqueness_perturbation(k, phi, eps, grid, 256, seed, 1.0,
-                                                 z=1.0)
-            assert rep.reference == pytest.approx(1.5 * rep.detail["combined_tolerance"])
-            detected = rep.detail["detection_ratio"] > 1.0
-            assert rep.passed == (base.passed and detected)
-            undetected += base.passed and not detected
-        assert undetected  # the band is reached: seeds 7 (brownian), 6 and 7 (rl)
+        base = verify_mean_identity(k, phi, grid, 0, 0, 1.0)
+        eps = base.bias_bound / abs(lebesgue)
+        rep = verify_uniqueness_perturbation(k, phi, eps, grid, 1.0)
+        assert base.passed
+        assert rep.reference == pytest.approx(0.5 * rep.detail["combined_tolerance"])
+        assert abs(rep.estimate - rep.reference) <= rep.bias_bound
+        assert rep.detail["detection_ratio"] <= 1.0
+        assert not rep.passed
 
     def test_detection_strength(self):
         for k in (BM, RL25, ES):
             grid = equal_energy_grid(k, 512)
             rep = verify_uniqueness_perturbation(
-                k, TestFunction.mollified_square(), 0.01, grid, 0, 13, 1.0
+                k, TestFunction.mollified_square(), 0.01, grid, 1.0
             )
             assert rep.detail["detection_ratio"] >= 5.0
 
@@ -1042,12 +1055,10 @@ class TestReportSchema:
             verify_pathwise_formula(BM, sq, grid, 10, 1, 1.0, z=z)
         with pytest.raises(DomainError):
             verify_multivariate(BM, BM, "xy", grid, 10, 1, 1.0, z=z)
-        with pytest.raises(DomainError):
-            verify_uniqueness_perturbation(BM, sq, 0.01, grid, 0, 1, 1.0, z=z)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_eps_rejected(self, eps):
         grid = TimeGrid.uniform(8, 1.0)
         with pytest.raises(DomainError):
             verify_uniqueness_perturbation(BM, TestFunction.square(), eps,
-                                           grid, 0, 1, 1.0)
+                                           grid, 1.0)
