@@ -55,7 +55,7 @@ def _mean(phi):
 
 
 def _multi(seed):
-    rep = verify_multivariate(RL25, BM, "xy", GRID, PATHS, seed, 1.0)
+    rep = verify_multivariate(RL25, BM, GRID, PATHS, seed, 1.0)
     return rep.passed, (rep.estimate - rep.detail["model_cross_bracket"]) / rep.se
 
 

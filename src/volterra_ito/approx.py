@@ -10,7 +10,7 @@ makes that resolution floor explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +33,30 @@ _CS_SLACK = 1e-9
 
 @dataclass
 class ApproxReport:
-    """Per-term-count convergence record for an exponential-sum fit."""
+    """Convergence record of an exponential-sum fit per term count, and its verdict."""
 
     target_id: str
     n_terms: list
     l2_errors: list
     bracket_sup_errors: list
     hurst_estimates: list
-    fitted: list = field(default_factory=list)  # per-n {"weights","rates"}
-    cauchy_schwarz_ok: bool = True
-    l2_strictly_decreasing: bool = True
-    bracket_nonincreasing: bool = True
+    fitted: list  # per-n {"weights","rates"}
+    cauchy_schwarz_ok: bool
+
+    @property
+    def l2_strictly_decreasing(self) -> bool:
+        errs = self.l2_errors
+        return all(b < a for a, b in zip(errs, errs[1:]))
+
+    @property
+    def bracket_nonincreasing(self) -> bool:
+        errs = self.bracket_sup_errors
+        return all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
+
+    @property
+    def passed(self) -> bool:
+        return (self.cauchy_schwarz_ok and self.l2_strictly_decreasing
+                and self.bracket_nonincreasing)
 
     def to_dict(self) -> dict:
         return {
@@ -71,7 +84,7 @@ def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
     ----------
     target : RiemannLiouvilleKernel with H <= 1/2
     n_terms : int
-        Number of exponential terms (>= 1).
+        Number of exponential terms, 1 to 2000 (the fit's lag points).
     t_min : float
         Resolution floor: the fit only controls lags in [t_min, T].
 
@@ -86,8 +99,10 @@ def fit_expsum(target: Kernel, n_terms: int, t_min: float) -> ExpSumKernel:
             f"field 'hurst': exp-sum fitting needs H <= 1/2, got {target.hurst}: a "
             "nonnegative exponential sum is completely monotone (Bernstein), so it "
             "cannot approach the increasing kernel w^(H-1/2)")
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
+    if not 1 <= n_terms <= _FIT_GRID_POINTS:  # refused before any allocation
+        raise DomainError(
+            f"n_terms must lie in [1, {_FIT_GRID_POINTS}], the fit's lag points; "
+            f"got {n_terms}")
     T = target.horizon
     _check_t_min(t_min, T)
 
@@ -151,38 +166,24 @@ def convergence_suite(target: Kernel, n_list, grid: TimeGrid,
     hurst_grid = TimeGrid(np.concatenate([[0.0], np.geomspace(t_min, T, 128)]))
     gamma_target = energy_function(target, grid).values
 
-    report = ApproxReport(
-        target_id=target.kernel_id,
-        n_terms=n_list,
-        l2_errors=[],
-        bracket_sup_errors=[],
-        hurst_estimates=[],
-    )
+    fitted_specs, l2_errors, sup_errors, hurst_estimates = [], [], [], []
     cs_all = True
     for n in n_list:
         fitted = fit_expsum(target, n, t_min)
-        report.fitted.append(
+        fitted_specs.append(
             {"weights": list(fitted.weights), "rates": list(fitted.rates)}
         )
-        report.l2_errors.append(kernel_l2mu_distance(target, fitted))
+        l2_errors.append(kernel_l2mu_distance(target, fitted))
 
         gamma_fit = energy_function(fitted, grid).values
-        sup_err = float(np.max(np.abs(gamma_fit - gamma_target)))
-        report.bracket_sup_errors.append(sup_err)
+        sup_errors.append(float(np.max(np.abs(gamma_fit - gamma_target))))
         cs_all = cs_all and _pointwise_cs_ok(target, fitted, grid, gamma_target,
                                              gamma_fit)
 
         h_hat, _r2 = estimate_hurst(
             energy_function(fitted, hurst_grid), (t_min, 10.0 * t_min)
         )
-        report.hurst_estimates.append(h_hat)
+        hurst_estimates.append(h_hat)
 
-    report.cauchy_schwarz_ok = cs_all
-    report.l2_strictly_decreasing = all(
-        b < a for a, b in zip(report.l2_errors, report.l2_errors[1:])
-    )
-    report.bracket_nonincreasing = all(
-        b <= a * (1 + 1e-12)
-        for a, b in zip(report.bracket_sup_errors, report.bracket_sup_errors[1:])
-    )
-    return report
+    return ApproxReport(target.kernel_id, n_list, l2_errors, sup_errors,
+                        hurst_estimates, fitted_specs, cs_all)

@@ -4,10 +4,10 @@ Each subcommand parses only the flag groups it reads (see ``build_parser``).
 A flag it does not read is unknown; that, a malformed value and a missing
 subcommand are usage errors, which exit 2 like any other bad input.
 
-A run is fully determined by its parsed flags. They are echoed, with the
-tool version, into every artifact as ``config``: the kernel and test
-function flags appear as the spec dicts they resolve to, the thread count
-as resolved, and ``--output`` not at all. ``--no-timestamp`` makes JSON
+A run is fully determined by its parsed flags; no environment variable is
+read. They are echoed, with the tool version, into every artifact as
+``config``: the kernel and test function flags appear as the spec dicts
+they resolve to, and ``--output`` not at all. ``--no-timestamp`` makes JSON
 output byte-identical across reruns of the same command line.
 """
 
@@ -17,7 +17,6 @@ import argparse
 import csv
 import gzip
 import json
-import os
 import sys
 import time
 
@@ -77,15 +76,13 @@ _ints = _list_of(int, "integers")
 
 
 def _thread_count(text):
-    """argparse type of --threads, whose default is VOLTERRA_ITO_THREADS."""
+    """argparse type of --threads: an integer >= 1."""
     try:
         threads = int(text)
     except ValueError:
         threads = 0
     if threads < 1:
-        raise argparse.ArgumentTypeError(
-            "expected an integer >= 1 (from the flag or VOLTERRA_ITO_THREADS), "
-            f"got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return threads
 
 
@@ -298,7 +295,7 @@ def _cmd_verify_multi(args):
     k2 = _kernel_from_args(args, "2")
     grid = _grid_for(k1, args.grid_n, args.grid_kind)
     return _emit_report(args, verify_multivariate(
-        k1, k2, args.phi2d, grid, args.paths, args.seed, _check_time(args, k1),
+        k1, k2, grid, args.paths, args.seed, _check_time(args, k1),
         z=args.z, threads=args.threads))
 
 
@@ -326,12 +323,10 @@ def _cmd_approx(args):
     k = _kernel_from_args(args)
     grid = _grid_for(k, args.grid_n, args.grid_kind)
     report = convergence_suite(k, args.n_terms, grid, t_min=args.t_min)
-    ok = (report.cauchy_schwarz_ok and report.l2_strictly_decreasing
-          and report.bracket_nonincreasing)
     columns = report.n_terms, report.l2_errors, report.bracket_sup_errors
     if args.format == "csv":
         _write_csv(args, ["n", "l2_err", "bracket_sup_err"], *columns)
-        return EXIT_OK if ok else EXIT_FAIL
+        return EXIT_OK if report.passed else EXIT_FAIL
     lines = [f"n={n}: l2={a:.5e} bracket_sup={b:.5e}" for n, a, b in zip(*columns)]
     lines.append(
         f"l2 strictly decreasing = {report.l2_strictly_decreasing}, "
@@ -339,7 +334,7 @@ def _cmd_approx(args):
         f"cauchy-schwarz ok = {report.cauchy_schwarz_ok}"
     )
     _emit(args, {"approx": report.to_dict()}, lines)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_hurst(args):
@@ -414,10 +409,8 @@ def _add_time_flag(p):
 def _add_check_flags(p):
     _add_time_flag(p)
     p.add_argument("--z", type=float, default=DEFAULT_Z)
-    p.add_argument("--threads", type=_thread_count,
-                   default=os.environ.get("VOLTERRA_ITO_THREADS", "1"),
-                   help="Monte Carlo worker threads; default "
-                        "$VOLTERRA_ITO_THREADS, else 1")
+    p.add_argument("--threads", type=_thread_count, default=1,
+                   help="Monte Carlo worker threads")
 
 
 def _add_phi_flags(p):
@@ -487,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_draw_flags(p, paths=10000)
     _add_check_flags(p)
+    # X1_t X2_t, the only mode: echoed in config, read by no check
     p.add_argument("--phi2d", choices=["xy"], default="xy")
 
     p = command("verify-unique", "correction-measure perturbation test",
@@ -533,6 +527,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_DOMAIN
     except NumericalError as exc:
         msg = f"numerical error: {exc}"

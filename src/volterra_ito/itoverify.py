@@ -504,6 +504,9 @@ def _mc_mean_se(sample, paths, seed, n_draws, threads):
         raise DomainError(
             f"Monte Carlo needs at least 2 paths, got {paths}: one path has no "
             "standard error")
+    # the whole range is refused here, before any block is drawn; the
+    # iterator it returns draws nothing until iterated
+    _normal_chunks(seed, 0, paths, n_draws)
     errstate = np.geterr()  # a new thread starts from numpy's default
 
     def block(start):
@@ -764,18 +767,15 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
 # Multivariate formula
 # ---------------------------------------------------------------------------
 
-def verify_multivariate(k1: Kernel, k2: Kernel, phi2d: str, grid: TimeGrid,
+def verify_multivariate(k1: Kernel, k2: Kernel, grid: TimeGrid,
                         paths: int, seed: int, t: float,
                         z: float = DEFAULT_Z,
                         threads: int = 1) -> VerificationReport:
-    """E[X1_t X2_t] = Gamma12(t) for two processes sharing one driver.
-
-    phi2d = "xy", the only mode: the Monte Carlo mean of X1_t X2_t against
-    the quadrature cross-bracket (the divergence terms have zero mean).
+    """E[X1_t X2_t] = Gamma12(t) for two processes sharing one driver: the
+    Monte Carlo mean of X1_t X2_t against the closed-form cross-bracket (the
+    divergence terms have zero mean).
     """
     _check_z(z)
-    if phi2d != "xy":
-        raise DomainError("phi2d must be 'xy'")
     t_idx = grid.index_of(t)
     ref = covariance(k1, k2, t, t)
     w1 = _weight_row(k1, grid.times, t_idx)

@@ -42,6 +42,12 @@ def _check_horizon(horizon):
         raise DomainError("field 'T': horizon must be positive and finite")
 
 
+def _check_cells(n_cells):
+    # no check draws past 2^32 counters per path, and 2^32 times take 32 GiB
+    if not 1 <= n_cells <= 2 ** 32:
+        raise DomainError(f"need between 1 and 2^32 cells, got {n_cells}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing partition 0 = t_0 < t_1 < ... < t_n = T."""
@@ -60,8 +66,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, n_cells: int, horizon: float) -> "TimeGrid":
-        if n_cells < 1:
-            raise DomainError("need at least one cell")
+        _check_cells(n_cells)
         _check_horizon(horizon)
         return cls(np.linspace(0.0, horizon, n_cells + 1))
 
@@ -580,8 +585,7 @@ def equal_energy_grid(k: Kernel, n_cells: int) -> TimeGrid:
     energy function where Gamma(T) is not positive or the nodes do not
     strictly increase in floating point.
     """
-    if n_cells < 1:
-        raise DomainError("need at least one cell")
+    _check_cells(n_cells)
     T = k.horizon
     total = k.total_l2(T)
     if not total > 0.0:

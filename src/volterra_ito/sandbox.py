@@ -175,12 +175,7 @@ class GaussPoly:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = GaussPoly.constant(self.n, other)
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            out[key] = out.get(key, 0.0) + coef
-        return GaussPoly._trusted(self.n, out)
+        return self - (-other)  # the checks' residuals subtract: __sub__ owns the loop
 
     __radd__ = __add__
 
@@ -382,11 +377,8 @@ def project_predictable(u: PolyField) -> PolyField:
             pos = len(key)
             while pos and key[pos - 1][0] >= i:
                 pos -= 1
-            for (_c, p) in key[pos:]:
-                coef *= _MOMENTS[p]
-                if coef == 0.0:
-                    break
-            else:  # key[:pos] is key itself when no factor is conditioned
+            coef = _key_moment(coef, key[pos:])
+            if coef != 0.0:  # key[:pos] is key itself when nothing is conditioned
                 new = key[:pos]
                 out[new] = out.get(new, 0.0) + coef
         comps.append(GaussPoly._trusted(comp.n, out))

@@ -181,7 +181,7 @@ def test_criterion_8_multivariate_cross_bracket():
     rep = verify_multivariate(
         RiemannLiouvilleKernel(hurst=0.25, horizon=1.0),
         BrownianKernel(horizon=1.0),
-        "xy", TimeGrid.uniform(1024, 1.0), 100000, SEED, 1.0,
+        TimeGrid.uniform(1024, 1.0), 100000, SEED, 1.0,
     )
     elapsed = time.time() - t0
     assert rep.reference == pytest.approx(math.sqrt(0.5) * 4.0 / 3.0, rel=1e-9)

@@ -1,9 +1,11 @@
 """Exponential-sum kernel fitting and convergence quantification."""
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
-from volterra_ito.approx import convergence_suite, fit_expsum
+from volterra_ito.approx import ApproxReport, convergence_suite, fit_expsum
 from volterra_ito.bracket import energy_function, estimate_hurst
 from volterra_ito.errors import DomainError
 from volterra_ito.kernels import (
@@ -33,6 +35,11 @@ class TestFitExpsum:
     def test_n_zero_rejected(self):
         with pytest.raises(DomainError):
             fit_expsum(RL25, 0, 1e-3)
+
+    def test_more_terms_than_lag_points_rejected(self):
+        # 2,000,000 terms asked for a 2000 x 2,000,000 design matrix (32 GB)
+        with pytest.raises(DomainError, match=r"n_terms must lie in \[1, 2000\]"):
+            fit_expsum(RL25, 2001, 1e-3)
 
     def test_non_rl_target_rejected(self):
         with pytest.raises(DomainError):
@@ -102,6 +109,28 @@ class TestConvergenceSuite:
         # at zero distance from itself
         fit = fit_expsum(RL25, 4, 1e-3)
         assert kernel_l2mu_distance(fit, fit) == 0.0
+
+    def test_record_has_no_defaults(self):
+        # every field is set once, by convergence_suite
+        assert all(f.default is MISSING and f.default_factory is MISSING
+                   for f in fields(ApproxReport))
+
+    @pytest.mark.parametrize("l2, sup, cs, passed", [
+        ([0.3, 0.2, 0.1], [0.2, 0.2 * (1 + 1e-13), 0.1], True, True),
+        ([0.3, 0.3, 0.1], [0.2, 0.1, 0.05], True, False),
+        ([0.3, 0.2, 0.1], [0.2, 0.2 * (1 + 1e-11), 0.1], True, False),
+        ([0.3, 0.2, 0.1], [0.2, 0.1, 0.05], False, False),
+        ([0.3], [0.2], True, True),
+    ], ids=["pass", "l2-flat", "bracket-rises", "cauchy-schwarz", "one-n"])
+    def test_verdict_reads_the_errors(self, l2, sup, cs, passed):
+        rep = ApproxReport("rl", [2, 4, 8][:len(l2)], l2, sup, [0.25] * len(l2),
+                           [], cs)
+        assert rep.passed is passed
+        d = rep.to_dict()
+        assert d["l2_strictly_decreasing"] == rep.l2_strictly_decreasing
+        assert d["bracket_nonincreasing"] == rep.bracket_nonincreasing
+        assert passed == (cs and d["l2_strictly_decreasing"]
+                          and d["bracket_nonincreasing"])
 
     def test_report_dict_round_trip(self, report):
         d = report.to_dict()

@@ -13,6 +13,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import volterra_ito
+import volterra_ito.paths
 from volterra_ito import kernels
 from volterra_ito.approx import convergence_suite
 from volterra_ito.bracket import cross_bracket, energy_function
@@ -123,12 +125,6 @@ class TestBracket:
 
 
 class TestErrors:
-    def test_malformed_thread_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("VOLTERRA_ITO_THREADS", "abc")
-        code = run_cli(["verify-mean", "--kernel", "brownian", "--grid-n", "4"])
-        assert code == 2
-        assert "VOLTERRA_ITO_THREADS" in capsys.readouterr().err
-
     @pytest.mark.parametrize("threads", ["-5", "0"])
     def test_non_positive_threads_flag(self, threads, capsys):
         code = run_cli(["verify-mean", "--kernel", "brownian", "--grid-n", "4",
@@ -136,16 +132,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "--threads" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_non_positive_thread_env(self, threads, monkeypatch, capsys):
-        monkeypatch.setenv("VOLTERRA_ITO_THREADS", threads)
-        code = run_cli(["verify-mean", "--kernel", "brownian", "--grid-n", "4",
-                        "--no-timestamp"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:") and "VOLTERRA_ITO_THREADS" in err
         assert "Traceback" not in err
 
     def test_malformed_spec_file(self, tmp_path, capsys):
@@ -577,17 +563,60 @@ class TestConfigEcho:
         assert main([*argv, "--no-timestamp", "--output", str(out)]) in (0, 1)
         assert set(json.loads(out.read_text())["config"]) == keys
 
-    def test_resolved_values(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VOLTERRA_ITO_THREADS", "3")
+    def test_resolved_values(self, tmp_path):
         out = tmp_path / "run.json"
         assert main(["verify-mean", "--kernel", "brownian", "--grid-n", "8",
-                     "--phi", "cos", "--phi-freq", "2", "--no-timestamp",
-                     "--output", str(out)]) == 0
+                     "--phi", "cos", "--phi-freq", "2", "--threads", "3",
+                     "--no-timestamp", "--output", str(out)]) == 0
         config = json.loads(out.read_text())["config"]
         assert config["kernel"] == {"kind": "brownian", "T": 1.0}
         assert config["phi"] == {"family": "cosine", "freq": 2.0}
         assert config["threads"] == 3
         assert config["t"] is None
+
+
+# the three Monte Carlo subcommands, each at a path count that spans two blocks
+MONTE_CARLO = {
+    "verify-mean": "verify-mean --kernel rl --hurst 0.25 --grid-n 16 --phi cos "
+                   "--paths 5000",
+    "verify-path": "verify-path --kernel rl --hurst 0.25 --grid-n 16 --paths 5000",
+    "verify-multi": "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian "
+                    "--grid-n 16 --paths 5000",
+}
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("sub", MONTE_CARLO)
+    def test_thread_variable_changes_nothing(self, sub, tmp_path, monkeypatch):
+        # --threads took its default from VOLTERRA_ITO_THREADS: abc and 0
+        # exited 2, and 3 ran three workers and echoed them in config
+        def run(value):
+            if value is None:
+                monkeypatch.delenv("VOLTERRA_ITO_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("VOLTERRA_ITO_THREADS", value)
+            out = tmp_path / f"{value}.json"
+            code = main([*MONTE_CARLO[sub].split(), "--no-timestamp",
+                         "--output", str(out)])
+            return code, out.read_bytes()
+
+        unset = run(None)
+        assert unset[0] == 0 and json.loads(unset[1])["config"]["threads"] == 1
+        for value in ("abc", "0", "3"):
+            assert run(value) == unset
+
+    def test_src_reads_no_environment(self):
+        # a run is fully determined by its parsed flags
+        src = Path(volterra_ito.__file__).resolve().parent
+        reads = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = ([node.attr] if isinstance(node, ast.Attribute)
+                         else [a.name for a in node.names]
+                         if isinstance(node, ast.ImportFrom) else [])
+                reads += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name in {"environ", "environb", "getenv", "getenvb"}]
+        assert reads == []
 
 
 class TestSandboxSeed:
@@ -1139,3 +1168,84 @@ class TestTableKernels:
         out = tmp_path / "cross.json"
         assert main(["bracket", "--kernel-spec", spec, "--kernel2", "rl",
                      "--hurst2", hurst, "--grid-n", "8", "--output", str(out)]) == 0
+
+
+class TestRefusedBeforeWork:
+    """Inputs past what the program can index or hold exit 2 on one line,
+    before anything is drawn or allocated."""
+
+    @pytest.mark.parametrize("sub", MONTE_CARLO)
+    def test_path_count_past_the_streams(self, sub, monkeypatch, capsys):
+        # the refusal came with the last block's streams, after 2^20 blocks
+        def drawn(*args):
+            raise AssertionError("a block of normals was drawn")
+
+        monkeypatch.setattr(volterra_ito.paths, "_chunks", drawn)
+        argv = MONTE_CARLO[sub].replace("5000", "4294967297").split()
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and elapsed < 1.0
+        assert err == "error: stream indices [0, 4294967297) must lie in [0, 2^32)\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ("bracket --kernel brownian --grid-n 99999999999999999999999",
+         "2^32 cells"),
+        ("verify-mean --kernel brownian --grid-n 99999999999999999999999",
+         "2^32 cells"),
+        ("bracket --kernel brownian --grid-n 100000000000", "2^32 cells"),
+        ("bracket --kernel rl --hurst 0.25 --grid-kind energy "
+         "--grid-n 4294967297", "2^32 cells"),
+        ("hurst --kernel rl --hurst 0.25 --fit-n 2000000", "n_terms"),
+        ("approx --kernel rl --hurst 0.25 --grid-n 8 --n-terms 2,2001",
+         "n_terms"),
+    ], ids=["bracket-1e22-cells", "mean-1e22-cells", "bracket-1e11-cells",
+            "energy-grid-2^32+1-cells", "hurst-2e6-terms", "approx-2001-terms"])
+    def test_oversized_input(self, argv, message):
+        # numpy refused the first two with a ValueError, and the others ran
+        # out of memory: each exited 1 with a traceback. The child gets a
+        # 3 GB address space, so an allocation fails at once instead of
+        # being overcommitted
+        limit = 3_000_000 * 1024
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = _run_program(argv, preexec_fn=cap)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr and "out of memory" not in proc.stderr
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 8.00 GiB for an array with shape "
+                     "(1073741825,) and data type float64"),
+         "error: out of memory: Unable to allocate 8.00 GiB for an array with "
+         "shape (1073741825,) and data type float64\n"),
+        (MemoryError(), "error: out of memory: an allocation failed\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_2(self, exc, line, monkeypatch, capsys):
+        def allocate(*args):
+            raise exc
+
+        monkeypatch.setattr(volterra_ito.cli, "energy_function", allocate)
+        assert main(["bracket", "--kernel", "brownian", "--grid-n", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == line
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("approx --kernel rl --hurst 0.25 --n-terms 2,4,8,16 --t-min 1e-4", 0),
+    # bracket_sup rises from n = 2 to 4 while l2 falls
+    ("approx --kernel rl --hurst 0.25 --grid-n 32 --n-terms 2,4 --t-min 1e-3", 1),
+], ids=["readme", "bracket-rises"])
+def test_approx_exit_is_the_reports_verdict(argv, code, tmp_path):
+    out = tmp_path / "approx.json"
+    assert main([*argv.split(), "--no-timestamp", "--output", str(out)]) == code
+    args = build_parser().parse_args(argv.split())
+    rep = convergence_suite(RiemannLiouvilleKernel(hurst=0.25, horizon=1.0),
+                            args.n_terms, TimeGrid.uniform(args.grid_n, 1.0),
+                            t_min=args.t_min)
+    assert rep.passed == (code == 0)
+    assert json.loads(out.read_text())["approx"] == json.loads(
+        json.dumps(rep.to_dict()))

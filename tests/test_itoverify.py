@@ -472,6 +472,22 @@ class TestMonteCarloReducer:
         assert mean == pytest.approx(1e-300, rel=1e-15)
         assert se == 0.0
 
+    @pytest.mark.parametrize("paths, n_draws", [
+        (2 ** 32 + 4096, 8), (100, 2 ** 32 + 1),
+    ], ids=["streams", "counters"])
+    def test_range_past_the_streams_draws_nothing(self, paths, n_draws):
+        # only the block past 2^32 streams was refused, so the first block
+        # drew and sampled 4096 rows first
+        calls = []
+
+        def sample(z):
+            calls.append(len(z))
+            raise AssertionError(f"sampled {len(z)} rows before the refusal")
+
+        with pytest.raises(DomainError, match=r"must lie in \[0, 2\^32\)"):
+            _mc_mean_se(sample, paths, 1, n_draws, 1)
+        assert calls == []
+
     def test_terminal_value_matches_full_path(self):
         # drawing only the normals X_t reads gives X_t of the full simulation
         grid = TimeGrid.uniform(48, 1.0)
@@ -567,7 +583,7 @@ class TestStreamedReducer:
             "pathwise": lambda: verify_pathwise_formula(
                 RL25, TestFunction.square(), grid, 4096, 42, 1.0),
             "multivariate": lambda: verify_multivariate(
-                RL25, BM, "xy", grid, 8192, 42, 1.0),
+                RL25, BM, grid, 8192, 42, 1.0),
             "mean": lambda: verify_mean_identity(
                 RL25, TestFunction.square(), grid, 8192, 42, 1.0),
         }[check]
@@ -867,21 +883,15 @@ class TestPathwise:
 class TestMultivariate:
     def test_brownian_pair_xy(self):
         grid = TimeGrid.uniform(64, 1.0)
-        rep = verify_multivariate(BM, BM, "xy", grid, 20000, 9, 1.0)
+        rep = verify_multivariate(BM, BM, grid, 20000, 9, 1.0)
         assert rep.reference == pytest.approx(1.0, rel=1e-12)
         assert rep.passed
 
     def test_rl_brownian_cross(self):
         grid = TimeGrid.uniform(256, 1.0)
-        rep = verify_multivariate(RL25, BM, "xy", grid, 20000, 10, 1.0)
+        rep = verify_multivariate(RL25, BM, grid, 20000, 10, 1.0)
         assert rep.reference == pytest.approx(math.sqrt(0.5) * 4 / 3, rel=1e-10)
         assert rep.passed
-
-    def test_unknown_phi2d(self):
-        # x2+y2 was two univariate square checks and is refused like any other
-        for phi2d in ("x^3y", "x2+y2"):
-            with pytest.raises(DomainError):
-                verify_multivariate(BM, BM, phi2d, TimeGrid.uniform(8, 1.0), 10, 1, 1.0)
 
 
 class TestUniqueness:
@@ -1030,7 +1040,7 @@ class TestReportSchema:
         p1 = verify_pathwise_formula(*args, threads=1)
         p2 = verify_pathwise_formula(*args, threads=3)
         assert p1.to_dict() == p2.to_dict()
-        multi = (RL25, BM, "xy", grid, 10000, 3, 1.0)
+        multi = (RL25, BM, grid, 10000, 3, 1.0)
         m1 = verify_multivariate(*multi, threads=1)
         m2 = verify_multivariate(*multi, threads=3)
         assert m1.to_dict() == m2.to_dict()
@@ -1054,7 +1064,7 @@ class TestReportSchema:
         with pytest.raises(DomainError):
             verify_pathwise_formula(BM, sq, grid, 10, 1, 1.0, z=z)
         with pytest.raises(DomainError):
-            verify_multivariate(BM, BM, "xy", grid, 10, 1, 1.0, z=z)
+            verify_multivariate(BM, BM, grid, 10, 1, 1.0, z=z)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_eps_rejected(self, eps):

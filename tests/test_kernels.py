@@ -557,6 +557,18 @@ class TestTimeGrid:
             with pytest.raises(DomainError, match="field 'T'"):
                 make()
 
+    # 2^32 + 1 cells is refused too (tests/test_cli.py), but only a child
+    # with a capped address space may try it: before the refusal it was an
+    # allocation of 32 GiB
+    @pytest.mark.parametrize("n_cells", [0, -1, 10 ** 22])
+    def test_cell_count_range(self, n_cells):
+        # numpy refused 1e22 cells with a ValueError
+        for build in (lambda: TimeGrid.uniform(n_cells, 1.0),
+                      lambda: equal_energy_grid(RL25, n_cells),
+                      lambda: equal_energy_grid(ES, n_cells)):
+            with pytest.raises(DomainError, match="need between 1 and 2\\^32 cells"):
+                build()
+
     def test_must_start_at_zero(self):
         with pytest.raises(DomainError):
             TimeGrid(np.array([0.1, 0.5, 1.0]))
