@@ -9,12 +9,17 @@ read. They are echoed, with the tool version, into every artifact as
 ``config``: the kernel and test function flags appear as the spec dicts
 they resolve to, and ``--output`` not at all. ``--no-timestamp`` makes JSON
 output byte-identical across reruns of the same command line.
+
+The parser is built by the first call of ``main`` in a process, not at
+import, and reused by every later call: no flag's default is a mutable
+object, and nothing changes the parser once it is built.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gzip
 import json
 import sys
@@ -421,7 +426,9 @@ def _add_phi_flags(p):
     p.add_argument("--phi-coeffs", type=_floats)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser: built once per process and shared, so never changed."""
     parser = _Parser(
         prog="volterra-ito",
         description="Verification suites for the operator Ito formula on "
@@ -498,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("approx", "exponential-sum convergence suite", _cmd_approx, tables)
     _add_kernel_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--n-terms", type=_ints, default=[2, 4, 8, 16])
+    p.add_argument("--n-terms", type=_ints, default=(2, 4, 8, 16))
     p.add_argument("--t-min", type=float, default=1e-4)
 
     p = command("hurst", "bracket scaling exponent recovery", _cmd_hurst)

@@ -1,5 +1,6 @@
 """Exponential-sum kernel fitting and convergence quantification."""
 
+import time
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from volterra_ito.approx import ApproxReport, convergence_suite, fit_expsum
 from volterra_ito.bracket import energy_function, estimate_hurst
-from volterra_ito.errors import DomainError
+from volterra_ito.errors import DomainError, NumericalError
 from volterra_ito.kernels import (
     BrownianKernel,
     ExpSumKernel,
@@ -40,6 +41,38 @@ class TestFitExpsum:
         # 2,000,000 terms asked for a 2000 x 2,000,000 design matrix (32 GB)
         with pytest.raises(DomainError, match=r"n_terms must lie in \[1, 2000\]"):
             fit_expsum(RL25, 2001, 1e-3)
+
+    @pytest.mark.parametrize("n, t_min, shapes, sign", [
+        (2000, 1e-5, [(2000, 32)], ">="),  # the window alone refuses
+        (100, 0.5, [(2000, 32)], ">="),
+        (40, 1e-5, [(2000, 32), (2000, 40)], None),  # window passes: full SVD
+        (32, 0.5, [(2000, 32)], "~"),  # the design is its own window
+        (32, 1e-5, [(2000, 32)], None),
+    ], ids=["2000-terms", "100-terms", "40-accepted", "32-refused", "32-accepted"])
+    def test_condition_checked_on_the_first_columns_first(self, n, t_min, shapes,
+                                                          sign, monkeypatch):
+        # singular values interlace: the first 32 columns' condition number
+        # bounds the design's from below, so past the bound no full SVD runs
+        seen, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: seen.append(a.shape) or cond(a))
+        if sign is None:
+            assert len(fit_expsum(RL25, n, t_min).weights) == n
+        else:
+            with pytest.raises(NumericalError, match=f"cond {sign} "):
+                fit_expsum(RL25, n, t_min)
+        assert seen == shapes
+
+    def test_hopeless_fit_refused_at_once(self):
+        # the full 2000 x 2000 SVD took about 1.5 s. The best of ten: after an
+        # idle spell the first few SVDs of a process took 0.2 s each while
+        # OpenBLAS woke its threads, then 2-4 ms
+        times = []
+        for _ in range(10):
+            start = time.perf_counter()
+            with pytest.raises(NumericalError, match="cond >= "):
+                fit_expsum(RL25, 2000, 1e-5)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1, times
 
     def test_non_rl_target_rejected(self):
         with pytest.raises(DomainError):

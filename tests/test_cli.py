@@ -386,14 +386,18 @@ class TestErrors:
         assert err.startswith("error: field 'hurst'") and err.count("\n") == 1
         assert "completely monotone" in err and "Traceback" not in err
 
-    def test_numerical_failure_exit_code(self, capsys):
+    @pytest.mark.parametrize("argv, cond", [
+        ("approx --kernel rl --hurst 0.25 --n-terms 8,16 --t-min 0.5", "(cond ~ "),
+        # past 32 terms the first 32 columns' condition number is the bound
+        ("approx --kernel rl --hurst 0.25 --n-terms 200 --t-min 1e-12", "(cond >= "),
+        ("hurst --kernel rl --hurst 0.25 --fit-n 2000", "(cond >= "),
+    ], ids=["approx-16", "approx-200", "hurst-fit-2000"])
+    def test_numerical_failure_exit_code(self, argv, cond, capsys):
         # hopeless fit: condition estimate reported, exit 3
-        code = run_cli([
-            "approx", "--kernel", "rl", "--hurst", "0.25",
-            "--n-terms", "200", "--t-min", "1e-12",
-        ])
-        assert code == 3
-        assert "cond" in capsys.readouterr().err
+        assert run_cli(argv.split()) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and cond in err
+        _assert_one_numerical_error_line(err)
 
 
 class TestKernelErrors:
@@ -645,6 +649,55 @@ def test_readme_cli_examples_parse():
     assert len(examples) >= 9
     for argv in examples:
         build_parser().parse_args(argv)
+
+
+def _parsers(parser):
+    """``parser`` and, depth first, every subcommand's parser."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+    # not at import: a one-shot process pays for it in its one main() call
+    proc = _run_python(["-c", "from volterra_ito import cli; "
+                              "print(cli.build_parser.cache_info().currsize)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_parser_defaults_are_immutable():
+    # every main() call shares one parser, so a default a run could change
+    # in place would leak into the next run
+    for parser in _parsers(build_parser()):
+        defaults = [(a.dest, a.default) for a in parser._actions]
+        for dest, default in defaults + list(parser._defaults.items()):
+            assert not isinstance(default, (list, dict, set)), (parser.prog, dest)
+
+
+def test_shared_parser_runs_like_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # each README example after a usage error on the shared parser, then on
+    # a parser built for it alone: exit code, stdout, stderr and any file
+    # written (simulate's --output) are the same
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv):
+        code = main([*argv, "--no-timestamp"])
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in tmp_path.iterdir():
+            p.unlink()
+        return code, capsys.readouterr(), written
+
+    for argv in _readme_cli_examples():
+        assert main(["bracket", "--kernel", "brownian", "--grid-n", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: argument --grid-n")
+        shared = run(argv)
+        build_parser.cache_clear()
+        assert run(argv) == shared, argv
+        assert shared[0] == 0, argv
 
 
 def _readme_cli_section():
