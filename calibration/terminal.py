@@ -4,7 +4,7 @@ Runs the checks that read only X_t (the mean identity for phi = cos and
 phi = x^2, and the xy cross-bracket of rl H = 0.25 against Brownian motion)
 at seeds 0, 1, ..., N - 1 with a small path count, and prints per check:
 
-- the false-FAIL rate at the default z = 4: every identity here holds, so
+- the false-FAIL rate at z = 4: every identity here holds, so
   each FAIL is false, and a calibrated SE fails about 6e-5 of runs;
 - the z-scores (estimate - exact grid mean) / se: their mean, sd, min and
   max. A calibrated estimator gives mean near 0 and sd near 1.

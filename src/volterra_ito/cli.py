@@ -1,8 +1,10 @@
 """Command line interface: one executable, machine-readable output.
 
 Each subcommand parses only the flag groups it reads (see ``build_parser``).
-A flag it does not read is unknown; that, a malformed value and a missing
-subcommand are usage errors, which exit 2 like any other bad input.
+A flag it does not read is unknown; that, a kernel flag the chosen kernel
+does not read, a malformed value and a missing subcommand are usage errors,
+which exit 2 like any other bad input. No flag sets a verdict's confidence:
+every check judges at ``itoverify.DEFAULT_Z``.
 
 A run is fully determined by its parsed flags; no environment variable is
 read. They are echoed, with the tool version, into every artifact as
@@ -32,7 +34,6 @@ from .approx import convergence_suite, fit_expsum
 from .bracket import cross_bracket, energy_function, estimate_hurst
 from .errors import DomainError, NumericalError
 from .itoverify import (
-    DEFAULT_Z,
     TestFunction,
     verify_mean_identity,
     verify_multivariate,
@@ -91,37 +92,50 @@ def _thread_count(text):
     return threads
 
 
+# the parameters each kernel kind reads from its flag group, all required
+_KERNEL_PARAMS = {"brownian": (), "rl": ("hurst",), "expsum": ("weights", "rates")}
+
+
 def _kernel_from_args(args, suffix=""):
     """The kernel of the kernel{suffix} flag group.
 
     Its spec dict replaces ``args.kernel{suffix}``, so the config echo shows
-    the kernel that ran.
+    the kernel that ran. A flag the kernel does not read is refused: beside
+    --kernel{suffix}-spec every other flag of the group, and --T unless a
+    kernel is built from flags; beside --kernel{suffix} the parameters of
+    the other kinds.
     """
     spec_path = getattr(args, f"kernel{suffix}_spec")
     kind = getattr(args, f"kernel{suffix}")
+    if spec_path:
+        read, reader = (), f"--kernel{suffix}-spec"
+    elif kind is None:
+        raise DomainError(
+            f"field 'kernel{suffix}': pass --kernel{suffix} or --kernel{suffix}-spec"
+        )
+    else:
+        read, reader = ("kernel", *_KERNEL_PARAMS[kind]), f"--kernel{suffix} {kind}"
+    unread = [f"{name}{suffix}" for name in ("kernel", "hurst", "weights", "rates")
+              if name not in read and getattr(args, f"{name}{suffix}") is not None]
+    if spec_path and args.T is not None and not any(
+            vars(args).get(f"kernel{s}") is not None
+            and not vars(args).get(f"kernel{s}_spec") for s in ("", "2")):
+        unread.append("T")
+    if unread:
+        raise DomainError(
+            f"field '{unread[0]}': --{unread[0]} is not read beside {reader}")
     if spec_path:
         try:
             with open(spec_path, "r", encoding="utf-8") as fh:
                 k = kernel_from_json(fh.read())
         except OSError as exc:
             raise DomainError(f"cannot read kernel spec file: {exc}") from None
-    elif kind is None:
-        raise DomainError(
-            f"field 'kernel{suffix}': pass --kernel{suffix} or --kernel{suffix}-spec"
-        )
     else:
-        spec = {"kind": kind, "T": args.T}
-        if kind == "rl":
-            spec["hurst"] = getattr(args, f"hurst{suffix}")
-            if spec["hurst"] is None:
-                raise DomainError(f"field 'hurst{suffix}': required for the rl kernel")
-        elif kind == "expsum":
-            spec["weights"] = getattr(args, f"weights{suffix}")
-            spec["rates"] = getattr(args, f"rates{suffix}")
-            if not spec["weights"] or not spec["rates"]:
-                raise DomainError(
-                    f"field 'weights{suffix}'/'rates{suffix}': required for expsum"
-                )
+        spec = {"kind": kind, "T": 1.0 if args.T is None else args.T}
+        for name in _KERNEL_PARAMS[kind]:
+            spec[name] = getattr(args, f"{name}{suffix}")
+            if spec[name] is None:
+                raise DomainError(f"field '{name}{suffix}': required beside {reader}")
         k = kernel_from_spec(spec)
     setattr(args, f"kernel{suffix}", k.spec_dict())
     return k
@@ -156,12 +170,6 @@ def _check_time(args, kernel):
     return kernel.horizon if args.t is None else args.t
 
 
-def _refuse_non_finite(args, values):
-    """NumericalError where the array ``values`` holds a NaN or an infinity."""
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"{args.subcommand} output is not finite")
-
-
 def _emit(args, payload: dict, text_lines) -> None:
     """Write the payload in any format; a NaN or infinity raises NumericalError."""
     config = {key: value for key, value in vars(args).items()
@@ -193,8 +201,8 @@ def _write_csv(args, header, *columns) -> None:
     NumericalError before anything is written. Under ``--compress`` the file
     is gzipped.
     """
-    for column in columns:
-        _refuse_non_finite(args, np.asarray(column))
+    if not all(np.all(np.isfinite(column)) for column in columns):
+        raise NumericalError(f"{args.subcommand} output is not finite")
 
     def write(fh):
         writer = csv.writer(fh)
@@ -222,7 +230,8 @@ def _emit_report(args, rep):
 def _cmd_bracket(args):
     k = _kernel_from_args(args)
     grid = _grid_for(k, args.grid_n, args.grid_kind)
-    if args.kernel2 or args.kernel2_spec:
+    if any(getattr(args, name) is not None for name in (
+            "kernel2", "kernel2_spec", "hurst2", "weights2", "rates2")):
         ef = cross_bracket(k, _kernel_from_args(args, "2"), grid)
         col = "gamma_12"
     else:
@@ -252,7 +261,6 @@ def _cmd_simulate(args):
     grid = _grid_for(k, args.grid_n, args.grid_kind)
     sampler = simulate_cholesky if args.sampler == "cholesky" else simulate_volterra
     x = sampler(k, grid, args.paths, args.seed)
-    _refuse_non_finite(args, x)
     if args.format == "csv":
         _write_csv(args, ["path", "t", "X"], np.arange(x.shape[0])[:, None],
                    grid.times, x)
@@ -277,7 +285,7 @@ def _cmd_verify_mean(args):
     phi = _phi_from_args(args)
     return _emit_report(args, verify_mean_identity(
         k, phi, grid, args.paths, args.seed, _check_time(args, k),
-        z=args.z, threads=args.threads))
+        threads=args.threads))
 
 
 def _cmd_verify_path(args):
@@ -292,7 +300,7 @@ def _cmd_verify_path(args):
         grids = _grid_for(k, args.grid_n, args.grid_kind)
     return _emit_report(args, verify_pathwise_formula(
         k, phi, grids, args.paths, args.seed, _check_time(args, k),
-        z=args.z, threads=args.threads))
+        threads=args.threads))
 
 
 def _cmd_verify_multi(args):
@@ -301,7 +309,7 @@ def _cmd_verify_multi(args):
     grid = _grid_for(k1, args.grid_n, args.grid_kind)
     return _emit_report(args, verify_multivariate(
         k1, k2, grid, args.paths, args.seed, _check_time(args, k1),
-        z=args.z, threads=args.threads))
+        threads=args.threads))
 
 
 def _cmd_verify_unique(args):
@@ -393,7 +401,7 @@ def _add_kernel_flags(p, suffix=""):
     p.add_argument(f"--rates{suffix}", type=_floats,
                    help="comma-separated exp-sum rates")
     if not suffix:
-        p.add_argument("--T", type=float, default=1.0, help="kernel horizon")
+        p.add_argument("--T", type=float, help="kernel horizon; default 1")
 
 
 def _add_grid_flags(p):
@@ -413,7 +421,6 @@ def _add_time_flag(p):
 
 def _add_check_flags(p):
     _add_time_flag(p)
-    p.add_argument("--z", type=float, default=DEFAULT_Z)
     p.add_argument("--threads", type=_thread_count, default=1,
                    help="Monte Carlo worker threads")
 

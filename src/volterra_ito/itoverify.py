@@ -5,7 +5,9 @@ mean at cell j only sees increments strictly before the cell, matching the
 predictable projection. Monte Carlo means and SEs come from one reducer over
 fixed-size path blocks keyed by absolute path index, merged in path order by
 the (count, mean, M2) update of Chan, Golub & LeVeque (1983): the SE does not
-cancel, and results are bit-identical for any worker count.
+cancel, and results are bit-identical for any worker count. Every verdict
+is |estimate - reference| <= z * se + bias_bound at z = DEFAULT_Z = 4, which
+no caller sets: a wider band would turn any FAIL into a PASS.
 """
 
 from __future__ import annotations
@@ -425,11 +427,11 @@ def _co_sum_block(phi, w, z):
 @dataclass
 class VerificationReport:
     """Outcome of one check, built by ``_identity_report``: it passes iff
-    |estimate - reference| <= z * se + bias_bound and the check's own
-    condition holds (a pathwise ladder is monotone; the exact perturbation
-    test's base identity passes and its residual exceeds bias_bound). A
-    non-finite estimate, reference, se or bias_bound judges nothing and
-    raises NumericalError.
+    |estimate - reference| <= z * se + bias_bound, z = DEFAULT_Z, and the
+    check's own condition holds (a pathwise ladder is monotone; the exact
+    perturbation test's base identity passes and its residual exceeds
+    bias_bound). A non-finite estimate, reference, se or bias_bound judges
+    nothing and raises NumericalError.
     """
 
     identity: str
@@ -441,8 +443,8 @@ class VerificationReport:
     paths: int
     seed: int
     passed: bool
-    z: float
     detail: dict = field(default_factory=dict)
+    z = DEFAULT_Z  # the verdict's confidence: echoed by to_dict, set by no caller
 
     def __post_init__(self):
         keys = ("estimate", "reference", "se", "bias_bound")
@@ -466,22 +468,19 @@ class VerificationReport:
         )
 
 
-def _identity_report(identity, grid, paths, seed, z, estimate, reference, se,
+def _identity_report(identity, grid, paths, seed, estimate, reference, se,
                      bias_bound, detail, holds=True) -> VerificationReport:
     """The report of an identity check on ``grid``: the one place its rule,
-    ``holds`` and |estimate - reference| <= z * se + bias_bound, is written."""
+    ``holds`` and |estimate - reference| <= DEFAULT_Z * se + bias_bound, is
+    written."""
     estimate, reference, se, bias_bound = (
         float(x) for x in (estimate, reference, se, bias_bound))
     return VerificationReport(
         identity=identity, estimate=estimate, reference=reference, se=se,
         bias_bound=bias_bound, grid_n=grid.n_cells, paths=paths, seed=seed,
-        passed=bool(holds and abs(estimate - reference) <= z * se + bias_bound),
-        z=z, detail=detail)
-
-
-def _check_z(z):
-    if not (math.isfinite(z) and z > 0):
-        raise DomainError("z must be finite and positive")
+        passed=bool(holds and abs(estimate - reference)
+                    <= DEFAULT_Z * se + bias_bound),
+        detail=detail)
 
 
 def _mc_mean_se(sample, paths, seed, n_draws, threads):
@@ -632,18 +631,26 @@ def _correction(phi, gamma_t):
         "Clenshaw-Curtis panels over [0, Gamma(t)]", estimate=c, bound=gap)
 
 
+def _without_constant(phi):
+    """phi less a polynomial's constant: it cancels in what each check judges,
+    and left in it would inflate the floors, 1e-12 max(1, |c|) and up."""
+    if phi.family != "polynomial":
+        return phi
+    return TestFunction.polynomial(np.concatenate([[0.0], phi.coeffs[1:]]))
+
+
 def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
                          paths: int, seed: int, t: float,
-                         z: float = DEFAULT_Z,
                          threads: int = 1) -> VerificationReport:
     """Check E[phi(X_t)] = phi(0) + (1/2) int_0^t E[phi''(X_s)] dGamma(s).
 
     The left side is computed exactly by the test function's smoothing
     and, when paths > 0, also by Monte Carlo on the grid; the right side is
     ``_correction``'s quadrature in g = Gamma(s) up to Gamma(t), with the
-    error bound it returns. Only the Monte Carlo side uses the grid.
+    error bound it returns. Only the Monte Carlo side uses the grid. A
+    polynomial's constant is dropped first (``_without_constant``).
     """
-    _check_z(z)
+    phi = _without_constant(phi)
     if paths < 0:
         raise DomainError("paths must be >= 0 (0 selects quadrature only)")
     t_idx = grid.index_of(t)
@@ -662,21 +669,13 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
             phi.phi, [_weight_row(k, grid.times, t_idx)], paths, seed, threads)
     else:
         estimate, se = lhs_quad, 0.0
-    return _identity_report("mean_identity", grid, paths, seed, z, estimate, rhs,
+    return _identity_report("mean_identity", grid, paths, seed, estimate, rhs,
                             se, bias, detail)
 
 
 # ---------------------------------------------------------------------------
 # Pathwise operator Ito formula
 # ---------------------------------------------------------------------------
-
-def _without_constant(phi):
-    """phi less a polynomial's constant: it cancels in the residuals judged,
-    and left in it would inflate the floors, 1e-12 max(1, |c|) and up."""
-    if phi.family != "polynomial":
-        return phi
-    return TestFunction.polynomial(np.concatenate([[0.0], phi.coeffs[1:]]))
-
 
 def _res2_reference(phi, w):
     """(Var phi(X_t) - E[CO_t^2], its error bound, E[CO_t^2]), X_t = Z w.
@@ -723,7 +722,6 @@ def _pathwise_res2_moments(k, phi, grid, paths, seed, t_idx, c_t, threads):
 
 def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
                             seed: int, t: float,
-                            z: float = DEFAULT_Z,
                             threads: int = 1) -> VerificationReport:
     """Check phi(X_t) = phi(0) + delta(Pi D phi(X_t)) + (1/2) int E[phi''(X_s)]
     dGamma(s) pathwise in L2.
@@ -737,7 +735,6 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     A ladder of grids (strictly increasing cell counts) must also be
     nonincreasing, 1 SE of slack per rung; the finest grid is judged.
     """
-    _check_z(z)
     phi = _without_constant(phi)
     grids = list(grid) if isinstance(grid, (list, tuple)) else [grid]
     cells = [g.n_cells for g in grids]
@@ -757,7 +754,7 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     final = ladder[-1]
     # b * b overflows to inf where b ** 2 raises
     bias = final["reference_error"] + b * b + final["floor"]
-    return _identity_report("pathwise_formula", finest, paths, seed, z,
+    return _identity_report("pathwise_formula", finest, paths, seed,
                             final["estimate"], final["reference"], final["se"], bias,
                             {"ladder": ladder, "monotone": monotone,
                              "stieltjes_bias": b}, holds=monotone)
@@ -769,20 +766,18 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
 
 def verify_multivariate(k1: Kernel, k2: Kernel, grid: TimeGrid,
                         paths: int, seed: int, t: float,
-                        z: float = DEFAULT_Z,
                         threads: int = 1) -> VerificationReport:
     """E[X1_t X2_t] = Gamma12(t) for two processes sharing one driver: the
     Monte Carlo mean of X1_t X2_t against the closed-form cross-bracket (the
     divergence terms have zero mean).
     """
-    _check_z(z)
     t_idx = grid.index_of(t)
     ref = covariance(k1, k2, t, t)
     w1 = _weight_row(k1, grid.times, t_idx)
     w2 = _weight_row(k2, grid.times, t_idx)
     model_cov = float(np.dot(w1, w2))
     est, se = _terminal_mean_se(np.multiply, [w1, w2], paths, seed, threads)
-    return _identity_report("multivariate_xy", grid, paths, seed, z, est, ref, se,
+    return _identity_report("multivariate_xy", grid, paths, seed, est, ref, se,
                             abs(model_cov - ref), {"model_cross_bracket": model_cov})
 
 
@@ -811,7 +806,6 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
     """
     if not (math.isfinite(eps) and eps != 0.0):
         raise DomainError(f"field 'eps': must be finite and nonzero, got {eps!r}")
-    phi = _without_constant(phi)
     base = verify_mean_identity(k, phi, grid, 0, 0, t)
     lebesgue = _lebesgue_term(k, phi, grid.times[:grid.index_of(t) + 1])
     rhs_nu = base.reference + 0.5 * eps * lebesgue
@@ -819,6 +813,6 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
     tol = base.bias_bound
     detail = {"eps": eps, "rhs_perturbed": rhs_nu, "combined_tolerance": tol,
               "detection_ratio": residual / tol}
-    return _identity_report("uniqueness_perturbation", grid, 0, 0, DEFAULT_Z, residual,
+    return _identity_report("uniqueness_perturbation", grid, 0, 0, residual,
                             0.5 * abs(eps) * abs(lebesgue), 0.0, tol, detail,
                             holds=base.passed and residual > tol)

@@ -102,3 +102,20 @@ class TestNotes:
         line, = bench_pairs.notes({"w": {"pairs": 1, "a": a, "b": b}})
         assert line == ("w: a 2 -> 1 (-50.0%), change lower in 1 of 1; "
                         "b 1 -> 1.5 (+50.0%), change lower in 0 of 1")
+
+
+class TestMoved:
+    DIGESTS = {
+        "parent": {"same": [0, "a", "p"], "config": [0, "b", "q"],
+                   "payload": [0, "c", "r"], "exit": [0, "d", "s"],
+                   "gone": [0, "e", "t"]},
+        "change": {"same": [0, "a", "p"], "config": [0, "B", "q"],
+                   "payload": [0, "C", "R"], "exit": [1, "d", "s"]},
+    }
+
+    def test_full_file_moves(self, bench_pairs):
+        assert bench_pairs.moved(self.DIGESTS, 1) == ["config", "exit", "gone",
+                                                      "payload"]
+
+    def test_a_config_only_move_leaves_the_payload(self, bench_pairs):
+        assert bench_pairs.moved(self.DIGESTS, 2) == ["exit", "gone", "payload"]

@@ -22,11 +22,11 @@ import pytest
 
 import volterra_ito
 import volterra_ito.paths
-from volterra_ito import kernels
+from volterra_ito import itoverify, kernels
 from volterra_ito.approx import convergence_suite
 from volterra_ito.bracket import cross_bracket, energy_function
 from volterra_ito.cli import build_parser, main
-from volterra_ito.itoverify import DEFAULT_Z, TestFunction
+from volterra_ito.itoverify import TestFunction
 from volterra_ito.kernels import BrownianKernel, RiemannLiouvilleKernel, TimeGrid
 from volterra_ito.paths import simulate_volterra
 from volterra_ito.sandbox import sandbox_suite
@@ -194,10 +194,8 @@ class TestErrors:
         ["--phi", "cos", "--phi-freq", "inf"],
         ["--phi", "mollified", "--phi-cut", "nan"],
         ["--phi", "poly", "--phi-coeffs", "1,nan"],
-        ["--z", "-1"],
-        ["--z", "nan"],
     ], ids=["quad-order-400", "quad-order-1e8", "freq-nan", "freq-inf",
-            "cut-nan", "coeffs-nan", "z-negative", "z-nan"])
+            "cut-nan", "coeffs-nan"])
     def test_bad_parameter_is_bad_input(self, extra, capsys):
         code = run_cli(["verify-mean", "--kernel", "brownian", "--grid-n", "16",
                         *extra])
@@ -209,22 +207,72 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["bracket", "--kernel", "brownian", "--grid-n", "4",
          "--quad-order", "0", "--z", "nan"],
-        ["bracket", "--kernel", "brownian", "--grid-n", "4", "--z", "nan"],
         ["simulate", "--kernel", "brownian", "--grid-n", "4",
          "--quad-order", "-5", "--z", "-1"],
         ["simulate", "--kernel", "brownian", "--grid-n", "4",
          "--quad-order", "-5"],
         ["approx", "--kernel", "rl", "--hurst", "0.25", "--grid-n", "8",
          "--quad-order", "400"],
-        ["hurst", "--kernel", "rl", "--hurst", "0.25", "--z", "inf"],
-    ], ids=["bracket-both", "bracket-z", "simulate-both", "simulate-order",
-            "approx-order", "hurst-z"])
+    ], ids=["bracket-both", "simulate-both", "simulate-order", "approx-order"])
     def test_unused_flag_bad_value_is_bad_input(self, argv, capsys):
         code = run_cli(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["4", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        "bracket --kernel brownian --grid-n 4",
+        "simulate --kernel brownian --grid-n 4",
+        "verify-mean --kernel brownian --grid-n 16",
+        "verify-path --kernel brownian --grid-n 8",
+        "verify-multi --kernel brownian --kernel2 brownian --grid-n 8",
+        "verify-unique --kernel brownian --grid-n 8",
+        "sandbox",
+        "approx --kernel rl --hurst 0.25 --grid-n 8",
+        "hurst --kernel rl --hurst 0.25",
+    ], ids=lambda argv: argv.split()[0])
+    def test_z_is_an_unknown_flag(self, argv, value, capsys):
+        # every verdict judges at DEFAULT_Z: a wider band turned a FAIL into a PASS
+        assert run_cli([*argv.split(), "--z", value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unrecognized arguments: --z {value}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("bracket --kernel rl --hurst 0.3 --kernel-spec {spec}", "kernel"),
+        ("bracket --kernel brownian --hurst 0.3", "hurst"),
+        ("bracket --kernel rl --hurst 0.25 --weights 1 --rates 2", "weights"),
+        ("bracket --kernel expsum --weights 1 --rates 1 --hurst 0.7", "hurst"),
+        ("bracket --kernel-spec {spec} --hurst 0.3", "hurst"),
+        ("bracket --kernel-spec {spec} --T 2", "T"),
+        ("bracket --kernel brownian --kernel2 rl --hurst2 0.3 --weights2 1",
+         "weights2"),
+        ("bracket --kernel brownian --kernel2-spec {spec} --rates2 1", "rates2"),
+        ("bracket --kernel brownian --hurst2 0.3", "kernel2"),
+        ("verify-multi --kernel brownian --kernel2 expsum --weights2 1 --rates2 1 "
+         "--hurst2 0.3 --paths 10", "hurst2"),
+        ("verify-multi --kernel-spec {spec} --kernel2-spec {spec} --T 1 --paths 10",
+         "T"),
+    ], ids=["spec-kernel", "brownian-hurst", "rl-weights", "expsum-hurst",
+            "spec-hurst", "spec-T", "rl2-weights2", "spec2-rates2",
+            "hurst2-without-kernel2", "multi-expsum2-hurst2", "multi-specs-T"])
+    def test_unread_kernel_flag_exits_2(self, argv, flag, tmp_path, capsys):
+        # each ran and ignored the flag; the first ran Brownian motion
+        spec = tmp_path / "bm.json"
+        spec.write_text('{"kind":"brownian","T":1.0}')
+        code = run_cli([*argv.format(spec=spec).split(), "--grid-n", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: field '{flag}': ") and err.count("\n") == 1
+
+    def test_T_is_read_beside_a_spec_by_a_kernel_from_flags(self, tmp_path, capsys):
+        spec = tmp_path / "bm2.json"
+        spec.write_text('{"kind":"brownian","T":2.0}')
+        assert run_cli(["bracket", "--kernel-spec", str(spec), "--kernel2", "brownian",
+                        "--T", "2", "--grid-n", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2,2"
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--kernel", "brownian", "--grid-n", "4", "--paths", "2",
@@ -487,8 +535,8 @@ class TestUsageErrors:
         assert err == "error: unrecognized arguments: --quad-order 32\n"
 
     @pytest.mark.parametrize("flag", [
-        ["--paths", "4096"], ["--seed", "1"], ["--threads", "2"], ["--z", "1"],
-    ], ids=["paths", "seed", "threads", "z"])
+        ["--paths", "4096"], ["--seed", "1"], ["--threads", "2"],
+    ], ids=["paths", "seed", "threads"])
     def test_verify_unique_takes_no_monte_carlo_flags(self, flag, capsys):
         # its Monte Carlo route was verify-mean --paths N over again
         assert main(["verify-unique", "--kernel", "brownian", "--grid-n", "8",
@@ -541,7 +589,7 @@ class TestConfigEcho:
     OUTPUT = {"subcommand", "format", "no_timestamp"}
     KERNEL_GRID = OUTPUT | {"kernel", "grid_n", "grid_kind"}
     DRAWS = {"paths", "seed"}
-    CHECK = {"t", "z", "threads"}
+    CHECK = {"t", "threads"}
     PHI = {"phi"}
     rl = ["--kernel", "rl", "--hurst", "0.25"]
 
@@ -710,8 +758,6 @@ _FLAG = r"`(--[\w-]+)`(?: \((\w+)\))?"  # a flag and the default after it, if an
 
 def test_parser_defaults_are_the_library_defaults():
     parser = build_parser()
-    for sub in ("verify-mean", "verify-path", "verify-multi"):
-        assert parser.parse_args([sub]).z == DEFAULT_Z, sub
     check = parser.parse_args(["verify-mean"])
     assert check.phi_freq == inspect.signature(TestFunction.cosine).parameters[
         "freq"].default
@@ -765,9 +811,9 @@ def test_mollified_mean_identity_closes_at_small_cuts(kernel, grid_kind, cut, ca
                  "--no-timestamp"]) == 0
 
 
-# passing and failing runs of the identity checks; the failures are a
-# z = 1 band missed by seed 11, the verify-path z = 1 run whose report read PASS
-# by its own rule while it exited 1, and a coarse quadrature-only grid
+# passing and failing runs of the identity checks; each failing run is a
+# passing one, or a correct answer, with a seeded defect (DEFECTS) that the
+# check must see past 4 se + bias_bound
 IDENTITY_RUNS = {
     "mean-quadrature-pass": "verify-mean --kernel rl --hurst 0.75 --phi mollified "
                             "--phi-cut 0.5 --grid-n 64",
@@ -775,28 +821,55 @@ IDENTITY_RUNS = {
     "mean-quadrature-coarse-pass": "verify-mean --kernel rl --hurst 0.75 "
                                    "--phi mollified --phi-cut 0.5 --grid-n 16",
     "mean-mc-pass": "verify-mean --kernel rl --hurst 0.25 --phi cos --grid-n 64 "
-                    "--paths 2000 --z 1 --seed 1",
+                    "--paths 2000 --seed 1",
     "mean-mc-fail": "verify-mean --kernel rl --hurst 0.25 --phi cos --grid-n 64 "
-                    "--paths 2000 --z 1 --seed 11",
+                    "--paths 2000 --seed 1",
+    # a polynomial's constant set the 1e-12 max(1, |c|) floor to 1.0: a PASS
+    "mean-poly-constant-fail": "verify-mean --kernel rl --hurst 0.25 --grid-n 64 "
+                               "--phi poly --phi-coeffs 1e12,0,1",
     "path-pass": "verify-path --kernel rl --hurst 0.25 --grid-n 64 --phi square "
-                 "--paths 4096 --z 4 --seed 1",
+                 "--paths 4096 --seed 1",
     "path-fail": "verify-path --kernel rl --hurst 0.25 --grid-n 64 --phi square "
-                 "--paths 4096 --z 1 --seed 1",
+                 "--paths 4096 --seed 1",
     "multi-pass": "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian "
-                  "--grid-n 64 --paths 2000 --z 1 --seed 1",
+                  "--grid-n 64 --paths 2000 --seed 1",
     "multi-fail": "verify-multi --kernel rl --hurst 0.25 --kernel2 brownian "
-                  "--grid-n 64 --paths 2000 --z 1 --seed 11",
+                  "--grid-n 64 --paths 2000 --seed 1",
     "unique-pass": "verify-unique --kernel rl --hurst 0.25 --grid-kind energy "
                    "--phi mollified --grid-n 256",
 }
 
 
+_CORRECTION, _GRAM_FACTOR = itoverify._correction, itoverify._gram_factor
+
+
+def _correction_off_by_half(phi, gamma_t):
+    c, bound = _CORRECTION(phi, gamma_t)
+    return c + 0.5, bound
+
+
+def _gram_factor_too_wide(rows):
+    return 1.25 * _GRAM_FACTOR(rows)
+
+
+DEFECTS = {
+    "mean-mc-fail": ("_correction", _correction_off_by_half),
+    "mean-poly-constant-fail": ("_correction", _correction_off_by_half),
+    "path-fail": ("_correction", _correction_off_by_half),
+    # verify-multi's bias bound |w1 w2 - R12| absorbs a defect in the weights
+    "multi-fail": ("_gram_factor", _gram_factor_too_wide),
+}
+
+
 @pytest.mark.parametrize("name", IDENTITY_RUNS)
-def test_identity_verdict_follows_the_printed_numbers(name, capsys):
+def test_identity_verdict_follows_the_printed_numbers(name, monkeypatch, capsys):
+    if name in DEFECTS:
+        monkeypatch.setattr(itoverify, *DEFECTS[name])
     code = run_cli([*IDENTITY_RUNS[name].split(), "--no-timestamp"])
     rep = json.loads(capsys.readouterr().out)["reports"][0]
     closeness = (abs(rep["estimate"] - rep["reference"])
                  <= rep["z"] * rep["se"] + rep["bias_bound"])
+    assert rep["z"] == itoverify.DEFAULT_Z
     assert rep["pass"] is closeness
     assert code == (0 if closeness else 1)
     assert code == (1 if name.endswith("fail") else 0)

@@ -445,12 +445,11 @@ class TestMonteCarloReducer:
         assert se == pytest.approx(np.std(allv) / math.sqrt(paths), rel=rel)
 
     def test_se_survives_large_offset(self):
-        # phi = c + x^2: adding c must not move the SE (E[x^2] - mean^2 cancelled)
-        grid = TimeGrid.uniform(16, 1.0)
-
+        # c + x^2: adding c must not move the SE (E[x^2] - mean^2 cancelled).
+        # verify_mean_identity drops a polynomial's constant, so the sample
+        # goes to the reducer directly
         def se(c):
-            phi = TestFunction.polynomial([c, 0.0, 1.0])
-            return verify_mean_identity(BM, phi, grid, 20000, 1, 1.0).se
+            return _mc_mean_se(lambda z: c + z[:, 0] ** 2, 20000, 1, 1, 1)[1]
 
         base = se(0.0)
         assert base > 0.0
@@ -1015,7 +1014,7 @@ class TestReportSchema:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_number_raises(self, key, value):
         fields = dict(identity="mean_identity", estimate=1.0, reference=1.0, se=0.0,
-                      bias_bound=0.0, grid_n=8, paths=0, seed=1, passed=True, z=4.0)
+                      bias_bound=0.0, grid_n=8, paths=0, seed=1, passed=True)
         VerificationReport(**fields)
         with pytest.raises(NumericalError, match=f"not finite in {key}"):
             VerificationReport(**{**fields, key: value})
@@ -1055,16 +1054,15 @@ class TestReportSchema:
         p3 = verify_pathwise_formula(*args, threads=3)
         assert p1.to_dict() == p3.to_dict()
 
-    @pytest.mark.parametrize("z", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_bad_z_rejected(self, z):
-        grid = TimeGrid.uniform(8, 1.0)
-        sq = TestFunction.square()
-        with pytest.raises(DomainError):
-            verify_mean_identity(BM, sq, grid, 0, 1, 1.0, z=z)
-        with pytest.raises(DomainError):
-            verify_pathwise_formula(BM, sq, grid, 10, 1, 1.0, z=z)
-        with pytest.raises(DomainError):
-            verify_multivariate(BM, BM, grid, 10, 1, 1.0, z=z)
+    @pytest.mark.parametrize("check, args", [
+        (verify_mean_identity, (BM, TestFunction.square())),
+        (verify_pathwise_formula, (BM, TestFunction.square())),
+        (verify_multivariate, (BM, BM)),
+    ], ids=["mean", "path", "multi"])
+    def test_z_is_not_settable(self, check, args):
+        # a caller's z = 1000 turned a FAIL into a PASS
+        with pytest.raises(TypeError, match="'z'"):
+            check(*args, TimeGrid.uniform(8, 1.0), 10, 1, 1.0, z=1000.0)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_eps_rejected(self, eps):

@@ -23,8 +23,11 @@ side runs first (pair 1 runs the parent first). It records:
   (function parameters with a default, plus ``**kwargs``);
 * the sha256 of the full ``--no-timestamp`` JSON, ``config`` included, of
   every ``perfbench/workloads.py`` operation at seeds 42 and 7 and
-  ``--threads`` 1 and 2, and of ``sandbox_suite()``'s payload, with the
-  list of outputs that differ between the sides.
+  ``--threads`` 1 and 2, and of ``sandbox_suite()``'s payload; beside it
+  the payload digest with ``config`` left out (``workloads.digest``, as
+  perfbench compares outputs); and the lists of outputs whose exit code or
+  full digest (``moved``) or payload digest (``payload_moved``) differs
+  between the sides, so a config-only move cannot hide a moved number.
 
 A run takes about pairs x workloads x 2 x (S + 10) seconds; run nothing else
 meanwhile.
@@ -47,7 +50,8 @@ DIGEST_SEEDS = (42, 7)
 DIGEST_THREADS = (1, 2)
 
 # Run in a child with the checkout's src/ and perfbench/ importable: prints
-# {output name: [exit code, sha256 of the written file or null]}.
+# {output name: [exit code, sha256 of the written file, its payload digest
+# without config]}, both digests null when nothing was written.
 _DIGEST_CHILD = """
 import hashlib, json, sys, tempfile
 from pathlib import Path
@@ -66,11 +70,16 @@ with tempfile.TemporaryDirectory() as tmp:
                     path.unlink(missing_ok=True)
                     code = cli.main([*op.argv, "--no-timestamp",
                                      "--output", str(path)])
-                    sha = (hashlib.sha256(path.read_bytes()).hexdigest()
-                           if path.exists() else None)
-                    out[f"{workload}/{op.name}/seed{seed}/threads{n}"] = [code, sha]
-text = json.dumps(sandbox_suite(), sort_keys=True)
-out["sandbox_suite()"] = [0, hashlib.sha256(text.encode()).hexdigest()]
+                    entry = [code, None, None]
+                    if path.exists():
+                        data = path.read_bytes()
+                        entry[1:] = [hashlib.sha256(data).hexdigest(),
+                                     workloads.digest(json.loads(data))]
+                    out[f"{workload}/{op.name}/seed{seed}/threads{n}"] = entry
+report = sandbox_suite()
+text = json.dumps(report, sort_keys=True)
+out["sandbox_suite()"] = [0, hashlib.sha256(text.encode()).hexdigest(),
+                          workloads.digest(report)]
 print(json.dumps(out))
 """
 
@@ -99,6 +108,16 @@ def op_digests(root: Path) -> dict:
         cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def moved(digests: dict, column: int) -> list:
+    """The outputs whose exit code or digest ``column`` (1: the full file, 2:
+    the payload without ``config``) differs between the sides, or that the
+    change lacks."""
+    def key(entry):
+        return entry and (entry[0], entry[column])
+    return sorted(k for k in digests["parent"]
+                  if key(digests["parent"][k]) != key(digests["change"].get(k)))
 
 
 def record_of(root: Path, workload: str, seed: int) -> dict:
@@ -194,8 +213,7 @@ def main(argv=None) -> int:
     names = [w["name"] for w in bench["workloads"]]
 
     digests = {side: op_digests(roots[side]) for side in SIDES}
-    moved = sorted(k for k in digests["parent"]
-                   if digests["parent"][k] != digests["change"].get(k))
+    full_moved, payload_moved = moved(digests, 1), moved(digests, 2)
     record = {
         "benchmark": f"python3 perfbench/run.py --workload W --seconds "
                      f"{seconds:g} --seed {args.seed} --trace 0",
@@ -206,14 +224,17 @@ def main(argv=None) -> int:
         "src_lines_by_module": {s: src_lines(roots[s]) for s in SIDES},
         "settable_parameters": {s: settable_parameters(roots[s]) for s in SIDES},
         "payloads": {
-            "what": "sha256 of the full --no-timestamp JSON (config included) of "
-                    "every perfbench/workloads.py op at seeds "
-                    f"{list(DIGEST_SEEDS)} and --threads {list(DIGEST_THREADS)}, "
-                    "and of sandbox_suite()'s payload",
+            "what": "per output [exit code, sha256 of the full --no-timestamp "
+                    "JSON (config included), workloads.digest of its payload "
+                    "(config excluded)] of every perfbench/workloads.py op at "
+                    f"seeds {list(DIGEST_SEEDS)} and --threads "
+                    f"{list(DIGEST_THREADS)}, and of sandbox_suite()'s payload",
             "outputs_compared": len(digests["parent"]),
-            "identical": len(digests["parent"]) - len(moved),
-            "moved": moved,
-            "nonzero_exits": {s: sorted(k for k, (code, _) in digests[s].items()
+            "identical": len(digests["parent"]) - len(full_moved),
+            "moved": full_moved,
+            "payload_identical": len(digests["parent"]) - len(payload_moved),
+            "payload_moved": payload_moved,
+            "nonzero_exits": {s: sorted(k for k, (code, *_) in digests[s].items()
                                         if code != 0) for s in SIDES},
             "digests": digests,
         },
@@ -224,7 +245,8 @@ def main(argv=None) -> int:
         "cpu_model", "nproc", "python", "numpy", "scipy", "blas")}
     record["notes"] = notes(record["workloads"])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(moved)} of {len(digests['parent'])} outputs moved: {moved}")
+    print(f"{len(full_moved)} of {len(digests['parent'])} outputs moved, "
+          f"{len(payload_moved)} in their payload: {payload_moved}")
     return 0
 
 
