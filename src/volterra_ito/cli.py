@@ -6,6 +6,10 @@ does not read, a malformed value and a missing subcommand are usage errors,
 which exit 2 like any other bad input. No flag sets a verdict's confidence:
 every check judges at ``itoverify.DEFAULT_Z``.
 
+Each subcommand returns its verdict, True where it judges nothing, and
+``main`` alone maps it onto the exit code: 0 pass, 1 fail; a DomainError
+exits 2 and a NumericalError 3.
+
 A run is fully determined by its parsed flags; no environment variable is
 read. They are echoed, with the tool version, into every artifact as
 ``config``: the kernel and test function flags appear as the spec dicts
@@ -220,7 +224,7 @@ def _write_csv(args, header, *columns) -> None:
 
 def _emit_report(args, rep):
     _emit(args, {"reports": [rep.to_dict()]}, [rep.summary_line()])
-    return EXIT_OK if rep.passed else EXIT_FAIL
+    return rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def _cmd_bracket(args):
         }
         _emit(args, payload,
               [f"{col}(T) = {ef.values[-1]:.12g} on {grid.n_cells} cells"])
-    return EXIT_OK
+    return True
 
 
 def _cmd_simulate(args):
@@ -264,7 +268,7 @@ def _cmd_simulate(args):
     if args.format == "csv":
         _write_csv(args, ["path", "t", "X"], np.arange(x.shape[0])[:, None],
                    grid.times, x)
-        return EXIT_OK
+        return True
     xt = x[:, -1]
     payload = {
         "simulate": {
@@ -276,10 +280,15 @@ def _cmd_simulate(args):
         }
     }
     _emit(args, payload, [f"{x.shape[0]} paths, var(X_T) = {np.var(xt):.6g}"])
-    return EXIT_OK
+    return True
 
 
 def _cmd_verify_mean(args):
+    for name, default in (("seed", 0), ("threads", 1)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.paths == 0:  # quadrature only: no path is drawn
+            raise DomainError(f"field '{name}': --{name} only applies with --paths > 0")
     k = _kernel_from_args(args)
     grid = _grid_for(k, args.grid_n, args.grid_kind)
     phi = _phi_from_args(args)
@@ -329,7 +338,7 @@ def _cmd_sandbox(args):
     ]
     lines.append(f"pass = {report['pass']}")
     _emit(args, {"sandbox": report}, lines)
-    return EXIT_OK if report["pass"] else EXIT_FAIL
+    return report["pass"]
 
 
 def _cmd_approx(args):
@@ -339,7 +348,7 @@ def _cmd_approx(args):
     columns = report.n_terms, report.l2_errors, report.bracket_sup_errors
     if args.format == "csv":
         _write_csv(args, ["n", "l2_err", "bracket_sup_err"], *columns)
-        return EXIT_OK if report.passed else EXIT_FAIL
+        return report.passed
     lines = [f"n={n}: l2={a:.5e} bracket_sup={b:.5e}" for n, a, b in zip(*columns)]
     lines.append(
         f"l2 strictly decreasing = {report.l2_strictly_decreasing}, "
@@ -347,7 +356,7 @@ def _cmd_approx(args):
         f"cauchy-schwarz ok = {report.cauchy_schwarz_ok}"
     )
     _emit(args, {"approx": report.to_dict()}, lines)
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return report.passed
 
 
 def _cmd_hurst(args):
@@ -377,7 +386,7 @@ def _cmd_hurst(args):
         }
     }
     _emit(args, payload, [f"H_hat = {h_hat:.6f} (r2 = {r2:.8f})"])
-    return EXIT_OK
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="volterra")
     p.add_argument("--compress", action="store_true")
 
-    check("verify-mean", "mean identity check", _cmd_verify_mean, paths=0)
+    p = check("verify-mean", "mean identity check", _cmd_verify_mean, paths=0)
+    # refused at --paths 0, which draws nothing; 0 and 1 when not given
+    p.set_defaults(seed=None, threads=None)
 
     p = check("verify-path", "pathwise operator Ito formula check", _cmd_verify_path,
               paths=10000)
@@ -533,7 +544,7 @@ def main(argv=None) -> int:
         output = args.output
         # a non-finite output raises NumericalError; warnings would add lines
         with np.errstate(all="ignore"):
-            return args.run(args)
+            return EXIT_OK if args.run(args) else EXIT_FAIL
     except OSError as exc:
         if output is None or exc.filename != output:
             raise

@@ -1,11 +1,11 @@
 """Error taxonomy shared by all modules.
 
 DomainError marks invalid inputs (bad arguments, mismatched grids, malformed
-specs); NumericalError marks computations that ran but failed to converge or
-factorize; ResourceError marks refusals due to configured resource caps.
+specs, runs past a resource cap); NumericalError marks computations that ran
+but failed to converge or factorize. They are the CLI's exit codes 2 and 3.
 """
 
-__all__ = ["DomainError", "NumericalError", "ResourceError"]
+__all__ = ["DomainError", "NumericalError"]
 
 
 class DomainError(ValueError):
@@ -23,12 +23,3 @@ class NumericalError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.bound = bound
-
-
-class ResourceError(DomainError):
-    """Requested computation exceeds a configured resource budget."""
-
-    def __init__(self, message, required=None, budget=None):
-        super().__init__(message)
-        self.required = required
-        self.budget = budget

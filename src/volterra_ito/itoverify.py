@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -426,11 +426,11 @@ def _co_sum_block(phi, w, z):
 
 @dataclass
 class VerificationReport:
-    """Outcome of one check, built by ``_identity_report``: it passes iff
-    |estimate - reference| <= z * se + bias_bound, z = DEFAULT_Z, and the
-    check's own condition holds (a pathwise ladder is monotone; the exact
+    """Outcome of one check, which owns its verdict: ``passed`` iff ``holds``
+    (the check's own condition: a pathwise ladder is monotone; the exact
     perturbation test's base identity passes and its residual exceeds
-    bias_bound). A non-finite estimate, reference, se or bias_bound judges
+    bias_bound) and |estimate - reference| <= z * se + bias_bound,
+    z = DEFAULT_Z. A non-finite estimate, reference, se or bias_bound judges
     nothing and raises NumericalError.
     """
 
@@ -442,17 +442,24 @@ class VerificationReport:
     grid_n: int
     paths: int
     seed: int
-    passed: bool
-    detail: dict = field(default_factory=dict)
+    holds: bool
+    detail: dict
     z = DEFAULT_Z  # the verdict's confidence: echoed by to_dict, set by no caller
 
     def __post_init__(self):
         keys = ("estimate", "reference", "se", "bias_bound")
+        for key in keys:
+            setattr(self, key, float(getattr(self, key)))
         bad = [key for key in keys if not math.isfinite(getattr(self, key))]
         if bad:
             raise NumericalError(
                 f"{self.identity} is not finite in {', '.join(bad)}",
                 estimate=self.estimate, bound=self.bias_bound)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.holds and abs(self.estimate - self.reference)
+                    <= self.z * self.se + self.bias_bound)
 
     def to_dict(self) -> dict:
         keys = ("identity", "estimate", "reference", "se", "bias_bound",
@@ -466,21 +473,6 @@ class VerificationReport:
             f"reference={self.reference:.6e} se={self.se:.3e} "
             f"bias={self.bias_bound:.3e} grid_n={self.grid_n} paths={self.paths}"
         )
-
-
-def _identity_report(identity, grid, paths, seed, estimate, reference, se,
-                     bias_bound, detail, holds=True) -> VerificationReport:
-    """The report of an identity check on ``grid``: the one place its rule,
-    ``holds`` and |estimate - reference| <= DEFAULT_Z * se + bias_bound, is
-    written."""
-    estimate, reference, se, bias_bound = (
-        float(x) for x in (estimate, reference, se, bias_bound))
-    return VerificationReport(
-        identity=identity, estimate=estimate, reference=reference, se=se,
-        bias_bound=bias_bound, grid_n=grid.n_cells, paths=paths, seed=seed,
-        passed=bool(holds and abs(estimate - reference)
-                    <= DEFAULT_Z * se + bias_bound),
-        detail=detail)
 
 
 def _mc_mean_se(sample, paths, seed, n_draws, threads):
@@ -669,8 +661,8 @@ def verify_mean_identity(k: Kernel, phi: TestFunction, grid: TimeGrid,
             phi.phi, [_weight_row(k, grid.times, t_idx)], paths, seed, threads)
     else:
         estimate, se = lhs_quad, 0.0
-    return _identity_report("mean_identity", grid, paths, seed, estimate, rhs,
-                            se, bias, detail)
+    return VerificationReport("mean_identity", estimate, rhs, se, bias,
+                              grid.n_cells, paths, seed, holds=True, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +746,11 @@ def verify_pathwise_formula(k: Kernel, phi: TestFunction, grid, paths: int,
     final = ladder[-1]
     # b * b overflows to inf where b ** 2 raises
     bias = final["reference_error"] + b * b + final["floor"]
-    return _identity_report("pathwise_formula", finest, paths, seed,
-                            final["estimate"], final["reference"], final["se"], bias,
-                            {"ladder": ladder, "monotone": monotone,
-                             "stieltjes_bias": b}, holds=monotone)
+    return VerificationReport("pathwise_formula", final["estimate"],
+                              final["reference"], final["se"], bias, finest.n_cells,
+                              paths, seed, holds=monotone,
+                              detail={"ladder": ladder, "monotone": monotone,
+                                      "stieltjes_bias": b})
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +770,9 @@ def verify_multivariate(k1: Kernel, k2: Kernel, grid: TimeGrid,
     w2 = _weight_row(k2, grid.times, t_idx)
     model_cov = float(np.dot(w1, w2))
     est, se = _terminal_mean_se(np.multiply, [w1, w2], paths, seed, threads)
-    return _identity_report("multivariate_xy", grid, paths, seed, est, ref, se,
-                            abs(model_cov - ref), {"model_cross_bracket": model_cov})
+    return VerificationReport("multivariate_xy", est, ref, se, abs(model_cov - ref),
+                              grid.n_cells, paths, seed, holds=True,
+                              detail={"model_cross_bracket": model_cov})
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +807,7 @@ def verify_uniqueness_perturbation(k: Kernel, phi: TestFunction, eps: float,
     tol = base.bias_bound
     detail = {"eps": eps, "rhs_perturbed": rhs_nu, "combined_tolerance": tol,
               "detection_ratio": residual / tol}
-    return _identity_report("uniqueness_perturbation", grid, 0, 0, residual,
-                            0.5 * abs(eps) * abs(lebesgue), 0.0, tol, detail,
-                            holds=base.passed and residual > tol)
+    return VerificationReport("uniqueness_perturbation", residual,
+                              0.5 * abs(eps) * abs(lebesgue), 0.0, tol, grid.n_cells,
+                              0, 0, holds=base.passed and residual > tol,
+                              detail=detail)

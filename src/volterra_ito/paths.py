@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, NumericalError, ResourceError
+from .errors import DomainError, NumericalError
 from .kernels import Kernel, TimeGrid, covariance
 
 __all__ = [
@@ -152,12 +152,9 @@ def _check_budget(paths, n, squares):
         raise DomainError("paths must be >= 1")
     required = squares * n * n + 2 * paths * n
     if required > SIM_BUDGET:
-        raise ResourceError(
+        raise DomainError(
             f"simulation holds {required} float64 elements at peak, over budget "
-            f"{SIM_BUDGET}; simulate fewer paths or cells",
-            required=required,
-            budget=SIM_BUDGET,
-        )
+            f"{SIM_BUDGET}; simulate fewer paths or cells")
 
 
 def simulate_volterra(k: Kernel, grid: TimeGrid, paths: int, seed: int) -> np.ndarray:

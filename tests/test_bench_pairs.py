@@ -79,7 +79,26 @@ class TestTreeCounts:
             "        pass\n"))
         _write(tmp_path / "src" / "other" / "b.py", "def k(v=0, /, u=1):\n    pass\n")
         _write(tmp_path / "tools" / "c.py", "def outside(q=1):\n    pass\n")
-        assert bench_pairs.settable_parameters(tmp_path) == 6 + 2
+        _write(tmp_path / "src" / "volterra_ito" / "d.py", (
+            "import dataclasses\n"
+            "from dataclasses import dataclass, field\n"
+            "from typing import ClassVar\n"
+            "@dataclass\n"
+            "class A:\n"
+            "    a: int\n"                                 # no default
+            "    b: int = 1\n"                             # b
+            "    c: list = field(default_factory=list)\n"  # c
+            "    d: int = field(default=2, repr=False)\n"  # d
+            "    e: int = field(repr=False)\n"             # no default
+            "    f: int = field(default=0, init=False)\n"  # not taken by __init__
+            "    g: ClassVar[int] = 3\n"                   # no field
+            "    h = 4\n"                                  # no field
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class B:\n"
+            "    i: float = 1.0\n"                         # i
+            "class C:\n"
+            "    j: int = 5\n"))                           # no dataclass
+        assert bench_pairs.settable_parameters(tmp_path) == 6 + 2 + 4
 
 
 class TestNotes:

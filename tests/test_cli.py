@@ -544,6 +544,20 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--seed", "9"], "seed"),
+        (["--threads", "2"], "threads"),
+        (["--paths", "0", "--seed", "9", "--threads", "2"], "seed"),
+    ], ids=["seed", "threads", "both"])
+    def test_verify_mean_draw_flags_need_paths(self, flags, field, capsys):
+        # at --paths 0 no path is drawn: the flags changed only the echo
+        assert main(["verify-mean", "--kernel", "rl", "--hurst", "0.25",
+                     "--grid-n", "64", "--phi", "cos", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"error: field '{field}': --{field} only applies with "
+                       "--paths > 0\n")
+        assert out == ""
+
     def test_verify_unique_ignores_the_thread_variable(self, monkeypatch, capsys):
         # it read VOLTERRA_ITO_THREADS, and a bad value exited 2
         monkeypatch.setenv("VOLTERRA_ITO_THREADS", "0")
@@ -618,13 +632,23 @@ class TestConfigEcho:
     def test_resolved_values(self, tmp_path):
         out = tmp_path / "run.json"
         assert main(["verify-mean", "--kernel", "brownian", "--grid-n", "8",
-                     "--phi", "cos", "--phi-freq", "2", "--threads", "3",
-                     "--no-timestamp", "--output", str(out)]) == 0
+                     "--phi", "cos", "--phi-freq", "2", "--paths", "200",
+                     "--threads", "3", "--no-timestamp", "--output", str(out)]) == 0
         config = json.loads(out.read_text())["config"]
         assert config["kernel"] == {"kind": "brownian", "T": 1.0}
         assert config["phi"] == {"family": "cosine", "freq": 2.0}
         assert config["threads"] == 3
         assert config["t"] is None
+
+    @pytest.mark.parametrize("paths", ["0", "200"])
+    def test_verify_mean_draw_defaults(self, paths, tmp_path):
+        # --seed and --threads, refused at --paths 0, echo 0 and 1 when not given
+        out = tmp_path / "run.json"
+        assert main(["verify-mean", "--kernel", "brownian", "--grid-n", "8",
+                     "--phi", "cos", "--paths", paths, "--no-timestamp",
+                     "--output", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert [config[key] for key in ("paths", "seed", "threads")] == [int(paths), 0, 1]
 
 
 # the three Monte Carlo subcommands, each at a path count that spans two blocks

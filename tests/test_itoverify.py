@@ -1014,10 +1014,26 @@ class TestReportSchema:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_number_raises(self, key, value):
         fields = dict(identity="mean_identity", estimate=1.0, reference=1.0, se=0.0,
-                      bias_bound=0.0, grid_n=8, paths=0, seed=1, passed=True)
+                      bias_bound=0.0, grid_n=8, paths=0, seed=1, holds=True,
+                      detail={})
         VerificationReport(**fields)
         with pytest.raises(NumericalError, match=f"not finite in {key}"):
             VerificationReport(**{**fields, key: value})
+
+    @pytest.mark.parametrize("estimate, holds, passed", [
+        (0.9, True, True),    # |0.9 - 0| = 4 * 0.1 + 0.5: the rule is <=
+        (0.91, True, False),  # past 4 se + bias_bound
+        (0.9, False, False),  # the numbers pass, the check's own condition fails
+    ], ids=["inside", "outside", "not-holds"])
+    def test_verdict_is_derived(self, estimate, holds, passed):
+        # the report used to take its verdict as an argument, so a PASS could
+        # print numbers that fail
+        rep = VerificationReport("mean_identity", estimate, 0.0, np.float64(0.1),
+                                 0.5, 8, 100, 1, holds=holds, detail={})
+        assert rep.passed is passed
+        assert rep.to_dict()["pass"] is passed
+        assert rep.summary_line().startswith("PASS " if passed else "FAIL ")
+        assert type(rep.se) is float
 
     def test_json_keys(self):
         grid = TimeGrid.uniform(32, 1.0)

@@ -20,7 +20,8 @@ side runs first (pair 1 runs the parent first). It records:
   quartiles, the pass count and the median reference-kernel time;
 * the CPU seconds of each run's process tree (``RUSAGE_CHILDREN``);
 * the lines of ``src/`` per module and the AST count of settable parameters
-  (function parameters with a default, plus ``**kwargs``);
+  (function parameters with a default, plus ``**kwargs``, and dataclass
+  fields with a ``default`` or ``default_factory`` that ``__init__`` takes);
 * the sha256 of the full ``--no-timestamp`` JSON, ``config`` included, of
   every ``perfbench/workloads.py`` operation at seeds 42 and 7 and
   ``--threads`` 1 and 2, and of ``sandbox_suite()``'s payload; beside it
@@ -89,8 +90,31 @@ def src_lines(root: Path) -> dict:
             for p in sorted((root / "src" / "volterra_ito").glob("*.py"))}
 
 
+def _name(node) -> str:
+    """The last name of a dotted name or call: ``dataclass`` for
+    ``dataclasses.dataclass(frozen=True)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def _settable_field(stmt) -> bool:
+    """Whether a statement of a dataclass body is a field ``__init__`` takes
+    with a default: ``x: T = v``, or ``field(...)`` with ``default`` or
+    ``default_factory`` and not ``init=False``; a ClassVar is no field."""
+    if (not isinstance(stmt, ast.AnnAssign) or stmt.value is None
+            or "ClassVar" in ast.unparse(stmt.annotation)):
+        return False
+    if not (isinstance(stmt.value, ast.Call) and _name(stmt.value) == "field"):
+        return True
+    kw = {k.arg: k.value for k in stmt.value.keywords}
+    init = kw.get("init")
+    return (("default" in kw or "default_factory" in kw)
+            and not (isinstance(init, ast.Constant) and init.value is False))
+
+
 def settable_parameters(root: Path) -> int:
-    """Parameters with a default, plus **kwargs, of every function in src/."""
+    """Parameters with a default, plus **kwargs, of every function in src/,
+    and the fields with a default of every dataclass there."""
     count = 0
     for path in sorted((root / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -98,6 +122,9 @@ def settable_parameters(root: Path) -> int:
                 a = node.args
                 count += (len(a.defaults) + (a.kwarg is not None)
                           + sum(d is not None for d in a.kw_defaults))
+            elif (isinstance(node, ast.ClassDef)
+                  and any(_name(d) == "dataclass" for d in node.decorator_list)):
+                count += sum(map(_settable_field, node.body))
     return count
 
 
