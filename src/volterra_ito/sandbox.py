@@ -26,10 +26,14 @@ pairwise sum is, when every partial sum is an integer below 2^53.
 ``factorization_defect`` builds Pi D f straight from f's monomials: the
 partial of a monomial in its pos-th factor's coordinate c, conditioned on
 the coordinates below c, is the monomial of its first pos factors, with
-coefficient coef * p * E[xi^(p-1)] times the moments of the later factors. It
-adds the same products in the same order as
-``project_predictable(derive(f))``, so the defect is bit-identical to the
-operator pipeline.
+coefficient coef * p * E[xi^(p-1)] times the moments of the later factors.
+That is nonzero only at the last odd-power factor, so each monomial lands
+once. A monomial ending in a power-1 factor lands on its own key with its
+own coefficient, and f - E[f] takes that coefficient back off; unless
+another monomial lands on the same key the pipeline writes 0.0 there and
+drops it, so such a monomial is skipped, in Pi D f and in f - E[f] alike.
+The surviving keys keep the pipeline's sums in its order, so the defect is
+bit-identical to the operator pipeline whenever E[f] is finite.
 
 Monomials are stored sparsely: a term key is a canonical tuple of
 (coordinate, power) pairs, with int coordinates strictly increasing in
@@ -449,27 +453,52 @@ def check_isometry(u: PolyField) -> tuple:
     return lhs, norm2 + trace_hs, norm2 + trace_exact
 
 
+def _last_odd(key) -> int:
+    """Position of the last odd-power factor of a monomial key, -1 if none."""
+    pos = len(key) - 1
+    while pos >= 0 and not key[pos][1] & 1:
+        pos -= 1
+    return pos
+
+
 def factorization_defect(f: GaussPoly) -> GaussPoly:
     """delta(Pi D f) - (f - E[f]): the finite-dimensional factorization residue.
 
     Identically zero for multilinear f; for diagonal chaos it is the
-    discrete-time residue that vanishes in the continuum limit. Pi D f is
-    built in one pass over f's monomials and equals
+    discrete-time residue that vanishes in the continuum limit. Each monomial
+    of f lands once in Pi D f, at its last odd-power factor; one ending in a
+    power-1 factor lands on its own key, and where no other monomial lands
+    there its term and its f - E[f] term cancel to 0.0, so it is skipped.
+    Whenever E[f] is finite the result equals
     ``diverge(project_predictable(derive(f))) - (f - wick_expectation(f))``
     term for term, bit for bit and in the same key order.
     """
-    # pi[c]: component c of Pi D f. The partial of a monomial in its pos-th
-    # factor (c, p), conditioned on the coordinates below c, keeps key[:pos]
-    # with coefficient coef * p * E[xi^(p-1)] * (moments of key[pos+1:])
+    # a monomial with its last odd-power factor (c, p) at pos lands on
+    # key[:pos] + xi_c. One ending in (c, 1) lands on its own key with
+    # coef * 1 * 1.0 = coef, which f - E[f] takes back off: unless one of
+    # the others lands there too (hit), it is skipped. Its moment is 0, so
+    # E[f] over the kept terms is E[f]
+    hit = set()
+    for key in f.terms:
+        if key and key[-1][1] != 1:
+            pos = _last_odd(key)
+            if pos >= 0:
+                hit.add(key[:pos] + ((key[pos][0], 1),))
+    kept = GaussPoly._trusted(f.n, {
+        key: coef for key, coef in f.terms.items()
+        if not key or key[-1][1] != 1 or key in hit})
+    # pi[c]: component c of Pi D f. The partial in factor (c, p) at pos,
+    # conditioned on the coordinates below c, keeps key[:pos] with
+    # coefficient coef * p * E[xi^(p-1)] * (moments of key[pos+1:]); it is
+    # nonzero only at the last odd power, as every later factor is even
     pi: list = [{} for _ in range(f.n)]
-    for key, coef in f.terms.items():
-        for pos, (c, p) in enumerate(key):
-            m = coef * p * _MOMENTS[p - 1]
-            if m != 0.0:
-                m = _key_moment(m, key[pos + 1:])
-            if m != 0.0:
-                out, new = pi[c], key[:pos]
-                out[new] = out.get(new, 0.0) + m
+    for key, coef in kept.terms.items():
+        pos = _last_odd(key)
+        if pos >= 0:
+            c, p = key[pos]
+            m = _key_moment(coef * p * _MOMENTS[p - 1], key[pos + 1:])
+            out, new = pi[c], key[:pos]
+            out[new] = out.get(new, 0.0) + m
     # every key of pi[c] lies below c, so delta maps it to key + xi_c; a sum
     # that cancelled to 0 is skipped, as the projection drops it, so the
     # terms of f - E[f] land in the pipeline's key order
@@ -479,7 +508,7 @@ def factorization_defect(f: GaussPoly) -> GaussPoly:
         for key, coef in comp.items():
             if coef != 0.0:
                 d[key + xi] = coef
-    for key, coef in (f - wick_expectation(f)).terms.items():
+    for key, coef in (kept - wick_expectation(kept)).terms.items():
         d[key] = d.get(key, 0.0) - coef
     return GaussPoly._trusted(f.n, d)
 

@@ -138,3 +138,37 @@ class TestMoved:
 
     def test_a_config_only_move_leaves_the_payload(self, bench_pairs):
         assert bench_pairs.moved(self.DIGESTS, 2) == ["exit", "gone", "payload"]
+
+
+def _pass(traced, **op_seconds):
+    return {"traced": traced, "wall_s": 1.0, "ref_s": 0.5, "op_seconds": op_seconds}
+
+
+class TestOpSeconds:
+    def test_median_per_op(self, bench_pairs):
+        passes = [_pass(False, a=3.0, b=0.1), _pass(False, a=1.0, b=0.3),
+                  _pass(False, a=2.0, b=0.2)]
+        assert bench_pairs.op_medians(passes) == {"a": 2.0, "b": 0.2}
+
+    def test_compared_per_op_like_the_pass_walls(self, bench_pairs, monkeypatch):
+        # the change halves op "slow" and leaves op "fast" as it is
+        def fake_run(root, workload, seconds, seed):
+            plain = [_pass(False, fast=0.01, slow=0.2 if root == "change" else 0.4)]
+            return {"metrics": {"wall_ref": 1.0},
+                    "pass_wall_s": {**bench_pairs.summary([1.0]), "passes": 1,
+                                    "ref_median_s": 0.5},
+                    "op_s": bench_pairs.op_medians(plain), "cpu_s": 1.0}
+
+        monkeypatch.setattr(bench_pairs, "timed_run", fake_run)
+        args = type("Args", (), {"pairs": 3, "seed": 42})
+        out = bench_pairs.bench_workload(
+            {"parent": "parent", "change": "change"}, "w", 1.0, args)
+        assert list(out["op_s"]) == ["fast", "slow"]
+        slow, fast = out["op_s"]["slow"], out["op_s"]["fast"]
+        assert slow["parent"]["runs"] == [0.4] * 3
+        assert slow["change"]["runs"] == [0.2] * 3
+        assert (slow["change_lower_pairs"], fast["change_lower_pairs"]) == (3, 0)
+        assert fast == bench_pairs.compare({"parent": [0.01] * 3, "change": [0.01] * 3})
+        assert bench_pairs.notes({"w": out})[1] == (
+            "w op_s: fast 0.01 -> 0.01 (+0.0%), change lower in 0 of 3; "
+            "slow 0.4 -> 0.2 (-50.0%), change lower in 3 of 3")

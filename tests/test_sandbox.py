@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from volterra_ito import sandbox
 from volterra_ito.errors import DomainError
+from volterra_ito.itoverify import TestFunction, _res2_reference
+from volterra_ito.kernels import BrownianKernel, RiemannLiouvilleKernel, TimeGrid
+from volterra_ito.paths import _weight_row
 from volterra_ito.sandbox import (
     GaussPoly,
     PolyField,
@@ -314,6 +319,133 @@ class TestFactorizationDefect:
         assert d.terms[()] == pytest.approx(1.0)
         for i in range(n):
             assert d.terms[((i, 2),)] == pytest.approx(-0.25)
+
+
+def pipeline_defect(f):
+    """The factorization residue through the three operators: the oracle."""
+    return diverge(project_predictable(derive(f))) - (f - wick_expectation(f))
+
+
+def assert_matches_pipeline(f):
+    assert list(factorization_defect(f).terms.items()) == \
+        list(pipeline_defect(f).terms.items())
+
+
+X0X1 = ((0, 1), (1, 1))
+X0X1_3 = ((0, 1), (1, 3))
+X0X1X2_2 = ((0, 1), (1, 1), (2, 2))
+
+
+def colliding_poly(rng, n):
+    """Integer coefficients in [-3, 3]; each self-landing monomial
+    prefix * xi_c comes with monomials that land on its key: prefix * xi_c^3
+    and prefix * xi_c (or xi_c^3) times later even powers. The terms are
+    inserted in a random order."""
+    terms = {}
+    for _ in range(int(rng.integers(1, 4))):
+        c = int(rng.integers(0, n))
+        prefix = tuple((j, int(rng.integers(1, 4))) for j in range(c)
+                       if rng.random() < 0.5)
+        tail = tuple((j, 2 * int(rng.integers(1, 3))) for j in range(c + 1, n)
+                     if rng.random() < 0.5)
+        for key in (prefix + ((c, 1),), prefix + ((c, 3),),
+                    prefix + ((c, 1),) + tail, prefix + ((c, 3),) + tail):
+            if rng.random() < 0.7:
+                coef = float(rng.choice([-3, -2, -1, 1, 2, 3]))
+                terms[key] = terms.get(key, 0.0) + coef
+    if rng.random() < 0.5:
+        terms[()] = float(rng.integers(1, 4))
+    items = list(terms.items())
+    return GaussPoly(n, dict(items[i] for i in rng.permutation(len(items))))
+
+
+class TestDefectSkipsSelfLanding:
+    """A monomial ending in xi_c lands on its own key and is skipped unless
+    another monomial lands there too. The hand-built and random cases hold
+    such collisions, in float coefficients, and must equal the operator
+    pipeline item for item and in key order."""
+
+    @pytest.mark.parametrize("order", [(X0X1, X0X1_3), (X0X1_3, X0X1)],
+                             ids=["self-first", "self-last"])
+    def test_shared_landing_key(self, order):
+        # a xi_0 xi_1 + b xi_0 xi_1^3: both land on xi_0 xi_1, which keeps
+        # (a + 3b) - a. For (0.1, 0.3) that rounds to 3b, the value that
+        # skipping xi_0 xi_1 would give; for (0.3, 0.1) it does not
+        for a, b in ((0.1, 0.3), (0.3, 0.1)):
+            coefs = {X0X1: a, X0X1_3: b}
+            f = GaussPoly(2, {key: coefs[key] for key in order})
+            assert_matches_pipeline(f)
+            assert factorization_defect(f).terms[X0X1] == (a + b * 3) - a
+        assert (0.3 + 0.1 * 3) - 0.3 != 0.1 * 3
+
+    def test_landing_sum_cancels_to_zero(self):
+        # xi_0 xi_1 - xi_0 xi_1 xi_2^2: Pi D f's xi_0 term is 1 - 1 = 0.0 and
+        # is dropped, so xi_0 xi_1 enters the defect from f - E f, at its
+        # place in f's key order
+        for order in ((X0X1, X0X1X2_2), (X0X1X2_2, X0X1)):
+            coefs = {X0X1: 1.0, X0X1X2_2: -1.0}
+            f = GaussPoly(3, {key: coefs[key] for key in order})
+            assert_matches_pipeline(f)
+            assert list(factorization_defect(f).terms) == list(order)
+
+    def test_constant_bearing(self):
+        # E f = 0.7 + 0.2; xi_2 lands alone on its own key and drops out
+        f = GaussPoly(3, {(): 0.7, ((0, 2),): 0.2, X0X1: 0.3, ((2, 1),): 0.5,
+                          X0X1_3: 0.1, X0X1X2_2: -1.0 / 3.0})
+        assert_matches_pipeline(f)
+        d = factorization_defect(f)
+        assert d.terms[()] == -(0.7 - (0.7 + 0.2))
+        assert X0X1 in d.terms and ((2, 1),) not in d.terms
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0 / 3.0], ids=["x0.1", "x1/3"])
+    def test_matches_operator_pipeline_on_colliding_polys(self, scale):
+        rng = np.random.default_rng(31)
+        for k in range(300):
+            assert_matches_pipeline(colliding_poly(rng, 1 + k % 4) * scale)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_allocates_less_than_its_input(self, n):
+        # W_1^2's n(n - 1)/2 cross terms all land on their own keys
+        f = discretized_bm_square(n)
+        tracemalloc.start()
+        try:
+            factorization_defect(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sys.getsizeof(f.terms)
+
+
+def poly_of_row(coeffs, w):
+    """phi(sum_j w_j xi_j) for phi(x) = sum_k coeffs[k] x^k, by products of
+    the linear form."""
+    n = len(w)
+    s = GaussPoly(n, {((j, 1),): float(wj) for j, wj in enumerate(w)})
+    f, power = GaussPoly.constant(n, coeffs[0]), GaussPoly.constant(n, 1.0)
+    for c in coeffs[1:]:
+        power = power * s
+        f = f + c * power
+    return f
+
+
+class TestDefectIsThePathwiseResidual:
+    """The defect of phi(X_t), X_t = sum_j w_j xi_j on the grid, is minus
+    verify-path's residual phi(X_t) - E phi(X_t) - CO_t, so its second moment
+    is ``_res2_reference``'s E[res^2]; the two routes share no code."""
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0],
+                                        [0.0, 0.5, -1.0, 0.0, 0.25]],
+                             ids=["x2", "x+x3", "quartic"])
+    @pytest.mark.parametrize("kernel", [
+        RiemannLiouvilleKernel(hurst=0.25, horizon=1.0),
+        RiemannLiouvilleKernel(hurst=0.75, horizon=1.0),
+        BrownianKernel(horizon=1.0)], ids=["rl0.25", "rl0.75", "bm"])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_second_moment_is_the_res2_reference(self, coeffs, kernel, n):
+        w = _weight_row(kernel, TimeGrid.uniform(n, 1.0).times, n)
+        d = factorization_defect(poly_of_row(coeffs, w))
+        ref, bound, _ = _res2_reference(TestFunction.polynomial(coeffs), w)
+        assert abs(_wick_inner(d, d) - ref) <= bound
 
 
 class TestRandomSuite:

@@ -18,6 +18,9 @@ side runs first (pair 1 runs the parent first). It records:
 * the raw pass walls (``passes[*].wall_s`` of the run's record file in
   ``perfbench/results/``) beside ``wall_ref``: per run their median and
   quartiles, the pass count and the median reference-kernel time;
+* the seconds of each operation (``passes[*].op_seconds`` of the record
+  file): per run their median over the untraced passes, compared per
+  operation the way the raw pass walls are (``op_s``);
 * the CPU seconds of each run's process tree (``RUSAGE_CHILDREN``);
 * the lines of ``src/`` per module and the AST count of settable parameters
   (function parameters with a default, plus ``**kwargs``, and dataclass
@@ -153,9 +156,15 @@ def record_of(root: Path, workload: str, seed: int) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def op_medians(passes: list) -> dict:
+    """Per operation, its median seconds over ``passes`` (``op_seconds``)."""
+    return {op: statistics.median(p["op_seconds"][op] for p in passes)
+            for op in passes[0]["op_seconds"]}
+
+
 def timed_run(root: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One perfbench run in ``root``: its end-to-end metrics, raw pass walls
-    and the CPU seconds of its process tree."""
+    """One perfbench run in ``root``: its end-to-end metrics, raw pass walls,
+    median seconds per operation and the CPU seconds of its process tree."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -169,6 +178,7 @@ def timed_run(root: Path, workload: str, seconds: float, seed: int) -> dict:
         "pass_wall_s": {**summary([p["wall_s"] for p in plain]),
                         "passes": len(plain),
                         "ref_median_s": statistics.median(p["ref_s"] for p in plain)},
+        "op_s": op_medians(plain),
         "cpu_s": (after.ru_utime + after.ru_stime
                   - before.ru_utime - before.ru_stime),
     }
@@ -208,21 +218,31 @@ def bench_workload(roots: dict, workload: str, seconds: float, args) -> dict:
         out["raw_pass_wall_s"][side]["per_run"] = [r["pass_wall_s"]
                                                    for r in runs[side]]
     out["process_cpu_s"] = compare({s: [r["cpu_s"] for r in runs[s]] for s in SIDES})
+    out["op_s"] = {op: compare({s: [r["op_s"][op] for r in runs[s]] for s in SIDES})
+                   for op in runs["parent"][0]["op_s"]}
     return out
 
 
+def _medians(cmps: dict, pairs: int) -> str:
+    """Parent -> change median of every comparison in ``cmps``, joined."""
+    parts = []
+    for metric, cmp in cmps.items():
+        if not isinstance(cmp, dict) or "parent" not in cmp:
+            continue
+        p, c = cmp["parent"]["median"], cmp["change"]["median"]
+        rel = f" ({(c - p) / p:+.1%})" if p else ""
+        parts.append(f"{metric} {p:.4g} -> {c:.4g}{rel}, change lower in "
+                     f"{cmp['change_lower_pairs']} of {pairs}")
+    return "; ".join(parts)
+
+
 def notes(workloads: dict) -> list:
+    """One line per workload, and one more per workload for its operations."""
     lines = []
     for name, w in workloads.items():
-        parts = []
-        for metric, cmp in w.items():
-            if not isinstance(cmp, dict) or "parent" not in cmp:
-                continue
-            p, c = cmp["parent"]["median"], cmp["change"]["median"]
-            rel = f" ({(c - p) / p:+.1%})" if p else ""
-            parts.append(f"{metric} {p:.4g} -> {c:.4g}{rel}, change lower in "
-                         f"{cmp['change_lower_pairs']} of {w['pairs']}")
-        lines.append(f"{name}: " + "; ".join(parts))
+        lines.append(f"{name}: " + _medians(w, w["pairs"]))
+        if "op_s" in w:
+            lines.append(f"{name} op_s: " + _medians(w["op_s"], w["pairs"]))
     return lines
 
 
